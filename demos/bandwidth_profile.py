@@ -9,14 +9,14 @@ threshold never binds; large bandwidths bind sooner but pay 2h of dilation.
 
 import numpy as np
 
-from modeset import RngStream, dilate, dkw_count_slack, fbeta_sample, make_confidence_set
+from modeset import FBetaDensity, RngStream, dilate, dkw_count_slack, make_confidence_set
 from modeset.core import split_sample, venter_pilot
 from modeset.mest import WindowStatistic, default_bandwidth_grid
 
 ALPHA = 0.05
 N = 2000
 
-data = fbeta_sample(beta=1.0, stream=RngStream(seed=11, stream_id=0), n=N)
+data = FBetaDensity(beta=1.0).sample(RngStream(seed=11, stream_id=0), n=N)
 split = split_sample(data, RngStream(seed=11, stream_id=1))
 pilot = venter_pilot(split.s1)
 points = split.s2.values

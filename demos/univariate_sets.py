@@ -12,10 +12,10 @@ p-value sets are wide but valid.
 import json
 
 from modeset import (
+    FBetaDensity,
     MEstConfig,
     RngStream,
     SortedSample,
-    fbeta_sample,
     m1_confidence_interval,
     m2_adaptive_details,
     m2_details,
@@ -27,7 +27,7 @@ from modeset import (
 ALPHA = 0.05
 N = 1000
 
-data = fbeta_sample(beta=1.0, stream=RngStream(seed=7, stream_id=0), n=N)
+data = FBetaDensity(beta=1.0).sample(RngStream(seed=7, stream_id=0), n=N)
 split_stream = RngStream(seed=7, stream_id=1)
 print(f"sample: n={N}, range [{data.min():.3f}, {data.max():.3f}], true mode 0.0\n")
 

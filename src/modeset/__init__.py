@@ -30,9 +30,7 @@ from .mest import (
     WindowStatistic,
     dkw_count_slack,
     hoeffding_count_slack,
-    m2_adaptive_confidence_set,
     m2_adaptive_details,
-    m2_confidence_set,
     m2_details,
 )
 from .methods import compute_confidence_set
@@ -44,7 +42,6 @@ from .multivariate import (
     scan_region,
 )
 from .numerics import (
-    Probability,
     RngStream,
     qbeta,
     qchisq,
@@ -55,8 +52,6 @@ from .sim import (
     CoverageReport,
     FBetaDensity,
     coverage_report_csv,
-    fbeta_cdf,
-    fbeta_sample,
     run_coverage_study,
     study_bandwidth,
 )
@@ -80,7 +75,6 @@ __all__ = [
     "MethodInfeasibleError",
     "ModeSetError",
     "PointCloud",
-    "Probability",
     "RngStream",
     "SampleSplit",
     "SortedSample",
@@ -93,15 +87,11 @@ __all__ = [
     "dilate",
     "dkw_count_slack",
     "edelman_single_interval",
-    "fbeta_cdf",
-    "fbeta_sample",
     "hoeffding_count_slack",
     "lanke_inflation",
     "level_intervals",
     "m1_confidence_interval",
-    "m2_adaptive_confidence_set",
     "m2_adaptive_details",
-    "m2_confidence_set",
     "m2_details",
     "m3_confidence_set",
     "m3prime_confidence_set",

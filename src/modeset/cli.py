@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -107,17 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-
-
 def _run_ci(args) -> int:
-    _validate_alpha(args.alpha)
-    if args.method == "m3p" and not args.rho > 1.0:
-        raise ValueError(f"rho must exceed 1, got {args.rho}")
-    if args.method == "m2" and args.h is None:
-        raise ValueError("method m2 requires --h")
     data = _read_floats(args.input)
     h_grid = None
     if args.h_grid_min is not None or args.h_grid_max is not None:
@@ -152,30 +141,14 @@ def _run_ci(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    _validate_alpha(args.alpha)
-    methods = _parse_list(args.methods, str)
-    for m in methods:
-        if m not in METHOD_CODES:
-            raise ValueError(f"unknown method {m!r}; choose from {METHOD_CODES}")
-    n_values = _parse_list(args.n, int)
-    beta_values = _parse_list(args.beta, float)
-    if args.reps < 1:
-        raise ValueError("--reps must be positive")
-    if any(n < 2 for n in n_values):
-        raise ValueError("--n entries must be at least 2")
-    if any(b <= 0 for b in beta_values):
-        raise ValueError("--beta entries must be positive")
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("MODESET_THREADS", "1"))
     reports = run_coverage_study(
-        methods,
-        n_values,
-        beta_values,
+        _parse_list(args.methods, str),
+        _parse_list(args.n, int),
+        _parse_list(args.beta, float),
         alpha=args.alpha,
         replications=args.reps,
         base_seed=args.seed,
-        workers=workers,
+        workers=args.workers,
         keep_widths=args.emit_widths is not None,
     )
     payload = coverage_report_csv(reports)
@@ -212,7 +185,6 @@ def _parse_box(text: str, points: np.ndarray):
 
 
 def _run_mode2d(args) -> int:
-    _validate_alpha(args.alpha)
     points = _read_points(args.input)
     cloud = PointCloud.from_points(points, args.gamma)
     box = _parse_box(args.box, cloud.points)

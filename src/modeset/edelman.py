@@ -27,7 +27,13 @@ import math
 
 import numpy as np
 
-from .core import ConfidenceSet, make_confidence_set, split_sample, venter_pilot
+from .core import (
+    ConfidenceSet,
+    MethodInfeasibleError,
+    make_confidence_set,
+    split_sample,
+    venter_pilot,
+)
 from .numerics import RngStream, qchisq
 
 __all__ = [
@@ -55,12 +61,8 @@ def edelman_single_interval(x: float, a: float, alpha: float) -> ConfidenceSet:
     return make_confidence_set([(lo, hi)])
 
 
-def fisher_combination_statistic(points: np.ndarray, pilot: float, thetas) -> np.ndarray:
-    """Combined p-value statistic -2 * sum_i log p_i(theta), vectorized in theta.
-
-    ``points`` are the evaluation-half observations; requires every
-    |X_i - pilot| > 0.
-    """
+def _ratio_sums(points: np.ndarray, pilot: float, thetas, f) -> np.ndarray:
+    """sum_i f(|X_i - theta| / |X_i - pilot|) for every theta."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     denom = np.abs(points - pilot)
     out = np.empty(thetas.size, dtype=np.float64)
@@ -69,24 +71,26 @@ def fisher_combination_statistic(points: np.ndarray, pilot: float, thetas) -> np
     for i in range(0, thetas.size, chunk):
         block = thetas[i:i + chunk, None]
         ratio = np.abs(points[None, :] - block) / denom[None, :]
-        out[i:i + chunk] = 2.0 * np.log1p(ratio).sum(axis=1)
-    return out - 2.0 * points.size * _LOG2
+        out[i:i + chunk] = f(ratio).sum(axis=1)
+    return out
+
+
+def fisher_combination_statistic(points: np.ndarray, pilot: float, thetas) -> np.ndarray:
+    """Combined p-value statistic -2 * sum_i log p_i(theta), vectorized in theta.
+
+    ``points`` are the evaluation-half observations; requires every
+    |X_i - pilot| > 0.
+    """
+    sums = _ratio_sums(points, pilot, thetas, np.log1p)
+    return 2.0 * sums - 2.0 * points.size * _LOG2
 
 
 def markov_ratio_statistic(
     points: np.ndarray, pilot: float, rho: float, thetas
 ) -> np.ndarray:
     """Dampened-ratio mean statistic of the dependence-robust set (m3p)."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    denom = np.abs(points - pilot)
     prefactor = (rho - 1.0) / (rho + 1.0) / points.size
-    out = np.empty(thetas.size, dtype=np.float64)
-    chunk = max(1, 4_000_000 // max(points.size, 1))
-    for i in range(0, thetas.size, chunk):
-        block = thetas[i:i + chunk, None]
-        ratio = np.abs(points[None, :] - block) / denom[None, :]
-        out[i:i + chunk] = prefactor * np.power(ratio, 1.0 / rho).sum(axis=1)
-    return out
+    return prefactor * _ratio_sums(points, pilot, thetas, lambda r: np.power(r, 1.0 / rho))
 
 
 def _bisect_boundary(stat, cutoff: float, a: float, b: float, tol: float) -> float:
@@ -152,7 +156,7 @@ def _split_pilot_points(data, split_stream, split_fraction, pilot_r):
     pilot = venter_pilot(split.s1, pilot_r)
     points = split.s2.values
     if np.any(points == pilot):
-        raise ValueError(
+        raise MethodInfeasibleError(
             "an evaluation point coincides with the pilot estimate; "
             "the p-value ratios are undefined for non-continuous data"
         )

@@ -40,9 +40,7 @@ __all__ = [
     "default_bandwidth_grid",
     "dkw_count_slack",
     "hoeffding_count_slack",
-    "m2_adaptive_confidence_set",
     "m2_adaptive_details",
-    "m2_confidence_set",
     "m2_details",
 ]
 
@@ -181,7 +179,7 @@ def _split_and_pilot(data, cfg: MEstConfig):
 def m2_details(data, cfg: MEstConfig) -> MEstResult:
     """Fixed-bandwidth M-estimation set with diagnostics (method m2)."""
     if cfg.h is None:
-        raise ValueError("m2 requires a fixed bandwidth h in the configuration")
+        raise ValueError("method m2 requires a fixed bandwidth h (--h)")
     s2, pilot = _split_and_pilot(data, cfg)
     ws = WindowStatistic.from_points(s2, cfg.h)
     cutoff = float(ws.at(pilot)) - hoeffding_count_slack(s2.size, cfg.alpha)
@@ -193,11 +191,6 @@ def m2_details(data, cfg: MEstConfig) -> MEstResult:
         pilot=pilot,
         vacuous=vacuous,
     )
-
-
-def m2_confidence_set(data, cfg: MEstConfig) -> ConfidenceSet:
-    """Fixed-bandwidth M-estimation confidence set (method m2)."""
-    return m2_details(data, cfg).confidence_set
 
 
 def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
@@ -235,8 +228,3 @@ def m2_adaptive_details(data, cfg: MEstConfig) -> MEstResult:
             )
     assert best is not None
     return best
-
-
-def m2_adaptive_confidence_set(data, cfg: MEstConfig) -> ConfidenceSet:
-    """Width-minimizing bandwidth M-estimation confidence set (m2a)."""
-    return m2_adaptive_details(data, cfg).confidence_set

@@ -1,19 +1,26 @@
-"""Single dispatch point mapping method codes to the univariate constructions."""
+"""Single dispatch point mapping method codes to the univariate constructions.
+
+This is the only module that branches on a method code; the simulator,
+the CLI and the multivariate lift all go through it.  Errors keep their
+classes: invalid arguments raise ``ValueError`` and a sample the method
+cannot handle (too small, or an evaluation point tied with the pilot)
+raises ``MethodInfeasibleError``.
+"""
 
 from __future__ import annotations
 
 from .core import ConfidenceSet, SortedSample
 from .edelman import m3_confidence_set, m3prime_confidence_set
-from .mest import MEstConfig, m2_adaptive_confidence_set, m2_confidence_set
+from .mest import MEstConfig, m2_adaptive_details, m2_details
 from .numerics import RngStream
 from .spacings import m1_confidence_interval
 
-__all__ = ["METHOD_CODES", "compute_confidence_set"]
+__all__ = ["METHOD_CODES", "compute_confidence_set", "run_method"]
 
 METHOD_CODES = ("m1", "m2", "m2a", "m3", "m3p")
 
 
-def compute_confidence_set(
+def run_method(
     data,
     alpha: float,
     method: str,
@@ -24,17 +31,20 @@ def compute_confidence_set(
     pilot_r: int | None = None,
     split_stream: RngStream = RngStream(0, 0),
     split_fraction: float = 0.5,
-) -> ConfidenceSet:
+) -> tuple[ConfidenceSet, bool]:
     """Run one univariate mode confidence-set construction by code.
 
-    ``m1`` needs no extra options; ``m2`` needs ``h``; ``m2a`` accepts an
-    optional ``h_grid``; ``m3p`` accepts ``rho`` (> 1).  The split-based
-    methods take ``pilot_r``, ``split_stream`` and ``split_fraction``.
+    Returns the set and whether its threshold was vacuous (only ``m2`` and
+    ``m2a`` can be).  ``m1`` needs no extra options; ``m2`` needs ``h``;
+    ``m2a`` accepts an optional ``h_grid``; ``m3p`` accepts ``rho`` (> 1).
+    The split-based methods take ``pilot_r``, ``split_stream`` and
+    ``split_fraction``.  Options a method does not use are ignored.
     """
-    if method not in METHOD_CODES:
-        raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
+    # checked first, so a bad alpha is reported before any sample-size check
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     if method == "m1":
-        return m1_confidence_interval(SortedSample.from_data(data), alpha)
+        return m1_confidence_interval(SortedSample.from_data(data), alpha), False
     if method in ("m2", "m2a"):
         cfg = MEstConfig(
             alpha=alpha,
@@ -44,22 +54,16 @@ def compute_confidence_set(
             split_stream=split_stream,
             split_fraction=split_fraction,
         )
-        if method == "m2":
-            return m2_confidence_set(data, cfg)
-        return m2_adaptive_confidence_set(data, cfg)
+        res = m2_details(data, cfg) if method == "m2" else m2_adaptive_details(data, cfg)
+        return res.confidence_set, res.vacuous
+    split = dict(split_stream=split_stream, split_fraction=split_fraction, pilot_r=pilot_r)
     if method == "m3":
-        return m3_confidence_set(
-            data,
-            alpha,
-            split_stream=split_stream,
-            split_fraction=split_fraction,
-            pilot_r=pilot_r,
-        )
-    return m3prime_confidence_set(
-        data,
-        alpha,
-        rho,
-        split_stream=split_stream,
-        split_fraction=split_fraction,
-        pilot_r=pilot_r,
-    )
+        return m3_confidence_set(data, alpha, **split), False
+    if method == "m3p":
+        return m3prime_confidence_set(data, alpha, rho, **split), False
+    raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
+
+
+def compute_confidence_set(data, alpha: float, method: str, **options) -> ConfidenceSet:
+    """The set of :func:`run_method`, which takes the same keyword options."""
+    return run_method(data, alpha, method, **options)[0]

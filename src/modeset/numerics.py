@@ -15,16 +15,12 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "Probability",
     "RngStream",
     "reg_inc_beta",
     "qbeta",
     "qchisq",
     "sample_uniform",
 ]
-
-# A probability is a plain float in [0, 1]; validated at entry points.
-Probability = float
 
 _UINT64_MAX = 2**64 - 1
 

@@ -23,18 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModeSetError, SortedSample
-from .edelman import m3_confidence_set, m3prime_confidence_set
-from .mest import MEstConfig, m2_adaptive_details, m2_details
+from .core import ModeSetError
+from .methods import METHOD_CODES, run_method
 from .numerics import RngStream, sample_uniform
-from .spacings import m1_confidence_interval
 
 __all__ = [
     "CoverageReport",
     "FBetaDensity",
     "coverage_report_csv",
-    "fbeta_cdf",
-    "fbeta_sample",
     "replication_widths_csv",
     "run_coverage_study",
     "study_bandwidth",
@@ -114,16 +110,6 @@ class FBetaDensity:
         return self.ppf(sample_uniform(stream, n))
 
 
-def fbeta_cdf(beta: float, x) -> np.ndarray:
-    """Distribution function of the test density at ``x``."""
-    return FBetaDensity(beta).cdf(x)
-
-
-def fbeta_sample(beta: float, stream: RngStream, n: int) -> np.ndarray:
-    """Inverse-transform sample of size ``n`` from the test density."""
-    return FBetaDensity(beta).sample(stream, n)
-
-
 def study_bandwidth(n: int, beta: float) -> float:
     """Bandwidth n**(-1/(1+2*beta)) * sqrt(ln n) used by the study for m2."""
     return n ** (-1.0 / (1.0 + 2.0 * beta)) * math.sqrt(math.log(n))
@@ -165,27 +151,13 @@ def _split_stream(base_seed: int, rep: int) -> RngStream:
 def _run_replication(args) -> tuple[bool, float, bool, bool]:
     """One replication: (covered, width, vacuous, errored)."""
     method, n, beta, alpha, base_seed, rep = args
-    data = fbeta_sample(beta, _data_stream(base_seed, rep), n)
-    split = _split_stream(base_seed, rep)
-    vacuous = False
+    data = FBetaDensity(beta).sample(_data_stream(base_seed, rep), n)
     try:
-        if method == "m1":
-            cs = m1_confidence_interval(SortedSample.from_data(data), alpha)
-        elif method == "m2":
-            cfg = MEstConfig(alpha=alpha, h=study_bandwidth(n, beta), split_stream=split)
-            res = m2_details(data, cfg)
-            cs, vacuous = res.confidence_set, res.vacuous
-        elif method == "m2a":
-            cfg = MEstConfig(alpha=alpha, split_stream=split)
-            res = m2_adaptive_details(data, cfg)
-            cs, vacuous = res.confidence_set, res.vacuous
-        elif method == "m3":
-            cs = m3_confidence_set(data, alpha, split_stream=split)
-        elif method == "m3p":
-            cs = m3prime_confidence_set(data, alpha, split_stream=split)
-        else:
-            raise KeyError(f"unknown method {method!r}")
-    except (ModeSetError, ValueError):
+        cs, vacuous = run_method(
+            data, alpha, method, h=study_bandwidth(n, beta),
+            split_stream=_split_stream(base_seed, rep),
+        )
+    except ModeSetError:
         # a replication whose data defeats the method (too small, pilot
         # collision) counts as an error; it must not kill the study
         return False, math.nan, False, True
@@ -209,7 +181,9 @@ def run_coverage_study(
     share datasets (common random numbers across methods and, by prefix,
     across sample sizes) and the whole study is reproducible bit for bit.
     ``workers`` > 1 distributes replications over processes without
-    changing any result.
+    changing any result.  Arguments are validated before any replication
+    runs; a replication that raises ``ModeSetError`` counts as an error,
+    while any other exception propagates.
     """
     if replications < 1:
         raise ValueError("replications must be positive")
@@ -218,10 +192,15 @@ def run_coverage_study(
     methods = list(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
-    known = {"m1", "m2", "m2a", "m3", "m3p"}
-    unknown = [m for m in methods if m not in known]
+    unknown = [m for m in methods if m not in METHOD_CODES]
     if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {sorted(known)}")
+        raise ValueError(f"unknown methods {unknown}; choose from {METHOD_CODES}")
+    n_values = list(n_values)
+    if any(n < 2 for n in n_values):
+        raise ValueError(f"sample sizes must be at least 2, got {n_values}")
+    beta_values = list(beta_values)
+    for beta in beta_values:
+        FBetaDensity(beta)  # raises on a non-positive or non-finite beta
     if workers is None:
         workers = int(os.environ.get("MODESET_THREADS", "1"))
     workers = max(1, workers)

@@ -16,7 +16,6 @@ from modeset import (
     RngStream,
     contains_mode_candidate,
     dkw_count_slack,
-    fbeta_sample,
     hoeffding_count_slack,
     m3prime_confidence_set,
     make_confidence_set,
@@ -112,7 +111,7 @@ def test_criterion_04_single_observation_inequality():
     results = []
     for i, a in enumerate((0.3, -0.5)):
         for j, alpha in enumerate((0.1, 0.5)):
-            x = fbeta_sample(1.0, RngStream(SEED + 40, 10 * i + j), reps)
+            x = FBetaDensity(1.0).sample(RngStream(SEED + 40, 10 * i + j), reps)
             lo = x - (2.0 / alpha - 1.0) * np.abs(x - a)
             hi = x + (2.0 / alpha + 1.0) * np.abs(x - a)
             cov = float(np.mean((lo <= 0.0) & (0.0 <= hi)))

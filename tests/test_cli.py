@@ -5,14 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from modeset import RngStream, fbeta_sample, sample_uniform
+from modeset import FBetaDensity, RngStream, sample_uniform
 from modeset.cli import main
 
 
 @pytest.fixture
 def data_1000(tmp_path):
     path = tmp_path / "data.txt"
-    values = fbeta_sample(1.0, RngStream(91, 0), 1000)
+    values = FBetaDensity(1.0).sample(RngStream(91, 0), 1000)
     path.write_text("\n".join(str(v) for v in values) + "\n")
     return path
 
@@ -41,6 +41,14 @@ def test_ci_m1_too_small_exits_3(tmp_path, capsys):
     code = main(["ci", "--method", "m1", "--input", str(path)])
     assert code == 3
     assert "sample too small" in capsys.readouterr().err
+
+
+def test_ci_m3_on_tied_data_exits_3(tmp_path, capsys):
+    # rounding makes an evaluation point coincide with the pilot
+    values = np.round(FBetaDensity(1.0).sample(RngStream(94, 0), 400), 1)
+    path = _write_lines(tmp_path, "tied.txt", values)
+    assert main(["ci", "--method", "m3", "--input", str(path)]) == 3
+    assert "coincides" in capsys.readouterr().err
 
 
 def test_ci_m3p_rho_validation_exits_2(data_1000, capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from modeset import (
+    FBetaDensity,
+    MethodInfeasibleError,
     RngStream,
     edelman_single_interval,
-    fbeta_sample,
     m3_confidence_set,
     m3prime_confidence_set,
     qchisq,
@@ -35,7 +36,7 @@ def test_single_interval_alpha_validation():
 
 
 def test_single_interval_monte_carlo_coverage():
-    x = fbeta_sample(1.0, RngStream(61, 0), 10**4)
+    x = FBetaDensity(1.0).sample(RngStream(61, 0), 10**4)
     a, alpha = 0.3, 0.1
     lo = x - (2.0 / alpha - 1.0) * np.abs(x - a)
     hi = x + (2.0 / alpha + 1.0) * np.abs(x - a)
@@ -48,7 +49,7 @@ def _pvalues(points, pilot, theta):
 
 
 def test_pvalue_range_and_pilot_unit():
-    points = fbeta_sample(1.0, RngStream(62, 0), 200)
+    points = FBetaDensity(1.0).sample(RngStream(62, 0), 200)
     pilot = 0.123
     for theta in (-0.5, 0.0, 0.7, 10.0):
         p = _pvalues(points, pilot, theta)
@@ -83,7 +84,7 @@ def test_markov_statistic_one_at_pilot():
 
 def test_m3_pilot_always_in_set():
     for seed in range(5):
-        data = fbeta_sample(1.0, RngStream(63, seed), 200)
+        data = FBetaDensity(1.0).sample(RngStream(63, seed), 200)
         stream = RngStream(64, seed)
         cs = m3_confidence_set(data, 0.05, split_stream=stream)
         split = split_sample(data, stream)
@@ -143,7 +144,7 @@ def test_m3prime_grid_oracle_equivalence_small_n():
 
 
 def test_m3prime_rho_validation_and_small_rho_blowup():
-    data = fbeta_sample(1.0, RngStream(67, 0), 200)
+    data = FBetaDensity(1.0).sample(RngStream(67, 0), 200)
     with pytest.raises(ValueError, match="rho must exceed 1"):
         m3prime_confidence_set(data, 0.05, 1.0)
     narrow = m3prime_confidence_set(data, 0.5, 3.0, split_stream=RngStream(68, 0))
@@ -156,7 +157,7 @@ def test_m3prime_rho_validation_and_small_rho_blowup():
 
 def test_m3_rejects_pilot_collision():
     data = np.full(20, 5.0)
-    with pytest.raises(ValueError, match="coincides"):
+    with pytest.raises(MethodInfeasibleError, match="coincides"):
         m3_confidence_set(data, 0.05, split_stream=RngStream(69, 0))
 
 
@@ -164,7 +165,7 @@ def test_m3_statistical_coverage_smoke():
     covered = 0
     reps = 40
     for rep in range(reps):
-        data = fbeta_sample(1.0, RngStream(70, 2 * rep), 400)
+        data = FBetaDensity(1.0).sample(RngStream(70, 2 * rep), 400)
         cs = m3_confidence_set(data, 0.05, split_stream=RngStream(70, 2 * rep + 1))
         covered += cs.contains(0.0)
     assert covered / reps >= 0.95 - 2 * math.sqrt(0.05 * 0.95 / reps)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from modeset import (
+    FBetaDensity,
     MEstConfig,
     RngStream,
     dilate,
     dkw_count_slack,
-    fbeta_sample,
     hoeffding_count_slack,
-    m2_adaptive_confidence_set,
     m2_adaptive_details,
-    m2_confidence_set,
     m2_details,
     make_confidence_set,
 )
@@ -117,7 +115,7 @@ def test_exact_sweep_matches_brute_force():
 
 def test_m2_pilot_always_covered_and_nonempty():
     for seed in range(5):
-        data = fbeta_sample(1.0, RngStream(41, seed), 400)
+        data = FBetaDensity(1.0).sample(RngStream(41, seed), 400)
         cfg = MEstConfig(alpha=0.05, h=0.3, split_stream=RngStream(42, seed))
         res = m2_details(data, cfg)
         assert not res.confidence_set.is_empty
@@ -127,7 +125,7 @@ def test_m2_pilot_always_covered_and_nonempty():
 
 def test_m2_vacuous_clamps_to_breakpoint_hull():
     # tiny evaluation half: the count slack dwarfs any window count
-    data = fbeta_sample(1.0, RngStream(43, 0), 40)
+    data = FBetaDensity(1.0).sample(RngStream(43, 0), 40)
     cfg = MEstConfig(alpha=0.05, h=0.25, split_stream=RngStream(44, 0))
     res = m2_details(data, cfg)
     assert res.vacuous
@@ -139,7 +137,7 @@ def test_m2_vacuous_clamps_to_breakpoint_hull():
 
 def test_m2_alpha_monotone_inclusion():
     # smaller alpha means larger slack, so the set can only grow
-    data = fbeta_sample(1.0, RngStream(45, 0), 4000)
+    data = FBetaDensity(1.0).sample(RngStream(45, 0), 4000)
     sets = {}
     for alpha in (0.5, 0.1, 0.02):
         cfg = MEstConfig(alpha=alpha, h=1.0, split_stream=RngStream(46, 0))
@@ -152,13 +150,13 @@ def test_m2_alpha_monotone_inclusion():
 
 
 def test_m2_requires_bandwidth():
-    data = fbeta_sample(1.0, RngStream(47, 0), 100)
+    data = FBetaDensity(1.0).sample(RngStream(47, 0), 100)
     with pytest.raises(ValueError, match="bandwidth"):
-        m2_confidence_set(data, MEstConfig(alpha=0.05))
+        m2_details(data, MEstConfig(alpha=0.05)).confidence_set
 
 
 def test_m2a_degenerate_grid_matches_single_dkw_set():
-    data = fbeta_sample(1.0, RngStream(48, 0), 400)
+    data = FBetaDensity(1.0).sample(RngStream(48, 0), 400)
     stream = RngStream(49, 0)
     res_grid = m2_adaptive_details(data, MEstConfig(alpha=0.05, h_grid=(0.5,),
                                                     split_stream=stream))
@@ -178,7 +176,7 @@ def test_m2a_degenerate_grid_matches_single_dkw_set():
 
 
 def test_m2a_picks_minimal_width_smallest_h_tie():
-    data = fbeta_sample(1.0, RngStream(50, 0), 1000)
+    data = FBetaDensity(1.0).sample(RngStream(50, 0), 1000)
     cfg = MEstConfig(alpha=0.05, split_stream=RngStream(51, 0))
     res = m2_adaptive_details(data, cfg)
     grid = default_bandwidth_grid(
@@ -210,10 +208,10 @@ def test_m2a_statistical_coverage_smoke():
     covered = 0
     reps = 60
     for rep in range(reps):
-        data = fbeta_sample(1.0, RngStream(52, 2 * rep), 1000)
-        cs = m2_adaptive_confidence_set(
+        data = FBetaDensity(1.0).sample(RngStream(52, 2 * rep), 1000)
+        cs = m2_adaptive_details(
             data, MEstConfig(alpha=0.05, split_stream=RngStream(52, 2 * rep + 1))
-        )
+        ).confidence_set
         covered += cs.contains(0.0)
     assert covered / reps >= 0.95 - 2 * math.sqrt(0.05 * 0.95 / reps)
 

@@ -5,11 +5,11 @@ import pytest
 from scipy import integrate
 
 from modeset import (
+    ModeSetError,
     RngStream,
     SortedSample,
+    compute_confidence_set,
     coverage_report_csv,
-    fbeta_cdf,
-    fbeta_sample,
     run_coverage_study,
     study_bandwidth,
     venter_pilot,
@@ -30,14 +30,14 @@ def test_density_normalizes_and_mass_left():
 
 def test_cdf_checkpoints():
     # F(0) = beta/(2(beta+1)); for beta=1 that is 1/4
-    assert fbeta_cdf(1.0, 0.0) == pytest.approx(0.25, abs=1e-14)
+    assert FBetaDensity(1.0).cdf(0.0) == pytest.approx(0.25, abs=1e-14)
     for beta in BETAS:
         d = FBetaDensity(beta)
-        assert fbeta_cdf(beta, 0.0) == pytest.approx(beta / (2 * (beta + 1)), abs=1e-14)
-        assert fbeta_cdf(beta, d.upper) == pytest.approx(1.0, abs=1e-12)
-        assert fbeta_cdf(beta, -1.0) == 0.0
-        assert fbeta_cdf(beta, -5.0) == 0.0
-        assert fbeta_cdf(beta, d.upper + 3.0) == 1.0
+        assert d.cdf(0.0) == pytest.approx(beta / (2 * (beta + 1)), abs=1e-14)
+        assert d.cdf(d.upper) == pytest.approx(1.0, abs=1e-12)
+        assert d.cdf(-1.0) == 0.0
+        assert d.cdf(-5.0) == 0.0
+        assert d.cdf(d.upper + 3.0) == 1.0
 
 
 def test_cdf_matches_quadrature_oracle():
@@ -72,7 +72,7 @@ def test_ppf_round_trip_and_mode_point():
 
 def test_sampler_ks_band():
     d = FBetaDensity(1.0)
-    x = fbeta_sample(1.0, RngStream(81, 0), 10**5)
+    x = d.sample(RngStream(81, 0), 10**5)
     assert np.all(x >= -1.0) and np.all(x <= 3.0)
     u = np.sort(d.cdf(x))
     i = np.arange(1, u.size + 1)
@@ -86,13 +86,13 @@ def test_sampler_mean_against_quadrature():
     assert mean == pytest.approx(2.0 / 3.0, abs=1e-10)  # hand integral
     second, _ = integrate.quad(lambda t: t * t * d.pdf(t), -1.0, 3.0, limit=200)
     sigma = math.sqrt(second - mean * mean)
-    x = fbeta_sample(1.0, RngStream(82, 0), 10**6)
+    x = d.sample(RngStream(82, 0), 10**6)
     assert abs(x.mean() - mean) <= 3.0 * sigma / 1000.0
 
 
 def test_sampler_mode_neighborhood_mass():
     d = FBetaDensity(1.0)
-    x = fbeta_sample(1.0, RngStream(83, 0), 10**5)
+    x = d.sample(RngStream(83, 0), 10**5)
     p = float(d.cdf(0.01) - d.cdf(-0.01))
     assert p == pytest.approx(0.01, rel=0.02)  # 2*eps*f(0) with f(0)=1/2
     frac = np.mean(np.abs(x) <= 0.01)
@@ -111,7 +111,7 @@ def test_pilot_consistency_monte_carlo():
     for n in (200, 2000, 20000):
         errs = []
         for rep in range(200):
-            data = fbeta_sample(1.0, RngStream(84, 1000 * n + rep), n)
+            data = FBetaDensity(1.0).sample(RngStream(84, 1000 * n + rep), n)
             errs.append(abs(venter_pilot(SortedSample.from_data(data))))
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2]
@@ -150,6 +150,16 @@ def test_study_counts_method_errors_without_aborting():
     assert math.isnan(r.width_q50)
 
 
+def test_study_propagates_errors_that_are_not_method_errors(monkeypatch):
+    # only a ModeSetError counts as an errored replication; anything else is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("modeset.sim.run_method", broken)
+    with pytest.raises(ValueError, match="bug"):
+        run_coverage_study(["m1"], [200], [1.0], replications=2, base_seed=3)
+
+
 def test_replication_widths_emission():
     reports = run_coverage_study(["m1"], [200], [1.0], alpha=0.05,
                                  replications=6, base_seed=11, keep_widths=True)
@@ -167,6 +177,10 @@ def test_study_validation():
         run_coverage_study([], [200], [1.0], replications=5)
     with pytest.raises(ValueError):
         run_coverage_study(["m1"], [200], [1.0], replications=0)
+    with pytest.raises(ValueError, match="at least 2"):
+        run_coverage_study(["m1"], [200, 1], [1.0], replications=5)
+    with pytest.raises(ValueError, match="beta"):
+        run_coverage_study(["m1"], [200], [1.0, 0.0], replications=5)
 
 
 def test_study_default_grid_smoke():
@@ -177,3 +191,26 @@ def test_study_default_grid_smoke():
     assert len(reports) == 24
     assert all(r.errors == 0 for r in reports)
     assert all(r.coverage == 1.0 for r in reports)  # conservative methods
+
+
+@pytest.mark.parametrize("method", ["m1", "m2", "m2a", "m3", "m3p"])
+def test_study_replications_match_direct_dispatch(method):
+    # the study runs each method exactly as compute_confidence_set does,
+    # on replication r's data stream 2r and split stream 2r + 1
+    seed, n_values, betas, reps = 17, [24, 120], [0.5, 2.0], 3
+    reports = run_coverage_study([method], n_values, betas, alpha=0.1,
+                                 replications=reps, base_seed=seed, keep_widths=True)
+    assert [(r.n, r.beta) for r in reports] == [(n, b) for n in n_values for b in betas]
+    for r in reports:
+        assert len(r.widths) == reps
+        for rep, width in enumerate(r.widths):
+            data = FBetaDensity(r.beta).sample(RngStream(seed, 2 * rep), r.n)
+            try:
+                cs = compute_confidence_set(
+                    data, 0.1, method, h=study_bandwidth(r.n, r.beta),
+                    split_stream=RngStream(seed, 2 * rep + 1),
+                )
+            except ModeSetError:
+                assert math.isnan(width)
+            else:
+                assert width == cs.width

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from modeset import (
+    FBetaDensity,
     MethodInfeasibleError,
     RngStream,
     SortedSample,
-    fbeta_sample,
     m1_confidence_interval,
 )
 from modeset.spacings import build_plan, lanke_inflation, level_intervals
@@ -56,7 +56,7 @@ def test_plan_tolerance_monotone_in_alpha():
 
 
 def test_level_intervals_structure():
-    sample = SortedSample.from_data(fbeta_sample(1.0, RngStream(11, 0), 1000))
+    sample = SortedSample.from_data(FBetaDensity(1.0).sample(RngStream(11, 0), 1000))
     plan = build_plan(1000, 0.05)
     for b in range(plan.b_max + 1):
         ivs = level_intervals(sample, plan, b)
@@ -85,7 +85,7 @@ def test_m1_equal_spacing_traces_to_full_tail_extension():
 
 def test_m1_single_interval_within_bounds():
     for seed in range(20):
-        data = fbeta_sample(1.0, RngStream(21, seed), 500)
+        data = FBetaDensity(1.0).sample(RngStream(21, seed), 500)
         sample = SortedSample.from_data(data)
         plan = build_plan(500, 0.05)
         cs = m1_confidence_interval(sample, 0.05)
@@ -114,7 +114,7 @@ def test_m1_alpha_nesting_observed():
     violations = 0
     checks = 0
     for seed in range(10):
-        data = fbeta_sample(1.0, RngStream(31, seed), 1000)
+        data = FBetaDensity(1.0).sample(RngStream(31, seed), 1000)
         sample = SortedSample.from_data(data)
         sets = [m1_confidence_interval(sample, a).intervals[0] for a in alphas]
         for (lo_big_a, hi_big_a), (lo_small_a, hi_small_a) in zip(sets, sets[1:]):
@@ -135,7 +135,7 @@ def test_m1_coverage_beta2_smoke():
     covered = 0
     reps = 100
     for rep in range(reps):
-        data = fbeta_sample(2.0, RngStream(55, rep), 1000)
+        data = FBetaDensity(2.0).sample(RngStream(55, rep), 1000)
         covered += m1_confidence_interval(
             SortedSample.from_data(data), 0.05
         ).contains(0.0)
