@@ -31,12 +31,8 @@ for h in grid:
     ws = WindowStatistic.from_points(points, h)
     n_pilot = int(ws.at(pilot))
     cutoff = n_pilot - slack
-    if cutoff <= 0:
-        pre = make_confidence_set([(ws.breakpoints[0], ws.breakpoints[-1])])
-        binds = " no"
-    else:
-        pre = make_confidence_set(ws.level_set(cutoff))
-        binds = "yes"
+    pre = make_confidence_set(ws.level_set(cutoff))
+    binds = "yes" if cutoff > 0 else " no"
     width = dilate(pre, h).width
     marker = ""
     if width < best_width:

@@ -13,7 +13,6 @@ import json
 
 from modeset import (
     FBetaDensity,
-    MEstConfig,
     RngStream,
     SortedSample,
     m1_confidence_interval,
@@ -38,11 +37,11 @@ results["m1 (order-statistic spacings)"] = m1_confidence_interval(
 )
 
 h = study_bandwidth(N, beta=1.0)
-m2 = m2_details(data, MEstConfig(alpha=ALPHA, h=h, split_stream=split_stream))
+m2 = m2_details(data, ALPHA, h, split_stream=split_stream)
 label = "m2 (fixed bandwidth h=%.3f%s)" % (h, ", vacuous" if m2.vacuous else "")
 results[label] = m2.confidence_set
 
-m2a = m2_adaptive_details(data, MEstConfig(alpha=ALPHA, split_stream=split_stream))
+m2a = m2_adaptive_details(data, ALPHA, split_stream=split_stream)
 results[f"m2a (width-minimizing, picked h={m2a.h:.3f})"] = m2a.confidence_set
 
 results["m3 (combined p-values)"] = m3_confidence_set(

@@ -25,7 +25,6 @@ from .edelman import (
     m3prime_confidence_set,
 )
 from .mest import (
-    MEstConfig,
     MEstResult,
     WindowStatistic,
     dkw_count_slack,
@@ -69,7 +68,6 @@ __all__ = [
     "ConfidenceSet",
     "CoverageReport",
     "FBetaDensity",
-    "MEstConfig",
     "MEstResult",
     "MembershipGrid",
     "MethodInfeasibleError",

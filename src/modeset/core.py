@@ -31,6 +31,19 @@ class MethodInfeasibleError(ModeSetError):
     """A method's preconditions cannot be met by the given sample."""
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the level ``alpha`` lies strictly in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+
+
+def run_edges(mask) -> np.ndarray:
+    """Start and stop indices of the runs of True in ``mask``, interleaved:
+    run k is ``mask[edges[2k]:edges[2k + 1]]``."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    return np.flatnonzero(padded[1:] != padded[:-1])
+
+
 def _as_finite_1d(data, name="data") -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 1:
@@ -44,23 +57,16 @@ def _as_finite_1d(data, name="data") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SortedSample:
-    """Validated ascending observation vector.
-
-    ``values`` is the ascending view used by every interval construction;
-    ``original`` keeps the input order so that sample splitting stays
-    reproducible regardless of how the data arrived.
-    """
+    """Validated ascending observation vector, the view used by every
+    interval construction."""
 
     values: np.ndarray
-    original: np.ndarray
 
     @classmethod
     def from_data(cls, data) -> "SortedSample":
-        original = _as_finite_1d(data).copy()
-        values = np.sort(original)
+        values = np.sort(_as_finite_1d(data))
         values.setflags(write=False)
-        original.setflags(write=False)
-        return cls(values=values, original=original)
+        return cls(values=values)
 
     @property
     def n(self) -> int:
@@ -194,6 +200,14 @@ def split_sample(data, stream: RngStream, fraction: float = 0.5) -> SampleSplit:
     s2 = SortedSample.from_data(arr[perm[:n2]])
     s1 = SortedSample.from_data(arr[perm[n2:]])
     return SampleSplit(s1=s1, s2=s2)
+
+
+def split_and_pilot(data, stream: RngStream, fraction: float,
+                    r: int | None) -> tuple[np.ndarray, float]:
+    """The sorted evaluation half of a split and the pilot mode estimate
+    from the other half: the first step of every split-based method."""
+    split = split_sample(data, stream, fraction)
+    return split.s2.values, venter_pilot(split.s1, r)
 
 
 def venter_pilot(sample: SortedSample, r: int | None = None) -> float:

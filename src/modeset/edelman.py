@@ -30,9 +30,10 @@ import numpy as np
 from .core import (
     ConfidenceSet,
     MethodInfeasibleError,
+    check_alpha,
     make_confidence_set,
-    split_sample,
-    venter_pilot,
+    run_edges,
+    split_and_pilot,
 )
 from .numerics import RngStream, qchisq
 
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# uniform scan points between the bracketing ends, before the anchors join
+_SCAN_SIZE = 4096
 
 
 def edelman_single_interval(x: float, a: float, alpha: float) -> ConfidenceSet:
@@ -53,8 +56,7 @@ def edelman_single_interval(x: float, a: float, alpha: float) -> ConfidenceSet:
     Returns [x - (2/alpha - 1)|x - a|, x + (2/alpha + 1)|x - a|]; the
     asymmetric +/-1 coefficients are part of the inequality.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     gap = abs(x - a)
     lo = x - (2.0 / alpha - 1.0) * gap
     hi = x + (2.0 / alpha + 1.0) * gap
@@ -107,8 +109,7 @@ def _bisect_boundary(stat, cutoff: float, a: float, b: float, tol: float) -> flo
     return 0.5 * (a + b)
 
 
-def _extract_level_set(stat, cutoff: float, anchors: np.ndarray,
-                       grid_points: int = 4096) -> ConfidenceSet:
+def _extract_level_set(stat, cutoff: float, anchors: np.ndarray) -> ConfidenceSet:
     """Exact sublevel set {theta : stat(theta) < cutoff} as closed intervals.
 
     ``anchors`` must include every point at which a component of the
@@ -132,29 +133,21 @@ def _extract_level_set(stat, cutoff: float, anchors: np.ndarray,
         raise RuntimeError("level-set scan failed to bracket the sublevel set")
     scan_lo, scan_hi = lo - margin, hi + margin
     grid = np.unique(np.concatenate([
-        np.linspace(scan_lo, scan_hi, grid_points),
+        np.linspace(scan_lo, scan_hi, _SCAN_SIZE),
         anchors,
     ]))
     below = stat(grid) < cutoff
     # well inside the contracted 1e-9*range tolerance; ~40 halvings suffice
     tol = 1e-12 * max(span, 1e-300)
-    intervals: list[tuple[float, float]] = []
-    start: float | None = None
-    for i in range(1, grid.size):
-        if below[i] and not below[i - 1]:
-            start = _bisect_boundary(stat, cutoff, grid[i - 1], grid[i], tol)
-        elif below[i - 1] and not below[i]:
-            end = _bisect_boundary(stat, cutoff, grid[i - 1], grid[i], tol)
-            intervals.append((start if start is not None else grid[i - 1], end))
-            start = None
-    # both scan ends sit above the cutoff, so every entry has a matching exit
-    return make_confidence_set(intervals)
+    # both scan ends sit above the cutoff, so every run edge e >= 1 brackets
+    # a boundary in [grid[e - 1], grid[e]], and the edges alternate entry, exit
+    bounds = [_bisect_boundary(stat, cutoff, grid[e - 1], grid[e], tol)
+              for e in run_edges(below)]
+    return make_confidence_set(zip(bounds[::2], bounds[1::2]))
 
 
 def _split_pilot_points(data, split_stream, split_fraction, pilot_r):
-    split = split_sample(data, split_stream, split_fraction)
-    pilot = venter_pilot(split.s1, pilot_r)
-    points = split.s2.values
+    points, pilot = split_and_pilot(data, split_stream, split_fraction, pilot_r)
     if np.any(points == pilot):
         raise MethodInfeasibleError(
             "an evaluation point coincides with the pilot estimate; "
@@ -170,7 +163,6 @@ def m3_confidence_set(
     split_stream: RngStream = RngStream(0, 0),
     split_fraction: float = 0.5,
     pilot_r: int | None = None,
-    grid_points: int = 4096,
 ) -> ConfidenceSet:
     """Combined p-value confidence set for the mode (method m3).
 
@@ -180,8 +172,7 @@ def m3_confidence_set(
     width does not shrink with the sample size: the statistic's law of
     large numbers limit pins a fixed limiting set.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     points, pilot = _split_pilot_points(data, split_stream, split_fraction, pilot_r)
     cutoff = qchisq(1.0 - alpha, 2 * points.size)
 
@@ -189,7 +180,7 @@ def m3_confidence_set(
         return fisher_combination_statistic(points, pilot, thetas)
 
     anchors = np.append(points, pilot)
-    return _extract_level_set(stat, cutoff, anchors, grid_points)
+    return _extract_level_set(stat, cutoff, anchors)
 
 
 def m3prime_confidence_set(
@@ -200,7 +191,6 @@ def m3prime_confidence_set(
     split_stream: RngStream = RngStream(0, 0),
     split_fraction: float = 0.5,
     pilot_r: int | None = None,
-    grid_points: int = 4096,
 ) -> ConfidenceSet:
     """Dependence-robust confidence set for the mode (method m3p).
 
@@ -209,8 +199,7 @@ def m3prime_confidence_set(
     the dampened ratios needs only the single-observation concentration
     bound, which requires rho > 1 for integrability.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not rho > 1.0:
         raise ValueError(f"rho must exceed 1, got {rho}")
     points, pilot = _split_pilot_points(data, split_stream, split_fraction, pilot_r)
@@ -220,4 +209,4 @@ def m3prime_confidence_set(
         return markov_ratio_statistic(points, pilot, rho, thetas)
 
     anchors = np.append(points, pilot)
-    return _extract_level_set(stat, cutoff, anchors, grid_points)
+    return _extract_level_set(stat, cutoff, anchors)

@@ -26,15 +26,15 @@ import numpy as np
 from .core import (
     ConfidenceSet,
     MethodInfeasibleError,
+    check_alpha,
     dilate,
     make_confidence_set,
-    split_sample,
-    venter_pilot,
+    run_edges,
+    split_and_pilot,
 )
 from .numerics import RngStream
 
 __all__ = [
-    "MEstConfig",
     "MEstResult",
     "WindowStatistic",
     "default_bandwidth_grid",
@@ -53,40 +53,6 @@ def hoeffding_count_slack(n: int, alpha: float) -> float:
 def dkw_count_slack(n: int, alpha: float) -> float:
     """Count slack 2*sqrt(2n*log(2/alpha)), simultaneously valid over all h."""
     return 2.0 * math.sqrt(2.0 * n * math.log(2.0 / alpha))
-
-
-@dataclass(frozen=True)
-class MEstConfig:
-    """Configuration for the M-estimation sets.
-
-    ``h`` is the fixed bandwidth (m2); ``h_grid`` the candidate bandwidths
-    for the width-minimizing variant (m2a, defaults to a geometric grid
-    spanning the evaluation half's resolution to its range).  ``pilot_r``
-    overrides the pilot window size; the split is a deterministic function
-    of ``split_stream``.
-    """
-
-    alpha: float
-    h: float | None = None
-    h_grid: tuple[float, ...] | None = None
-    pilot_r: int | None = None
-    split_stream: RngStream = RngStream(0, 0)
-    split_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"bandwidth h must be positive, got {self.h}")
-        if self.h_grid is not None:
-            grid = tuple(float(h) for h in self.h_grid)
-            if len(grid) == 0:
-                raise ValueError("h_grid must be nonempty")
-            if any(h <= 0 for h in grid):
-                raise ValueError("h_grid entries must be positive")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError("h_grid must be strictly ascending")
-            object.__setattr__(self, "h_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -130,24 +96,14 @@ class WindowStatistic:
         return n
 
     def level_set(self, cutoff: float) -> list[tuple[float, float]]:
-        """Closed intervals where N(theta) >= cutoff, for cutoff > 0.
+        """Closed intervals where N(theta) >= cutoff.
 
         Internal segments are right-open; emission closes them, a
-        measure-zero enlargement.
+        measure-zero enlargement.  Every count is >= 0, so a cutoff <= 0
+        gives the knot hull [breakpoints[0], breakpoints[-1]].
         """
-        mask = self.counts[:-1] >= cutoff
-        out: list[tuple[float, float]] = []
-        i = 0
-        m = mask.size
-        while i < m:
-            if mask[i]:
-                j = i
-                while j + 1 < m and mask[j + 1]:
-                    j += 1
-                out.append((float(self.breakpoints[i]), float(self.breakpoints[j + 1])))
-                i = j + 1
-            i += 1
-        return out
+        edges = run_edges(self.counts[:-1] >= cutoff)
+        return [(float(a), float(b)) for a, b in self.breakpoints[edges].reshape(-1, 2)]
 
 
 @dataclass(frozen=True)
@@ -161,36 +117,45 @@ class MEstResult:
     vacuous: bool
 
 
-def _level_set_with_clamp(ws: WindowStatistic, cutoff: float) -> tuple[ConfidenceSet, bool]:
-    # cutoff <= 0 excludes nothing (N >= 0 everywhere): clamp to the knot
-    # hull so the reported set stays finite, and flag the vacuous threshold.
-    if cutoff <= 0.0:
-        pre = make_confidence_set([(float(ws.breakpoints[0]), float(ws.breakpoints[-1]))])
-        return pre, True
-    return make_confidence_set(ws.level_set(cutoff)), False
+def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> MEstResult:
+    # narrowest dilated level set over the bandwidth grid; the strict
+    # comparison sends ties to the smallest h
+    best: MEstResult | None = None
+    for h in grid:
+        ws = WindowStatistic.from_points(points, h)
+        cutoff = float(ws.at(pilot)) - slack
+        pre = make_confidence_set(ws.level_set(cutoff))
+        cs = dilate(pre, h)
+        if best is None or cs.width < best.confidence_set.width:
+            best = MEstResult(confidence_set=cs, pre_dilation=pre, h=h, pilot=pilot,
+                              vacuous=cutoff <= 0.0)
+    assert best is not None
+    return best
 
 
-def _split_and_pilot(data, cfg: MEstConfig):
-    split = split_sample(data, cfg.split_stream, cfg.split_fraction)
-    pilot = venter_pilot(split.s1, cfg.pilot_r)
-    return split.s2.values, pilot
+def m2_details(
+    data,
+    alpha: float,
+    h: float | None = None,
+    *,
+    split_stream: RngStream = RngStream(0, 0),
+    split_fraction: float = 0.5,
+    pilot_r: int | None = None,
+) -> MEstResult:
+    """Fixed-bandwidth M-estimation set with diagnostics (method m2).
 
-
-def m2_details(data, cfg: MEstConfig) -> MEstResult:
-    """Fixed-bandwidth M-estimation set with diagnostics (method m2)."""
-    if cfg.h is None:
+    ``h`` is required.  ``pilot_r`` overrides the pilot window size; the
+    split is a deterministic function of ``split_stream``.  A cutoff <= 0
+    excludes nothing: the set is then the dilated knot hull and
+    ``vacuous`` is set.
+    """
+    check_alpha(alpha)
+    if h is None:
         raise ValueError("method m2 requires a fixed bandwidth h (--h)")
-    s2, pilot = _split_and_pilot(data, cfg)
-    ws = WindowStatistic.from_points(s2, cfg.h)
-    cutoff = float(ws.at(pilot)) - hoeffding_count_slack(s2.size, cfg.alpha)
-    pre, vacuous = _level_set_with_clamp(ws, cutoff)
-    return MEstResult(
-        confidence_set=dilate(pre, cfg.h),
-        pre_dilation=pre,
-        h=cfg.h,
-        pilot=pilot,
-        vacuous=vacuous,
-    )
+    if not h > 0:
+        raise ValueError(f"bandwidth h must be positive, got {h}")
+    points, pilot = split_and_pilot(data, split_stream, split_fraction, pilot_r)
+    return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
 
 
 def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
@@ -206,25 +171,33 @@ def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
     return tuple(float(h) for h in np.unique(grid))
 
 
-def m2_adaptive_details(data, cfg: MEstConfig) -> MEstResult:
+def m2_adaptive_details(
+    data,
+    alpha: float,
+    h_grid: tuple[float, ...] | None = None,
+    *,
+    split_stream: RngStream = RngStream(0, 0),
+    split_fraction: float = 0.5,
+    pilot_r: int | None = None,
+) -> MEstResult:
     """Width-minimizing bandwidth M-estimation set with diagnostics (m2a).
 
-    Every candidate bandwidth uses the DKW slack, which is simultaneously
-    valid over all h, so minimizing the dilated width over the grid keeps
-    the coverage guarantee.  Ties go to the smallest bandwidth.
+    ``h_grid`` holds the candidate bandwidths, positive and strictly
+    ascending; it defaults to a geometric grid spanning the evaluation
+    half's resolution to its range.  Every candidate uses the DKW slack,
+    which is simultaneously valid over all h, so minimizing the dilated
+    width over the grid keeps the coverage guarantee.  Ties go to the
+    smallest bandwidth.
     """
-    s2, pilot = _split_and_pilot(data, cfg)
-    grid = cfg.h_grid if cfg.h_grid is not None else default_bandwidth_grid(s2)
-    slack = dkw_count_slack(s2.size, cfg.alpha)
-    best: MEstResult | None = None
-    for h in grid:
-        ws = WindowStatistic.from_points(s2, h)
-        cutoff = float(ws.at(pilot)) - slack
-        pre, vacuous = _level_set_with_clamp(ws, cutoff)
-        cs = dilate(pre, h)
-        if best is None or cs.width < best.confidence_set.width:
-            best = MEstResult(
-                confidence_set=cs, pre_dilation=pre, h=h, pilot=pilot, vacuous=vacuous
-            )
-    assert best is not None
-    return best
+    check_alpha(alpha)
+    if h_grid is not None:
+        h_grid = tuple(float(h) for h in h_grid)
+        if len(h_grid) == 0:
+            raise ValueError("h_grid must be nonempty")
+        if any(h <= 0 for h in h_grid):
+            raise ValueError("h_grid entries must be positive")
+        if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
+            raise ValueError("h_grid must be strictly ascending")
+    points, pilot = split_and_pilot(data, split_stream, split_fraction, pilot_r)
+    grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
+    return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))

@@ -9,9 +9,9 @@ raises ``MethodInfeasibleError``.
 
 from __future__ import annotations
 
-from .core import ConfidenceSet, SortedSample
+from .core import ConfidenceSet, SortedSample, check_alpha
 from .edelman import m3_confidence_set, m3prime_confidence_set
-from .mest import MEstConfig, m2_adaptive_details, m2_details
+from .mest import m2_adaptive_details, m2_details
 from .numerics import RngStream
 from .spacings import m1_confidence_interval
 
@@ -41,22 +41,16 @@ def run_method(
     ``split_fraction``.  Options a method does not use are ignored.
     """
     # checked first, so a bad alpha is reported before any sample-size check
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if method == "m1":
         return m1_confidence_interval(SortedSample.from_data(data), alpha), False
-    if method in ("m2", "m2a"):
-        cfg = MEstConfig(
-            alpha=alpha,
-            h=h,
-            h_grid=h_grid,
-            pilot_r=pilot_r,
-            split_stream=split_stream,
-            split_fraction=split_fraction,
-        )
-        res = m2_details(data, cfg) if method == "m2" else m2_adaptive_details(data, cfg)
-        return res.confidence_set, res.vacuous
     split = dict(split_stream=split_stream, split_fraction=split_fraction, pilot_r=pilot_r)
+    if method == "m2":
+        res = m2_details(data, alpha, h, **split)
+        return res.confidence_set, res.vacuous
+    if method == "m2a":
+        res = m2_adaptive_details(data, alpha, h_grid, **split)
+        return res.confidence_set, res.vacuous
     if method == "m3":
         return m3_confidence_set(data, alpha, **split), False
     if method == "m3p":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModeSetError
+from .core import ModeSetError, check_alpha
 from .methods import METHOD_CODES, run_method
 from .numerics import RngStream, sample_uniform
 
@@ -187,8 +187,7 @@ def run_coverage_study(
     """
     if replications < 1:
         raise ValueError("replications must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     methods = list(methods)
     if not methods:
         raise ValueError("methods must be nonempty")

@@ -17,7 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConfidenceSet, MethodInfeasibleError, SortedSample, make_confidence_set
+from .core import (
+    ConfidenceSet,
+    MethodInfeasibleError,
+    SortedSample,
+    check_alpha,
+    make_confidence_set,
+)
 from .numerics import qbeta
 
 __all__ = [
@@ -37,8 +43,7 @@ def lanke_inflation(n: int, alpha: float) -> float:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"the inflation factor needs n >= 2, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return (alpha / 2.0) ** (-1.0 / (n - 1)) - 1.0
 
 
@@ -123,8 +128,7 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
         raise MethodInfeasibleError(
             f"sample too small for the spacing interval: n={n}"
         )
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return _cached_plan(int(n), float(alpha))
 
 

@@ -186,12 +186,8 @@ def test_criterion_07_exact_level_set_oracles():
     for s2, pilot, h, slack, tau in _m2_oracle_instances():
         ws = WindowStatistic.from_points(s2, h)
         cutoff = float(ws.at(pilot)) - slack
-        if cutoff <= 0:
-            pre = make_confidence_set([(ws.breakpoints[0], ws.breakpoints[-1])])
-            vacuous = True
-        else:
-            pre = make_confidence_set(ws.level_set(cutoff))
-            vacuous = False
+        pre = make_confidence_set(ws.level_set(cutoff))
+        vacuous = cutoff <= 0
         gaps = np.diff(ws.breakpoints)
         step = gaps[gaps > 0].min() / 3.3
         grid = np.arange(ws.breakpoints[0] - 2 * h + 0.1234567 * step,

@@ -13,12 +13,12 @@ from modeset import (
     split_sample,
     venter_pilot,
 )
+from modeset.core import run_edges
 
 
 def test_sorted_sample_orders_and_preserves_input():
     s = SortedSample.from_data([3.0, 1.0, 2.0])
     assert np.array_equal(s.values, [1.0, 2.0, 3.0])
-    assert np.array_equal(s.original, [3.0, 1.0, 2.0])
     assert s.order_statistic(1) == 1.0
     assert s.order_statistic(3) == 3.0
     with pytest.raises(IndexError):
@@ -116,6 +116,15 @@ def test_dilate_semigroup_and_width_bound():
         assert grown.width <= cs.width + 2 * a * len(cs.intervals) + 1e-12
 
 
+def test_run_edges():
+    # run k of True is mask[edges[2k]:edges[2k + 1]]
+    assert run_edges(np.zeros(0, dtype=bool)).tolist() == []
+    assert run_edges([False, False, False]).tolist() == []
+    assert run_edges([True, True, True]).tolist() == [0, 3]
+    mask = [True, False, True, True, False, False, True]
+    assert run_edges(mask).tolist() == [0, 1, 2, 4, 6, 7]
+
+
 def test_split_sample_sizes():
     data = np.arange(10.0)
     split = split_sample(data, RngStream(1, 0))
@@ -128,12 +137,12 @@ def test_split_sample_partition_and_determinism():
     data = np.arange(20.0)
     s_a = split_sample(data, RngStream(3, 5))
     s_b = split_sample(data, RngStream(3, 5))
-    assert np.array_equal(s_a.s1.original, s_b.s1.original)
-    assert np.array_equal(s_a.s2.original, s_b.s2.original)
+    assert np.array_equal(s_a.s1.values, s_b.s1.values)
+    assert np.array_equal(s_a.s2.values, s_b.s2.values)
     combined = np.sort(np.concatenate([s_a.s1.values, s_a.s2.values]))
     assert np.array_equal(combined, data)
     s_c = split_sample(data, RngStream(3, 6))
-    assert not np.array_equal(s_a.s2.original, s_c.s2.original)
+    assert not np.array_equal(s_a.s2.values, s_c.s2.values)
 
 
 def test_split_sample_errors():

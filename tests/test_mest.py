@@ -5,7 +5,6 @@ import pytest
 
 from modeset import (
     FBetaDensity,
-    MEstConfig,
     RngStream,
     dilate,
     dkw_count_slack,
@@ -33,6 +32,8 @@ def test_window_statistic_hand_sweep():
     assert ws.counts[-1] == 0
     segments = ws.level_set(0.5)
     assert segments == [(-0.4, 0.4), (0.6, 1.4)]
+    # every count is >= 0, so a cutoff <= 0 keeps the whole knot hull
+    assert ws.level_set(0.0) == ws.level_set(-3.0) == [(-0.4, 1.4)]
     dilated = dilate(make_confidence_set(segments), 0.4)
     assert len(dilated.intervals) == 1
     assert dilated.intervals[0] == pytest.approx((-0.8, 1.8), abs=1e-12)
@@ -89,12 +90,9 @@ def test_exact_sweep_matches_brute_force():
             )
         ws = WindowStatistic.from_points(s2, h)
         cutoff = float(ws.at(pilot)) - slack
-        if cutoff <= 0:
-            pre = make_confidence_set([(ws.breakpoints[0], ws.breakpoints[-1])])
-            vacuous = True
-        else:
-            pre = make_confidence_set(ws.level_set(cutoff))
-            vacuous = False
+        pre = make_confidence_set(ws.level_set(cutoff))
+        vacuous = cutoff <= 0
+        if not vacuous:
             nonvacuous += 1
             multi += len(pre.intervals) > 1
         gaps = np.diff(ws.breakpoints)
@@ -116,8 +114,7 @@ def test_exact_sweep_matches_brute_force():
 def test_m2_pilot_always_covered_and_nonempty():
     for seed in range(5):
         data = FBetaDensity(1.0).sample(RngStream(41, seed), 400)
-        cfg = MEstConfig(alpha=0.05, h=0.3, split_stream=RngStream(42, seed))
-        res = m2_details(data, cfg)
+        res = m2_details(data, 0.05, 0.3, split_stream=RngStream(42, seed))
         assert not res.confidence_set.is_empty
         assert res.confidence_set.contains(res.pilot)
         assert res.pre_dilation.contains(res.pilot)
@@ -126,8 +123,7 @@ def test_m2_pilot_always_covered_and_nonempty():
 def test_m2_vacuous_clamps_to_breakpoint_hull():
     # tiny evaluation half: the count slack dwarfs any window count
     data = FBetaDensity(1.0).sample(RngStream(43, 0), 40)
-    cfg = MEstConfig(alpha=0.05, h=0.25, split_stream=RngStream(44, 0))
-    res = m2_details(data, cfg)
+    res = m2_details(data, 0.05, 0.25, split_stream=RngStream(44, 0))
     assert res.vacuous
     lo, hi = res.confidence_set.intervals[0]
     pre_lo, pre_hi = res.pre_dilation.intervals[0]
@@ -140,8 +136,7 @@ def test_m2_alpha_monotone_inclusion():
     data = FBetaDensity(1.0).sample(RngStream(45, 0), 4000)
     sets = {}
     for alpha in (0.5, 0.1, 0.02):
-        cfg = MEstConfig(alpha=alpha, h=1.0, split_stream=RngStream(46, 0))
-        sets[alpha] = m2_details(data, cfg)
+        sets[alpha] = m2_details(data, alpha, 1.0, split_stream=RngStream(46, 0))
     for big, small in ((0.5, 0.1), (0.1, 0.02)):
         inner = sets[big].pre_dilation
         outer = sets[small].pre_dilation
@@ -152,14 +147,13 @@ def test_m2_alpha_monotone_inclusion():
 def test_m2_requires_bandwidth():
     data = FBetaDensity(1.0).sample(RngStream(47, 0), 100)
     with pytest.raises(ValueError, match="bandwidth"):
-        m2_details(data, MEstConfig(alpha=0.05)).confidence_set
+        m2_details(data, 0.05)
 
 
 def test_m2a_degenerate_grid_matches_single_dkw_set():
     data = FBetaDensity(1.0).sample(RngStream(48, 0), 400)
     stream = RngStream(49, 0)
-    res_grid = m2_adaptive_details(data, MEstConfig(alpha=0.05, h_grid=(0.5,),
-                                                    split_stream=stream))
+    res_grid = m2_adaptive_details(data, 0.05, (0.5,), split_stream=stream)
     # manual single-h DKW construction
     from modeset.core import split_sample, venter_pilot
 
@@ -167,18 +161,15 @@ def test_m2a_degenerate_grid_matches_single_dkw_set():
     pilot = venter_pilot(split.s1)
     ws = WindowStatistic.from_points(split.s2.values, 0.5)
     cutoff = float(ws.at(pilot)) - dkw_count_slack(split.s2.n, 0.05)
-    if cutoff <= 0:
-        pre = make_confidence_set([(ws.breakpoints[0], ws.breakpoints[-1])])
-    else:
-        pre = make_confidence_set(ws.level_set(cutoff))
+    pre = make_confidence_set(ws.level_set(cutoff))
     assert res_grid.h == 0.5
+    assert res_grid.vacuous == (cutoff <= 0)
     assert res_grid.confidence_set == dilate(pre, 0.5)
 
 
 def test_m2a_picks_minimal_width_smallest_h_tie():
     data = FBetaDensity(1.0).sample(RngStream(50, 0), 1000)
-    cfg = MEstConfig(alpha=0.05, split_stream=RngStream(51, 0))
-    res = m2_adaptive_details(data, cfg)
+    res = m2_adaptive_details(data, 0.05, split_stream=RngStream(51, 0))
     grid = default_bandwidth_grid(
         np.sort(data)  # not the true s2, only for grid shape checks
     )
@@ -193,10 +184,7 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
     for h in true_grid:
         ws = WindowStatistic.from_points(split.s2.values, h)
         cutoff = float(ws.at(pilot)) - dkw_count_slack(split.s2.n, 0.05)
-        if cutoff <= 0:
-            pre = make_confidence_set([(ws.breakpoints[0], ws.breakpoints[-1])])
-        else:
-            pre = make_confidence_set(ws.level_set(cutoff))
+        pre = make_confidence_set(ws.level_set(cutoff))
         widths.append(dilate(pre, h).width)
     assert res.confidence_set.width == pytest.approx(min(widths))
     first_min = true_grid[int(np.argmin(widths))]
@@ -210,23 +198,27 @@ def test_m2a_statistical_coverage_smoke():
     for rep in range(reps):
         data = FBetaDensity(1.0).sample(RngStream(52, 2 * rep), 1000)
         cs = m2_adaptive_details(
-            data, MEstConfig(alpha=0.05, split_stream=RngStream(52, 2 * rep + 1))
+            data, 0.05, split_stream=RngStream(52, 2 * rep + 1)
         ).confidence_set
         covered += cs.contains(0.0)
     assert covered / reps >= 0.95 - 2 * math.sqrt(0.05 * 0.95 / reps)
 
 
-def test_mest_config_validation():
-    with pytest.raises(ValueError):
-        MEstConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        MEstConfig(alpha=0.05, h=-1.0)
-    with pytest.raises(ValueError):
-        MEstConfig(alpha=0.05, h_grid=())
-    with pytest.raises(ValueError):
-        MEstConfig(alpha=0.05, h_grid=(0.5, 0.25))
-    with pytest.raises(ValueError):
-        MEstConfig(alpha=0.05, h_grid=(-0.5, 0.25))
+def test_mest_option_validation():
+    # two points are too few for a pilot: the options are checked first
+    data = [0.0, 1.0]
+    with pytest.raises(ValueError, match="alpha"):
+        m2_details(data, 1.5, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        m2_details(data, 0.05, -1.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        m2_adaptive_details(data, 0.05, ())
+    with pytest.raises(ValueError, match="ascending"):
+        m2_adaptive_details(data, 0.05, (0.5, 0.25))
+    with pytest.raises(ValueError, match="positive"):
+        m2_adaptive_details(data, 0.05, (-0.5, 0.25))
+    with pytest.raises(ValueError, match="alpha"):
+        m2_adaptive_details(data, 0.0)
 
 
 def test_default_bandwidth_grid_requires_spread():
