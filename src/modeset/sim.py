@@ -121,8 +121,9 @@ class CoverageReport:
 
     ``coverage`` counts replications whose set contains the true mode 0,
     divided by all replications (errored replications count as misses).
-    ``wall_time_s`` is measured and therefore excluded from the
-    deterministic CSV payload.
+    ``wall_time_s`` is the summed time of this cell's method calls, in
+    whichever process ran them; it excludes sampling the shared data and
+    is measured, so it stays out of the deterministic CSV payload.
     """
 
     method: str
@@ -148,20 +149,34 @@ def _split_stream(base_seed: int, rep: int) -> RngStream:
     return RngStream(base_seed, 2 * rep + 1)
 
 
-def _run_replication(args) -> tuple[bool, float, bool, bool]:
-    """One replication: (covered, width, vacuous, errored)."""
-    method, n, beta, alpha, base_seed, rep = args
-    data = FBetaDensity(beta).sample(_data_stream(base_seed, rep), n)
-    try:
-        cs, vacuous = run_method(
-            data, alpha, method, h=study_bandwidth(n, beta),
-            split_stream=_split_stream(base_seed, rep),
-        )
-    except ModeSetError:
-        # a replication whose data defeats the method (too small, pilot
-        # collision) counts as an error; it must not kill the study
-        return False, math.nan, False, True
-    return cs.contains(0.0), cs.width, vacuous, False
+def _run_replication(cells, beta, alpha, base_seed, rep):
+    """Replication ``rep`` of every ``(method, n)`` cell at one beta.
+
+    The data are drawn once, at the largest n, and each cell runs on the
+    length-n prefix of that draw.  Returns one (covered, width, vacuous,
+    errored, method seconds) tuple per cell, in the order of ``cells``.
+    """
+    full = FBetaDensity(beta).sample(
+        _data_stream(base_seed, rep), max(n for _, n in cells)
+    )
+    full.setflags(write=False)  # shared by every cell: no method may write to it
+    split_stream = _split_stream(base_seed, rep)
+    results = []
+    for method, n in cells:
+        start = time.perf_counter()
+        try:
+            cs, vacuous = run_method(
+                full[:n], alpha, method, h=study_bandwidth(n, beta),
+                split_stream=split_stream,
+            )
+        except ModeSetError:
+            # a replication whose data defeats the method (too small, pilot
+            # collision) counts as an error; it must not kill the study
+            outcome = (False, math.nan, False, True)
+        else:
+            outcome = (cs.contains(0.0), cs.width, bool(vacuous), False)
+        results.append(outcome + (time.perf_counter() - start,))
+    return results
 
 
 def run_coverage_study(
@@ -176,14 +191,16 @@ def run_coverage_study(
 ) -> list[CoverageReport]:
     """Coverage and width study over a (method, n, beta) grid.
 
-    Replication ``r`` of every cell draws its data from stream ``2r`` and
-    its sample split from stream ``2r + 1`` of ``base_seed``, so cells
-    share datasets (common random numbers across methods and, by prefix,
-    across sample sizes) and the whole study is reproducible bit for bit.
-    ``workers`` > 1 distributes replications over processes without
-    changing any result.  Arguments are validated before any replication
-    runs; a replication that raises ``ModeSetError`` counts as an error,
-    while any other exception propagates.
+    Replication ``r`` draws its data from stream ``2r`` of ``base_seed``
+    once per beta, at the largest n; every (method, n) cell runs on the
+    length-n prefix of that draw and splits it with stream ``2r + 1``.
+    Cells thus share datasets (common random numbers across methods and,
+    by prefix, across sample sizes) and the whole study is reproducible
+    bit for bit.  ``workers`` > 1 spreads the (beta, replication) jobs over
+    one process pool for the whole study without changing any result.
+    Arguments are validated before any replication runs; a replication
+    that raises ``ModeSetError`` counts as an error, while any other
+    exception propagates.
     """
     if replications < 1:
         raise ValueError("replications must be positive")
@@ -194,59 +211,57 @@ def run_coverage_study(
     unknown = [m for m in methods if m not in METHOD_CODES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHOD_CODES}")
-    n_values = list(n_values)
+    n_values = [int(n) for n in n_values]
     if any(n < 2 for n in n_values):
         raise ValueError(f"sample sizes must be at least 2, got {n_values}")
-    beta_values = list(beta_values)
+    beta_values = [float(beta) for beta in beta_values]
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
     if workers is None:
         workers = int(os.environ.get("MODESET_THREADS", "1"))
     workers = max(1, workers)
+    cells = [(method, n) for method in methods for n in n_values]
+    jobs = [
+        (cells, beta, float(alpha), int(base_seed), rep)
+        for beta in beta_values
+        for rep in range(replications)
+    ]
+    if workers > 1:
+        chunksize = -(-len(jobs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            by_job = list(pool.map(_run_replication, *zip(*jobs), chunksize=chunksize))
+    else:
+        by_job = [_run_replication(*job) for job in jobs]
     reports: list[CoverageReport] = []
-    for method in methods:
-        for n in n_values:
-            for beta in beta_values:
-                start = time.perf_counter()
-                jobs = [
-                    (method, int(n), float(beta), float(alpha), int(base_seed), rep)
-                    for rep in range(replications)
-                ]
-                if workers > 1:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(_run_replication, jobs, chunksize=16))
-                else:
-                    results = [_run_replication(job) for job in jobs]
-                covered = sum(1 for c, _, _, _ in results if c)
-                per_rep = tuple(w for _, w, _, _ in results)  # NaN where errored
-                widths = np.array(
-                    [w for _, w, _, err in results if not err], dtype=np.float64
+    for c, (method, n) in enumerate(cells):
+        for b, beta in enumerate(beta_values):
+            covered, per_rep, vacuous, errored, seconds = zip(
+                *(by_job[b * replications + rep][c] for rep in range(replications))
+            )  # per_rep holds NaN where errored
+            widths = np.array(
+                [w for w, err in zip(per_rep, errored) if not err], dtype=np.float64
+            )
+            if widths.size:
+                q10, q50, q90 = (float(q) for q in np.quantile(widths, [0.1, 0.5, 0.9]))
+            else:
+                q10 = q50 = q90 = math.nan
+            reports.append(
+                CoverageReport(
+                    method=method,
+                    n=n,
+                    beta=beta,
+                    alpha=float(alpha),
+                    replications=replications,
+                    coverage=sum(covered) / replications,
+                    width_q10=q10,
+                    width_q50=q50,
+                    width_q90=q90,
+                    vacuous=sum(vacuous),
+                    errors=sum(errored),
+                    wall_time_s=sum(seconds),
+                    widths=per_rep if keep_widths else None,
                 )
-                vacuous = sum(1 for _, _, v, _ in results if v)
-                errors = sum(1 for _, _, _, err in results if err)
-                if widths.size:
-                    q10, q50, q90 = (
-                        float(q) for q in np.quantile(widths, [0.1, 0.5, 0.9])
-                    )
-                else:
-                    q10 = q50 = q90 = math.nan
-                reports.append(
-                    CoverageReport(
-                        method=method,
-                        n=int(n),
-                        beta=float(beta),
-                        alpha=float(alpha),
-                        replications=replications,
-                        coverage=covered / replications,
-                        width_q10=q10,
-                        width_q50=q50,
-                        width_q90=q90,
-                        vacuous=vacuous,
-                        errors=errors,
-                        wall_time_s=time.perf_counter() - start,
-                        widths=per_rep if keep_widths else None,
-                    )
-                )
+            )
     return reports
 
 
