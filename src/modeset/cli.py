@@ -74,8 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--h", type=float, default=None, help="bandwidth for m2")
     ci.add_argument("--h-grid-min", type=float, default=None)
     ci.add_argument("--h-grid-max", type=float, default=None)
-    ci.add_argument("--h-grid-size", type=int, default=64)
-    ci.add_argument("--rho", type=float, default=2.0, help="damping exponent for m3p")
+    ci.add_argument("--h-grid-size", type=int, default=None,
+                    help="bandwidths in the m2a grid (default 64)")
+    ci.add_argument("--rho", type=float, default=None,
+                    help="damping exponent for m3p (default 2)")
     ci.add_argument("--pilot-r", type=int, default=None)
     ci.add_argument("--split-seed", type=int, default=0)
     ci.add_argument("--format", choices=("json", "csv"), default="json")
@@ -106,19 +108,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags of ``ci`` that only one method takes, by argparse destination
+_METHOD_FLAGS = {
+    "h": "m2",
+    "h_grid_min": "m2a",
+    "h_grid_max": "m2a",
+    "h_grid_size": "m2a",
+    "rho": "m3p",
+}
+
+
 def _run_ci(args) -> int:
+    for dest, method in _METHOD_FLAGS.items():
+        if getattr(args, dest) is not None and args.method != method:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} applies only to method {method}, not {args.method}")
     data = _read_floats(args.input)
     h_grid = None
-    if args.h_grid_min is not None or args.h_grid_max is not None:
+    if (args.h_grid_min, args.h_grid_max, args.h_grid_size) != (None, None, None):
         if args.h_grid_min is None or args.h_grid_max is None:
             raise ValueError("--h-grid-min and --h-grid-max must be given together")
         if not 0 < args.h_grid_min <= args.h_grid_max:
             raise ValueError("h grid bounds must satisfy 0 < min <= max")
+        size = 64 if args.h_grid_size is None else args.h_grid_size
         h_grid = tuple(
-            float(h)
-            for h in np.unique(
-                np.geomspace(args.h_grid_min, args.h_grid_max, args.h_grid_size)
-            )
+            float(h) for h in np.unique(np.geomspace(args.h_grid_min, args.h_grid_max, size))
         )
     cs = compute_confidence_set(
         data,
@@ -126,7 +140,7 @@ def _run_ci(args) -> int:
         args.method,
         h=args.h,
         h_grid=h_grid,
-        rho=args.rho,
+        **({} if args.rho is None else {"rho": args.rho}),
         pilot_r=args.pilot_r,
         split_stream=RngStream(args.split_seed, 0),
     )

@@ -207,7 +207,13 @@ def split_and_pilot(data, stream: RngStream, fraction: float,
     """The sorted evaluation half of a split and the pilot mode estimate
     from the other half: the first step of every split-based method."""
     split = split_sample(data, stream, fraction)
-    return split.s2.values, venter_pilot(split.s1, r)
+    try:
+        pilot = venter_pilot(split.s1, r)
+    except MethodInfeasibleError as exc:
+        raise MethodInfeasibleError(
+            f"{exc} (pilot half of a {split.s1.n + split.s2.n}-point sample)"
+        ) from exc
+    return split.s2.values, pilot
 
 
 def venter_pilot(sample: SortedSample, r: int | None = None) -> float:

@@ -77,6 +77,37 @@ def test_ci_m2_and_m2a_and_m3_run(data_1000, capsys):
         assert payload["width"] > 0
 
 
+@pytest.mark.parametrize("method", ["m2a", "m3p"])
+def test_ci_pilot_error_names_the_sample_size(tmp_path, capsys, method):
+    # the pilot half of a 2-point sample has 1 point; the message says so
+    path = _write_lines(tmp_path, "two.txt", [0.1, 0.7])
+    assert main(["ci", "--method", method, "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "at least 3 points, got 1" in err
+    assert "2-point" in err
+
+
+@pytest.mark.parametrize("method, flag, value", [
+    ("m2a", "--h", "-1"),
+    ("m1", "--h", "0.25"),
+    ("m2", "--h-grid-min", "0.05"),
+    ("m3", "--h-grid-max", "1.0"),
+    ("m3p", "--h-grid-size", "16"),
+    ("m3", "--rho", "0.5"),
+    ("m2a", "--rho", "2.5"),
+])
+def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, flag, value):
+    assert main(["ci", "--method", method, flag, value, "--input", str(data_1000)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and method in err
+
+
+def test_ci_m2a_grid_size_needs_bounds(data_1000, capsys):
+    assert main(["ci", "--method", "m2a", "--h-grid-size", "16",
+                 "--input", str(data_1000)]) == 2
+    assert "--h-grid-min and --h-grid-max" in capsys.readouterr().err
+
+
 def test_ci_csv_format(data_1000, capsys):
     assert main(["ci", "--method", "m1", "--format", "csv",
                  "--input", str(data_1000)]) == 0
@@ -186,14 +217,19 @@ def test_module_entry_point_help():
 
 
 def test_simulate_workers_flag_matches_serial(tmp_path, capsys):
-    base = ["simulate", "--methods", "m1", "--n", "200", "--beta", "1",
+    # the n list is unsorted on purpose: the shared draw is taken at max(n)
+    base = ["simulate", "--methods", "m1,m2,m2a", "--n", "300,120", "--beta", "1,4",
             "--reps", "8", "--seed", "5"]
-    out_serial = tmp_path / "serial.csv"
-    out_par = tmp_path / "par.csv"
-    assert main(base + ["--out", str(out_serial), "--workers", "1"]) == 0
-    assert main(base + ["--out", str(out_par), "--workers", "2"]) == 0
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"report{workers}.csv"
+        widths = tmp_path / f"widths{workers}.csv"
+        assert main(base + ["--out", str(out), "--emit-widths", str(widths),
+                            "--workers", workers]) == 0
+        outputs[workers] = (out.read_bytes(), widths.read_bytes())
     capsys.readouterr()
-    assert out_serial.read_bytes() == out_par.read_bytes()
+    assert outputs["1"] == outputs["2"]
+    assert len(outputs["1"][0].decode().strip().split("\n")) == 1 + 3 * 2 * 2
 
 
 def test_simulate_env_thread_cap(tmp_path, capsys, monkeypatch):

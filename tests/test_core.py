@@ -175,5 +175,6 @@ def test_venter_pilot_errors():
         venter_pilot(s, r=2)
     with pytest.raises(ValueError):
         venter_pilot(s, r=0)
-    with pytest.raises(MethodInfeasibleError):
+    # a direct caller sees the sample's own size, with no split context added
+    with pytest.raises(MethodInfeasibleError, match="at least 3 points, got 2$"):
         venter_pilot(SortedSample.from_data([1.0, 2.0]))

@@ -11,6 +11,7 @@ from modeset import (
     compute_confidence_set,
     coverage_report_csv,
     run_coverage_study,
+    sample_uniform,
     study_bandwidth,
     venter_pilot,
 )
@@ -68,6 +69,40 @@ def test_ppf_round_trip_and_mode_point():
         x = d.ppf(u)
         assert np.all(x >= -1.0) and np.all(x <= d.upper)
         assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 4.0, 10.0])
+def test_ppf_extreme_uniforms(beta):
+    # 2**-54 and 1 - 2**-53 are the smallest and largest uniforms drawn
+    d = FBetaDensity(beta)
+    u = np.array([2.0**-54, 1e-15, 1 - 1e-12, 1 - 2.0**-53])
+    x = d.ppf(u)
+    assert np.all(x >= -1.0) and np.all(x <= d.upper)
+    assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
+    for bad in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="probabilities"):
+            d.ppf([0.5, bad])
+
+
+def test_ppf_is_elementwise():
+    # the study shares one draw across sample sizes by prefix: every
+    # quantile must depend on its own uniform alone, bit for bit
+    for beta in (0.1, 1.0, 4.0):
+        d = FBetaDensity(beta)
+        u = sample_uniform(RngStream(85, 0), 2000)
+        x = d.ppf(u)
+        for k in (1, 37, 1000):
+            assert np.array_equal(d.ppf(u[:k]), x[:k])
+        perm = RngStream(85, 1).generator().permutation(u.size)
+        assert np.array_equal(d.ppf(u[perm]), x[perm])
+
+
+def test_ppf_mode_point_inside_an_array():
+    for beta in BETAS:
+        d = FBetaDensity(beta)
+        x = d.ppf([0.01, d.mass_left, 0.99, d.mass_left])
+        assert x[1] == 0.0 and x[3] == 0.0
+        assert x[0] < 0.0 < x[2]
 
 
 def test_sampler_ks_band():
@@ -138,6 +173,22 @@ def test_study_parallel_matches_serial():
     serial = run_coverage_study(**args, workers=1)
     parallel = run_coverage_study(**args, workers=2)
     assert coverage_report_csv(serial) == coverage_report_csv(parallel)
+
+
+def test_study_draws_once_per_replication(monkeypatch):
+    # each (beta, rep) samples max(n) values once, shared by every (method, n)
+    sizes = []
+    ppf = FBetaDensity.ppf
+
+    def counting_ppf(self, u):
+        sizes.append(np.size(u))
+        return ppf(self, u)
+
+    monkeypatch.setattr(FBetaDensity, "ppf", counting_ppf)
+    betas, reps = [1.0, 4.0, 0.5], 3
+    run_coverage_study(["m1", "m2", "m2a"], [120, 300, 60], betas,
+                       replications=reps, base_seed=4)
+    assert sizes == [300] * (len(betas) * reps)
 
 
 def test_study_counts_method_errors_without_aborting():
