@@ -91,7 +91,8 @@ class FBetaDensity:
         stops once its residual is at most 1e-15 or its iterate stops
         moving, and depends on its own u alone.
         """
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+        shape = np.shape(np.atleast_1d(u))
+        u = np.asarray(u, dtype=np.float64).ravel()
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValueError("ppf needs probabilities in [0, 1]")
         x = np.zeros(u.shape)
@@ -111,7 +112,7 @@ class FBetaDensity:
         worst = float(np.max(np.abs(self.cdf(x) - u)))
         if not worst <= 1e-12:
             raise ArithmeticError(f"ppf residual {worst!r} exceeds 1e-12 (beta={self.beta!r})")
-        return x
+        return x.reshape(shape)
 
     def sample(self, stream: RngStream, n: int) -> np.ndarray:
         return self.ppf(sample_uniform(stream, n))

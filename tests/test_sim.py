@@ -95,6 +95,7 @@ def test_ppf_is_elementwise():
             assert np.array_equal(d.ppf(u[:k]), x[:k])
         perm = RngStream(85, 1).generator().permutation(u.size)
         assert np.array_equal(d.ppf(u[perm]), x[perm])
+        assert np.array_equal(d.ppf(u.reshape(40, 50)), x.reshape(40, 50))
 
 
 def test_ppf_mode_point_inside_an_array():
