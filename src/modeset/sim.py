@@ -57,11 +57,22 @@ class FBetaDensity:
         """Distribution function at the mode: beta / (2 (beta + 1))."""
         return self.beta / (2.0 * (self.beta + 1.0))
 
+    def _right_terms(self, x):
+        """x clipped to [0, upper], and t**beta - 1 with t = that / upper.
+
+        The right piece is written in t because b**b / (b + 2)**b equals
+        upper**-b: no power can overflow for large beta, and expm1 keeps
+        t**beta - 1 accurate for small beta.
+        """
+        xr = np.clip(x, 0.0, self.upper)
+        with np.errstate(divide="ignore"):  # t = 0 at the mode: t**beta - 1 = -1
+            return xr, np.expm1(self.beta * np.log(xr / self.upper))
+
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         b = self.beta
         left = 0.5 - 0.5 * np.abs(x) ** b
-        right = 0.5 - (b**b) * np.abs(x) ** b / (2.0 * (b + 2.0) ** b)
+        right = -0.5 * self._right_terms(x)[1]
         out = np.where(x <= 0, left, right)
         out = np.where((x < -1.0) | (x > self.upper), 0.0, out)
         return out
@@ -70,10 +81,10 @@ class FBetaDensity:
         x = np.asarray(x, dtype=np.float64)
         b = self.beta
         left = (x + 1.0) / 2.0 + ((-np.minimum(x, 0.0)) ** (b + 1.0) - 1.0) / (2.0 * (b + 1.0))
-        xr = np.maximum(x, 0.0)
-        right = self.mass_left + xr / 2.0 - (b**b) * xr ** (b + 1.0) / (
-            2.0 * (b + 2.0) ** b * (b + 1.0)
-        )
+        # x (b - (t**b - 1)) / (2 (b + 1)) adds two nonnegative terms; the
+        # form x/2 - x t**b / (2 (b + 1)) cancels to 1e-12 for small beta
+        xr, t_b_minus_1 = self._right_terms(x)
+        right = self.mass_left + xr * (b - t_b_minus_1) / (2.0 * (b + 1.0))
         out = np.where(x <= 0, left, right)
         out = np.where(x < -1.0, 0.0, out)
         out = np.where(x > self.upper, 1.0, out)
