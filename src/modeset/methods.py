@@ -9,11 +9,13 @@ raises ``MethodInfeasibleError``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import ConfidenceSet, SortedSample, check_alpha
 from .edelman import m3_confidence_set, m3prime_confidence_set
 from .mest import m2_adaptive_details, m2_details
 from .numerics import RngStream
-from .spacings import m1_confidence_interval
+from .spacings import m1_bounds, m1_confidence_interval
 
 __all__ = ["METHOD_CODES", "compute_confidence_set", "run_method"]
 
@@ -61,3 +63,24 @@ def run_method(
 def compute_confidence_set(data, alpha: float, method: str, **options) -> ConfidenceSet:
     """The set of :func:`run_method`, which takes the same keyword options."""
     return run_method(data, alpha, method, **options)[0]
+
+
+def covers(rows, x: float, alpha: float, method: str, **options) -> np.ndarray:
+    """Whether each row's set (of :func:`run_method`) contains ``x``.
+
+    ``rows`` is a (k, n) matrix holding k samples of equal size n >= 1.
+    ``m1`` runs as one batch over all rows; every other method runs row
+    by row.
+    """
+    check_alpha(alpha)
+    if method != "m1":
+        return np.array(
+            [run_method(row, alpha, method, **options)[0].contains(x) for row in rows],
+            dtype=bool,
+        )
+    values = np.sort(np.asarray(rows, dtype=np.float64), axis=1)
+    # sorted, so -inf is first in its row and +inf or NaN last
+    if not np.all(np.isfinite(values[:, 0]) & np.isfinite(values[:, -1])):
+        raise ValueError("data must contain only finite values")
+    lo, hi = m1_bounds(values, alpha)
+    return (lo <= x) & (x <= hi)

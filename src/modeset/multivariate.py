@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import compute_confidence_set
+from .methods import covers
 
 __all__ = [
     "MembershipGrid",
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _MAX_CELLS = 10_000_000
+# cells per scan chunk times the sample size stays within this many
+# float64 values, which bounds every (cells, n) temporary of a chunk
+_CHUNK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -62,14 +65,24 @@ class PointCloud:
 
 
 def radial_transform(cloud: PointCloud, theta) -> np.ndarray:
-    """Transformed sample {||X_i - theta||_2 ** gamma}; zero exactly at X_i = theta."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != cloud.d:
+    """Transformed sample {||X_i - theta||_2 ** gamma}; zero exactly at X_i = theta.
+
+    ``theta`` is one candidate of shape (d,), giving shape (n,), or k
+    candidates of shape (k, d), giving one row per candidate, (k, n).
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim < 2:
+        theta = theta.reshape(-1)
+    if theta.ndim > 2 or theta.shape[-1] != cloud.d:
         raise ValueError(
-            f"candidate point has dimension {theta.size}, cloud has {cloud.d}"
+            f"candidate points must have shape (d,) or (k, d) with d = {cloud.d}, "
+            f"got {theta.shape}"
         )
-    norms = np.linalg.norm(cloud.points - theta[None, :], axis=1)
-    return norms**cloud.gamma
+    # one coordinate at a time: no (k, n, d) temporary
+    squares = 0.0
+    for j in range(cloud.d):
+        squares = squares + np.square(cloud.points[:, j] - theta[..., j, None])
+    return np.sqrt(squares) ** cloud.gamma
 
 
 def contains_mode_candidate(
@@ -87,8 +100,7 @@ def contains_mode_candidate(
     a mode sitting at the support boundary 0.
     """
     transformed = radial_transform(cloud, theta)
-    cs = compute_confidence_set(transformed, alpha, algorithm, **options)
-    return cs.contains(0.0)
+    return bool(covers(transformed[None, :], 0.0, alpha, algorithm, **options)[0])
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,8 @@ def scan_region(
 
     ``box`` is a per-dimension sequence of (lo, hi); ``resolution`` an int
     or per-dimension counts.  Restricted to d <= 3 and at most 1e7 cells.
+    Cells are tested in index order, in chunks of 2**15 // n of them (at
+    least one); ``m1`` tests a whole chunk as one batch.
     """
     d = cloud.d
     if d > 3:
@@ -147,9 +161,13 @@ def scan_region(
         lo + (hi - lo) / k * (np.arange(k) + 0.5)
         for (lo, hi), k in zip(box, resolution)
     ]
-    mask = np.zeros(resolution, dtype=bool)
-    for idx in itertools.product(*(range(k) for k in resolution)):
-        theta = np.array([axes[i][j] for i, j in enumerate(idx)])
-        mask[idx] = contains_mode_candidate(cloud, theta, alpha, algorithm, **options)
+    mask = np.empty(cells, dtype=bool)
+    chunk = max(1, _CHUNK_VALUES // cloud.n)
+    for start in range(0, cells, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, cells)), resolution)
+        thetas = np.column_stack([axis[i] for axis, i in zip(axes, idx)])
+        transformed = radial_transform(cloud, thetas)
+        mask[start : start + chunk] = covers(transformed, 0.0, alpha, algorithm, **options)
+    mask = mask.reshape(resolution)
     mask.setflags(write=False)
     return MembershipGrid(box=box, resolution=resolution, mask=mask)

@@ -31,6 +31,7 @@ __all__ = [
     "build_plan",
     "lanke_inflation",
     "level_intervals",
+    "m1_bounds",
     "m1_confidence_interval",
 ]
 
@@ -148,6 +149,52 @@ def level_intervals(sample: SortedSample, plan: SpacingsPlan, level: int) -> np.
     return np.column_stack([pts[:-1], pts[1:]])
 
 
+def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the m1 interval for each row of a (k, n) matrix.
+
+    Every row must be sorted ascending and finite; one plan serves all
+    rows.  Each level masks the blocks outside a row's candidate range
+    with inf, takes the first narrowest block per row, and grows the run
+    of blocks within ``h_b`` times that width on both sides of it.
+
+    Returns
+    -------
+    lo, hi : ndarray of shape (k,)
+    """
+    v = np.asarray(rows, dtype=np.float64)
+    k, n = v.shape
+    plan = build_plan(n, alpha)
+    pick = np.arange(k)
+    cand_lo = np.zeros(k, dtype=np.intp)  # 0-based block ids, inclusive
+    cand_hi = np.full(k, plan.n_b[plan.b_max] - 1)
+    for b in range(plan.b_max, -1, -1):
+        w = 1 << (b + plan.s_n)
+        blocks = np.arange(plan.n_b[b])
+        widths = np.diff(v[:, : plan.n_b[b] * w + 1 : w], axis=1)
+        inside = (blocks >= cand_lo[:, None]) & (blocks <= cand_hi[:, None])
+        narrowest = np.argmin(np.where(inside, widths, np.inf), axis=1)
+        bound = plan.h_b[b] * widths[pick, narrowest]
+        stop = ~(inside & (widths <= bound[:, None]))
+        # the run around the narrowest block ends at the nearest stop on each side
+        left = np.maximum.accumulate(np.where(stop, blocks + 1, 0), axis=1)
+        right = np.where(stop, blocks - 1, blocks[-1])[:, ::-1]
+        right = np.minimum.accumulate(right, axis=1)[:, ::-1]
+        lo_run, hi_run = left[pick, narrowest], right[pick, narrowest]
+        if b > 0:
+            # Finer blocks are halves of the surviving coarse blocks; only
+            # those wholly inside the surviving run remain candidates.
+            cand_lo = 2 * lo_run
+            cand_hi = np.minimum(plan.n_b[b - 1] - 1, 2 * hi_run + 1)
+    w0 = 1 << plan.s_n
+    first, last = v[:, 0], v[:, -1]
+    span = last - first
+    lo = np.where(lo_run == 0, first - plan.lam * span, v[pick, lo_run * w0])
+    hi = np.where(
+        hi_run == plan.n_b[0] - 1, last + plan.lam * span, v[pick, (hi_run + 1) * w0]
+    )
+    return lo, hi
+
+
 def m1_confidence_interval(sample: SortedSample, alpha: float) -> ConfidenceSet:
     """Spacing-based confidence interval for the mode (method m1).
 
@@ -163,33 +210,5 @@ def m1_confidence_interval(sample: SortedSample, alpha: float) -> ConfidenceSet:
         A single closed interval; its endpoints lie within
         [X_(1) - lam*range, X_(n) + lam*range].
     """
-    plan = build_plan(sample.n, alpha)
-    v = sample.values
-    cand_lo, cand_hi = 1, plan.n_b[plan.b_max]  # 1-based block ids
-    lo_run = hi_run = 1
-    for b in range(plan.b_max, -1, -1):
-        w = 1 << (b + plan.s_n)
-        idx = np.arange(cand_lo - 1, cand_hi + 1) * w
-        widths = np.diff(v[idx])
-        bound = plan.h_b[b] * float(widths.min())
-        k = int(np.argmin(widths))
-        left, right = k, k
-        while left > 0 and widths[left - 1] <= bound:
-            left -= 1
-        while right < widths.size - 1 and widths[right + 1] <= bound:
-            right += 1
-        lo_run, hi_run = cand_lo + left, cand_lo + right
-        if b > 0:
-            # Finer blocks are halves of the surviving coarse blocks; only
-            # those wholly inside the surviving run remain candidates.
-            cand_lo = 2 * lo_run - 1
-            cand_hi = min(plan.n_b[b - 1], 2 * hi_run)
-    w0 = 1 << plan.s_n
-    lo_val = float(v[(lo_run - 1) * w0])
-    hi_val = float(v[hi_run * w0])
-    span = float(v[-1] - v[0])
-    if lo_run == 1:
-        lo_val = float(v[0]) - plan.lam * span
-    if hi_run == plan.n_b[0]:
-        hi_val = float(v[-1]) + plan.lam * span
-    return make_confidence_set([(lo_val, hi_val)])
+    lo, hi = m1_bounds(sample.values[None, :], alpha)
+    return make_confidence_set([(float(lo[0]), float(hi[0]))])

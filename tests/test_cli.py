@@ -168,6 +168,14 @@ def test_simulate_unknown_method_exits_2(capsys):
     assert main(["simulate", "--methods", "m9", "--reps", "2"]) == 2
 
 
+@pytest.mark.parametrize("beta", ["200", "1000"])
+def test_simulate_large_beta(capsys, beta):
+    # beta**beta overflows a float above beta ~ 143
+    assert main(["simulate", "--methods", "m1", "--n", "100", "--beta", beta,
+                 "--reps", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"m1,100,{float(beta)},")
+
+
 def test_mode2d_scan(tmp_path, capsys):
     gen_u = sample_uniform(RngStream(92, 0), 400)
     r = np.sqrt(gen_u[:200])
@@ -205,6 +213,24 @@ def test_mode2d_bad_box_exits_2(tmp_path, capsys):
     path.write_text("0.0,0.0\n1.0,1.0\n")
     assert main(["mode2d", "--gamma", "2", "--input", str(path),
                  "--box", "nonsense", "--res", "2"]) == 2
+
+
+def test_mode2d_overflowing_transform_exits_2(tmp_path, capsys):
+    path = _write_lines(tmp_path, "p.csv", ["1e200,1e200"] * 100)
+    assert main(["mode2d", "--gamma", "2", "--input", str(path),
+                 "--box=-1:1,-1:1", "--res", "2"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_mode2d_too_few_points_exits_3(tmp_path, capsys):
+    # 64 is the smallest sample the spacing interval can use
+    pts = RngStream(94, 0).generator().normal(size=(64, 2)).tolist()
+    lines = [f"{x!r},{y!r}" for x, y in pts]
+    path = _write_lines(tmp_path, "p.csv", lines[:63])
+    assert main(["mode2d", "--gamma", "2", "--input", str(path), "--res", "2"]) == 3
+    assert "sample too small" in capsys.readouterr().err
+    path = _write_lines(tmp_path, "p.csv", lines)
+    assert main(["mode2d", "--gamma", "2", "--input", str(path), "--res", "2"]) == 0
 
 
 def test_module_entry_point_help():

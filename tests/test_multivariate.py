@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from test_spacings import scalar_m1
 
 from modeset import (
     PointCloud,
     RngStream,
     SortedSample,
+    compute_confidence_set,
     contains_mode_candidate,
     m1_confidence_interval,
     radial_transform,
@@ -39,6 +43,25 @@ def test_radial_transform_dimension_mismatch():
     cloud = PointCloud.from_points([[0.0, 0.0]], gamma=1.0)
     with pytest.raises(ValueError):
         radial_transform(cloud, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_transform_rows_match_single_candidates(d):
+    gen = RngStream(70, d).generator()
+    pts = gen.normal(size=(300, d))
+    thetas = gen.normal(size=(25, d))
+    for gamma in (0.5, 1.0, 2.0, 3.7):
+        cloud = PointCloud.from_points(pts, gamma)
+        rows = radial_transform(cloud, thetas)
+        assert rows.shape == (25, 300)
+        assert np.array_equal(rows, np.stack([radial_transform(cloud, t) for t in thetas]))
+        # the same values as the norm of the difference, bit for bit
+        norms = np.stack([np.linalg.norm(cloud.points - t, axis=1) for t in thetas])
+        assert np.array_equal(rows, norms**gamma)
+    with pytest.raises(ValueError):
+        radial_transform(cloud, gen.normal(size=(25, d + 1)))
+    with pytest.raises(ValueError):
+        radial_transform(cloud, gen.normal(size=(2, 25, d)))
 
 
 def test_radial_transform_rotation_invariance():
@@ -144,3 +167,48 @@ def test_scan_region_deterministic():
     b = scan_region(cloud, box, 5, 0.05)
     assert np.array_equal(a.mask, b.mask)
     assert a.box == b.box and a.resolution == b.resolution
+
+
+def _cell_oracle(cloud, grid, alpha):
+    """Per-cell loop of the scalar m1 descent over each centre's transform."""
+    axes = [grid.centers(i) for i in range(cloud.d)]
+    want = np.zeros(grid.resolution, dtype=bool)
+    for idx in itertools.product(*(range(k) for k in grid.resolution)):
+        theta = [axes[i][j] for i, j in enumerate(idx)]
+        lo, hi = scalar_m1(np.sort(radial_transform(cloud, theta)), alpha)
+        want[idx] = lo <= 0.0 <= hi
+    return want
+
+
+@pytest.mark.parametrize(
+    "n, resolution",
+    # chunks of 2**15 // n cells: 163, 109 and 218 cells, none dividing the grid
+    [(200, (400,)), (300, (37, 5)), (150, (9, 7, 5))],
+)
+def test_scan_region_matches_per_cell_oracle(n, resolution):
+    d = len(resolution)
+    gen = RngStream(81, d).generator()
+    cloud = PointCloud.from_points(gen.normal(size=(n, d)), gamma=2.0 if d > 1 else 1.0)
+    box = [(-2.0, 2.5)] * d
+    grid = scan_region(cloud, box, resolution, 0.05)
+    want = _cell_oracle(cloud, grid, 0.05)
+    assert np.array_equal(grid.mask, want)
+    assert want.any() and not want.all()
+
+
+def test_scan_region_m2a_matches_per_cell_sets():
+    cloud = PointCloud.from_points(disk_points(RngStream(82, 0), 200), gamma=2.0)
+    grid = scan_region(cloud, [(-0.6, 0.6), (-0.6, 0.6)], (3, 2), 0.05, "m2a")
+    for i, j in itertools.product(range(3), range(2)):
+        theta = [grid.centers(0)[i], grid.centers(1)[j]]
+        cs = compute_confidence_set(radial_transform(cloud, theta), 0.05, "m2a")
+        assert grid.mask[i, j] == cs.contains(0.0)
+
+
+def test_scan_region_rejects_an_overflowing_transform():
+    # finite points whose squared distances overflow to inf
+    cloud = PointCloud.from_points(np.full((100, 2), 1e200), gamma=2.0)
+    with pytest.raises(ValueError, match="finite"):
+        scan_region(cloud, [(-1.0, 1.0), (-1.0, 1.0)], 2, 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        contains_mode_candidate(cloud, [0.0, 0.0], 0.05)

@@ -9,7 +9,34 @@ from modeset import (
     SortedSample,
     m1_confidence_interval,
 )
-from modeset.spacings import build_plan, lanke_inflation, level_intervals
+from modeset.spacings import build_plan, lanke_inflation, level_intervals, m1_bounds
+
+
+def scalar_m1(v, alpha):
+    """Reference: the m1 level descent one sample at a time, with loops."""
+    plan = build_plan(v.size, alpha)
+    cand_lo, cand_hi = 1, plan.n_b[plan.b_max]  # 1-based block ids
+    for b in range(plan.b_max, -1, -1):
+        w = 1 << (b + plan.s_n)
+        widths = np.diff(v[np.arange(cand_lo - 1, cand_hi + 1) * w])
+        bound = plan.h_b[b] * float(widths.min())
+        left = right = int(np.argmin(widths))
+        while left > 0 and widths[left - 1] <= bound:
+            left -= 1
+        while right < widths.size - 1 and widths[right + 1] <= bound:
+            right += 1
+        lo_run, hi_run = cand_lo + left, cand_lo + right
+        if b > 0:
+            cand_lo = 2 * lo_run - 1
+            cand_hi = min(plan.n_b[b - 1], 2 * hi_run)
+    w0 = 1 << plan.s_n
+    lo_val, hi_val = float(v[(lo_run - 1) * w0]), float(v[hi_run * w0])
+    span = float(v[-1] - v[0])
+    if lo_run == 1:
+        lo_val = float(v[0]) - plan.lam * span
+    if hi_run == plan.n_b[0]:
+        hi_val = float(v[-1]) + plan.lam * span
+    return lo_val, hi_val
 
 
 def test_plan_n1000_derived_quantities():
@@ -140,3 +167,39 @@ def test_m1_coverage_beta2_smoke():
             SortedSample.from_data(data), 0.05
         ).contains(0.0)
     assert covered / reps >= 0.95 - 2 * (0.05 * 0.95 / reps) ** 0.5
+
+
+def _kernel_rows(gen, n, k):
+    """k sorted rows of size n: smooth, rounded (ties), and modes at either end."""
+    rows = [
+        gen.normal(size=(k, n)),
+        np.round(gen.normal(size=(k, n)), 1),
+        gen.integers(0, 6, size=(k, n)).astype(float),
+        gen.exponential(size=(k, n)),  # narrowest blocks in the first block
+        -gen.exponential(size=(k, n)),  # ... and in the last
+        np.full((k, n), 2.5),
+    ]
+    return np.sort(np.concatenate(rows), axis=1)
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 129, 257, 1000, 1023, 4097, 5000])
+def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    rows = _kernel_rows(gen, n, 4)
+    for alpha in (0.05, 0.3):
+        lo, hi = m1_bounds(rows, alpha)
+        want = np.array([scalar_m1(row, alpha) for row in rows])
+        assert np.array_equal(lo, want[:, 0]) and np.array_equal(hi, want[:, 1])
+        for row, a, b in zip(rows, lo, hi):  # k = 1
+            lo1, hi1 = m1_bounds(row[None, :], alpha)
+            assert (lo1[0], hi1[0]) == (a, b)
+            cs = m1_confidence_interval(SortedSample.from_data(row), alpha)
+            assert cs.intervals == ((a, b),)
+    # both tail inflations ran, and runs that stop short of either end; a
+    # run reaches the last level-0 block only when each level's blocks are
+    # exactly the halves of the coarser level's
+    plan = build_plan(n, 0.3)
+    if all(plan.n_b[b - 1] == 2 * plan.n_b[b] for b in range(1, plan.b_max + 1)):
+        assert np.any(hi > rows[:, -1])
+    assert np.any(lo < rows[:, 0])
+    assert np.any(lo > rows[:, 0]) and np.any(hi < rows[:, -1])
