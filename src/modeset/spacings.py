@@ -169,17 +169,20 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     cand_hi = np.full(k, plan.n_b[plan.b_max] - 1)
     for b in range(plan.b_max, -1, -1):
         w = 1 << (b + plan.s_n)
-        blocks = np.arange(plan.n_b[b])
-        widths = np.diff(v[:, : plan.n_b[b] * w + 1 : w], axis=1)
-        inside = (blocks >= cand_lo[:, None]) & (blocks <= cand_hi[:, None])
-        narrowest = np.argmin(np.where(inside, widths, np.inf), axis=1)
-        bound = plan.h_b[b] * widths[pick, narrowest]
-        stop = ~(inside & (widths <= bound[:, None]))
-        # the run around the narrowest block ends at the nearest stop on each side
+        n_b = plan.n_b[b]
+        pts = v[:, : n_b * w + 1 : w]
+        widths = pts[:, 1:] - pts[:, :-1]
+        blocks = np.arange(n_b)
+        outside = (blocks < cand_lo[:, None]) | (blocks > cand_hi[:, None])
+        masked = np.where(outside, np.inf, widths)
+        narrowest = masked.argmin(axis=1)
+        bound = plan.h_b[b] * masked[pick, narrowest]
+        stop = outside | (widths > bound[:, None])
+        # the run around the narrowest block ends at the nearest stop on each
+        # side; the right end is found on the reversed rows
         left = np.maximum.accumulate(np.where(stop, blocks + 1, 0), axis=1)
-        right = np.where(stop, blocks - 1, blocks[-1])[:, ::-1]
-        right = np.minimum.accumulate(right, axis=1)[:, ::-1]
-        lo_run, hi_run = left[pick, narrowest], right[pick, narrowest]
+        right = np.minimum.accumulate(np.where(stop, blocks - 1, n_b - 1)[:, ::-1], axis=1)
+        lo_run, hi_run = left[pick, narrowest], right[pick, n_b - 1 - narrowest]
         if b > 0:
             # Finer blocks are halves of the surviving coarse blocks; only
             # those wholly inside the surviving run remain candidates.

@@ -223,7 +223,7 @@ def test_mode2d_overflowing_transform_exits_2(tmp_path, capsys):
 
 
 def test_mode2d_too_few_points_exits_3(tmp_path, capsys):
-    # 64 is the smallest sample the spacing interval can use
+    # the spacing interval has no usable level at n = 55..63 (nor below 32)
     pts = RngStream(94, 0).generator().normal(size=(64, 2)).tolist()
     lines = [f"{x!r},{y!r}" for x, y in pts]
     path = _write_lines(tmp_path, "p.csv", lines[:63])

@@ -182,7 +182,7 @@ def _kernel_rows(gen, n, k):
     return np.sort(np.concatenate(rows), axis=1)
 
 
-@pytest.mark.parametrize("n", [64, 65, 100, 129, 257, 1000, 1023, 4097, 5000])
+@pytest.mark.parametrize("n", [32, 54, 64, 65, 100, 129, 257, 1000, 1023, 4097, 5000])
 def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
     gen = np.random.default_rng(n)
     rows = _kernel_rows(gen, n, 4)
