@@ -3,8 +3,9 @@
 Half the sample produces a pilot mode estimate; on the other half the set
 collects every location whose +/-h window catches nearly as many points as
 the pilot's window.  The window count N(theta) is piecewise constant with
-jumps only at the points X_i -/+ h, so the level set is read off exactly
-from a breakpoint sweep, then dilated by h to transfer coverage from the
+jumps only at the points X_i -/+ h, and the points a window catches are
+consecutive order statistics, so the level set is read off exactly from
+the sorted shifted points, then dilated by h to transfer coverage from the
 smoothed mode back to the mode itself.
 
 The defining inequality compares window averages scaled by 1/(2h); the
@@ -29,7 +30,6 @@ from .core import (
     check_alpha,
     dilate,
     make_confidence_set,
-    run_edges,
     split_and_pilot,
 )
 from .numerics import RngStream
@@ -55,22 +55,53 @@ def dkw_count_slack(n: int, alpha: float) -> float:
     return 2.0 * math.sqrt(2.0 * n * math.log(2.0 / alpha))
 
 
+def _level_runs(starts: np.ndarray, ends: np.ndarray,
+                cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (lo, hi) of the runs of N(theta) >= cutoff, ascending.
+
+    ``starts`` and ``ends`` are X_i - h and X_i + h over the sorted points.
+    The points a window catches form a contiguous block, so for K =
+    ceil(cutoff) >= 1, N(theta) >= K exactly when s_{j+K-1} <= theta < e_j
+    for some j.  Both endpoint sequences ascend: dropping the empty pieces
+    and joining each piece to the previous one unless a gap separates them
+    gives the maximal runs.  Every count is >= 0, so a cutoff <= 0 gives
+    the knot hull [s_0, e_{n-1}].
+    """
+    if cutoff <= 0.0:
+        return starts[:1], ends[-1:]
+    k = math.ceil(cutoff)
+    lo, hi = starts[k - 1:], ends[:max(ends.size - k + 1, 0)]
+    keep = lo < hi
+    return _join_runs(lo[keep], hi[keep])
+
+
+def _join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # lo and hi ascend; a run ends wherever the next piece starts past it
+    if lo.size == 0:
+        return lo, hi
+    cut = np.flatnonzero(lo[1:] > hi[:-1])
+    return lo[np.concatenate(([0], cut + 1))], hi[np.concatenate((cut, [-1]))]
+
+
+def _dilated_width(lo: np.ndarray, hi: np.ndarray, h: float) -> float:
+    """``dilate(make_confidence_set(runs), h).width`` from the run arrays,
+    summed left to right as ``ConfidenceSet.width`` sums it."""
+    lo, hi = _join_runs(lo - h, hi + h)
+    return float(np.cumsum(hi - lo)[-1]) if lo.size else 0.0
+
+
 @dataclass(frozen=True)
 class WindowStatistic:
     """Piecewise-constant window occupancy N(theta) over one point set.
 
     N(theta) counts points with theta - h < X_i <= theta + h, i.e. the
-    indicator of point i is 1 exactly on [X_i - h, X_i + h).  ``breakpoints``
-    holds the sorted distinct knots {X_i - h} union {X_i + h}; ``counts[k]``
-    is N on [breakpoints[k], breakpoints[k+1]), with N = 0 outside the knot
-    hull.
+    indicator of point i is 1 exactly on [X_i - h, X_i + h).  ``starts``
+    and ``ends`` hold the sorted X_i - h and X_i + h.
     """
 
     h: float
     starts: np.ndarray  # sorted X_i - h
     ends: np.ndarray  # sorted X_i + h
-    breakpoints: np.ndarray
-    counts: np.ndarray
 
     @classmethod
     def from_points(cls, points, h: float) -> "WindowStatistic":
@@ -79,14 +110,18 @@ class WindowStatistic:
         pts = np.sort(np.asarray(points, dtype=np.float64))
         if pts.size == 0:
             raise ValueError("window statistic needs at least one point")
-        starts = pts - h
-        ends = pts + h
-        breakpoints = np.unique(np.concatenate([starts, ends]))
-        counts = np.searchsorted(starts, breakpoints, side="right") - np.searchsorted(
-            ends, breakpoints, side="right"
-        )
-        return cls(h=float(h), starts=starts, ends=ends,
-                   breakpoints=breakpoints, counts=counts)
+        return cls(h=float(h), starts=pts - h, ends=pts + h)
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The sorted distinct knots {X_i - h} union {X_i + h}."""
+        return np.unique(np.concatenate([self.starts, self.ends]))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """``counts[k]`` is N on [breakpoints[k], breakpoints[k+1]); N = 0
+        outside the knot hull."""
+        return self.at(self.breakpoints)
 
     def at(self, theta) -> np.ndarray | int:
         """Exact window count at one or many locations."""
@@ -102,8 +137,8 @@ class WindowStatistic:
         measure-zero enlargement.  Every count is >= 0, so a cutoff <= 0
         gives the knot hull [breakpoints[0], breakpoints[-1]].
         """
-        edges = run_edges(self.counts[:-1] >= cutoff)
-        return [(float(a), float(b)) for a, b in self.breakpoints[edges].reshape(-1, 2)]
+        lo, hi = _level_runs(self.starts, self.ends, cutoff)
+        return list(zip(lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -118,19 +153,25 @@ class MEstResult:
 
 
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> MEstResult:
-    # narrowest dilated level set over the bandwidth grid; the strict
-    # comparison sends ties to the smallest h
-    best: MEstResult | None = None
+    # narrowest dilated level set over the bandwidth grid, ranked on the run
+    # arrays; the strict comparison sends ties to the smallest h, and only
+    # the winner's sets are built
+    pts = np.sort(points)
+    best_h = best_cutoff = None
+    best_width = math.inf
     for h in grid:
-        ws = WindowStatistic.from_points(points, h)
-        cutoff = float(ws.at(pilot)) - slack
-        pre = make_confidence_set(ws.level_set(cutoff))
-        cs = dilate(pre, h)
-        if best is None or cs.width < best.confidence_set.width:
-            best = MEstResult(confidence_set=cs, pre_dilation=pre, h=h, pilot=pilot,
-                              vacuous=cutoff <= 0.0)
-    assert best is not None
-    return best
+        starts, ends = pts - h, pts + h
+        count = np.searchsorted(starts, pilot, side="right") - np.searchsorted(
+            ends, pilot, side="right"
+        )
+        cutoff = float(count) - slack
+        width = _dilated_width(*_level_runs(starts, ends, cutoff), h)
+        if best_h is None or width < best_width:
+            best_h, best_cutoff, best_width = h, cutoff, width
+    assert best_h is not None
+    pre = make_confidence_set(WindowStatistic.from_points(pts, best_h).level_set(best_cutoff))
+    return MEstResult(confidence_set=dilate(pre, best_h), pre_dilation=pre, h=best_h,
+                      pilot=pilot, vacuous=best_cutoff <= 0.0)
 
 
 def m2_details(

@@ -55,7 +55,8 @@ class SpacingsPlan:
     Attributes
     ----------
     s_n : int
-        Base block exponent, ceil(log2(ln n)).
+        Base block exponent, ceil(log2(ln n)), capped at floor(log2(n / 8))
+        for n >= 32; the blocks and the Beta quantiles both use it.
     b_max : int
         Coarsest level; level B uses blocks of 2**(B + s_n) spacings.
     n_b : tuple of int
@@ -81,7 +82,14 @@ class SpacingsPlan:
 
 @lru_cache(maxsize=256)
 def _cached_plan(n: int, alpha: float) -> SpacingsPlan:
+    # ceil(log2(ln n)) steps up at n = 55, before floor(log2(n / 8)) does at
+    # n = 64, which would leave no level at n = 55..63; the cap keeps one
+    # level there (b_max = 0) and changes no other n >= 32.  The blocks and
+    # the Beta quantiles below both use this s_n.  Below 32 the cap would
+    # open a level too; those samples stay infeasible.
     s_n = math.ceil(math.log2(math.log(n)))
+    if n >= 32:
+        s_n = min(s_n, math.floor(math.log2(n / 8)))
     b_max = math.floor(math.log2(n / 8)) - s_n
     if b_max < 0:
         raise MethodInfeasibleError(
@@ -185,9 +193,13 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         lo_run, hi_run = left[pick, narrowest], right[pick, n_b - 1 - narrowest]
         if b > 0:
             # Finer blocks are halves of the surviving coarse blocks; only
-            # those wholly inside the surviving run remain candidates.
+            # those wholly inside the surviving run remain candidates.  The
+            # trailing order statistics lie in no coarse block, so no
+            # comparison at this level has excluded the finer blocks over
+            # them: a run that reaches the last coarse block keeps every
+            # finer block to its right.
             cand_lo = 2 * lo_run
-            cand_hi = np.minimum(plan.n_b[b - 1] - 1, 2 * hi_run + 1)
+            cand_hi = np.where(hi_run == n_b - 1, plan.n_b[b - 1] - 1, 2 * hi_run + 1)
     w0 = 1 << plan.s_n
     first, last = v[:, 0], v[:, -1]
     span = last - first

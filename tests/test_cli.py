@@ -223,10 +223,10 @@ def test_mode2d_overflowing_transform_exits_2(tmp_path, capsys):
 
 
 def test_mode2d_too_few_points_exits_3(tmp_path, capsys):
-    # the spacing interval has no usable level at n = 55..63 (nor below 32)
-    pts = RngStream(94, 0).generator().normal(size=(64, 2)).tolist()
+    # the spacing interval has no usable level below 32 points
+    pts = RngStream(94, 0).generator().normal(size=(32, 2)).tolist()
     lines = [f"{x!r},{y!r}" for x, y in pts]
-    path = _write_lines(tmp_path, "p.csv", lines[:63])
+    path = _write_lines(tmp_path, "p.csv", lines[:31])
     assert main(["mode2d", "--gamma", "2", "--input", str(path), "--res", "2"]) == 3
     assert "sample too small" in capsys.readouterr().err
     path = _write_lines(tmp_path, "p.csv", lines)

@@ -13,7 +13,14 @@ from modeset import (
     m2_details,
     make_confidence_set,
 )
-from modeset.mest import WindowStatistic, default_bandwidth_grid
+from modeset.core import run_edges
+from modeset.mest import (
+    WindowStatistic,
+    _dilated_width,
+    _level_runs,
+    _sweep,
+    default_bandwidth_grid,
+)
 
 
 def test_count_slacks_match_direct_evaluation():
@@ -111,6 +118,67 @@ def test_exact_sweep_matches_brute_force():
     assert multi >= 1
 
 
+def _reference_sweep(points, pilot, grid, slack):
+    """The sweep over a knot table: for every h, the np.unique knots, their
+    searchsorted counts, and the dilated set built and measured.  Returns
+    (h, cutoff, pre_dilation, confidence_set) for every h."""
+    pts = np.sort(points)
+    rows = []
+    for h in grid:
+        starts, ends = pts - h, pts + h
+        knots = np.unique(np.concatenate([starts, ends]))
+        counts = np.searchsorted(starts, knots, side="right") - np.searchsorted(
+            ends, knots, side="right"
+        )
+        n_pilot = np.searchsorted(starts, pilot, side="right") - np.searchsorted(
+            ends, pilot, side="right"
+        )
+        cutoff = float(n_pilot) - slack
+        pre = make_confidence_set(knots[run_edges(counts[:-1] >= cutoff)].reshape(-1, 2))
+        rows.append((h, cutoff, pre, dilate(pre, h)))
+    return rows
+
+
+def _sweep_cases():
+    gen = np.random.default_rng(606)
+    for n in (3, 4, 7, 20, 64, 300, 4000):
+        samples = (
+            gen.normal(size=n),
+            np.round(gen.normal(size=n), 1),
+            gen.integers(0, 6, size=n).astype(float),
+            FBetaDensity(1.0).sample(RngStream(60, n), n),
+        )
+        for pts in map(np.sort, samples):
+            pilot = float(pts[n // 2])
+            yield pts, pilot, (0.5,), hoeffding_count_slack(n, 0.3)  # m2
+            if pts[-1] > pts[0]:  # m2a's default grid
+                yield pts, pilot, default_bandwidth_grid(pts), dkw_count_slack(n, 0.05)
+            # a quarter-step grid on which integer data tie in width
+            yield pts, pilot, (0.25, 0.5, 0.75, 1.0, 1.25, 1.5), 0.1 * n
+
+
+def test_sweep_matches_knot_table_sweep_bit_for_bit():
+    vacuous = multi = tied = 0
+    for pts, pilot, grid, slack in _sweep_cases():
+        rows = _reference_sweep(pts, pilot, grid, slack)
+        for h, cutoff, pre, cs in rows:
+            # every bandwidth's maximal runs, and the width it is ranked by
+            ws = WindowStatistic.from_points(pts, h)
+            assert ws.level_set(cutoff) == list(pre.intervals)
+            assert _dilated_width(*_level_runs(ws.starts, ws.ends, cutoff), h) == cs.width
+        widths = [cs.width for *_, cs in rows]
+        h, cutoff, pre, cs = rows[widths.index(min(widths))]
+        res = _sweep(pts, pilot, grid, slack)
+        assert (res.h, res.vacuous, res.pilot) == (h, cutoff <= 0.0, pilot)
+        assert res.confidence_set == cs and res.pre_dilation == pre
+        vacuous += res.vacuous
+        multi += len(pre.intervals) > 1
+        tied += widths.count(min(widths)) > 1
+    # the cases reach the vacuous hull, multi-interval level sets, and
+    # bandwidths tied at the minimal width
+    assert vacuous >= 5 and multi >= 5 and tied >= 3
+
+
 def test_m2_pilot_always_covered_and_nonempty():
     for seed in range(5):
         data = FBetaDensity(1.0).sample(RngStream(41, seed), 400)
@@ -186,9 +254,8 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
         cutoff = float(ws.at(pilot)) - dkw_count_slack(split.s2.n, 0.05)
         pre = make_confidence_set(ws.level_set(cutoff))
         widths.append(dilate(pre, h).width)
-    assert res.confidence_set.width == pytest.approx(min(widths))
-    first_min = true_grid[int(np.argmin(widths))]
-    assert res.h == pytest.approx(first_min)
+    assert res.confidence_set.width == min(widths)
+    assert res.h == true_grid[int(np.argmin(widths))]
 
 
 def test_m2a_statistical_coverage_smoke():

@@ -28,7 +28,8 @@ def scalar_m1(v, alpha):
         lo_run, hi_run = cand_lo + left, cand_lo + right
         if b > 0:
             cand_lo = 2 * lo_run - 1
-            cand_hi = min(plan.n_b[b - 1], 2 * hi_run)
+            # a run through the last coarse block keeps the trailing blocks
+            cand_hi = plan.n_b[b - 1] if hi_run == plan.n_b[b] else 2 * hi_run
     w0 = 1 << plan.s_n
     lo_val, hi_val = float(v[(lo_run - 1) * w0]), float(v[hi_run * w0])
     span = float(v[-1] - v[0])
@@ -169,6 +170,34 @@ def test_m1_coverage_beta2_smoke():
     assert covered / reps >= 0.95 - 2 * (0.05 * 0.95 / reps) ** 0.5
 
 
+def _coverage_floor(alpha, reps):
+    # the Monte-Carlo floor of acceptance criterion 01
+    return 1.0 - alpha - 2.0 * (alpha * (1.0 - alpha) / reps) ** 0.5
+
+
+@pytest.mark.parametrize("n", [1000, 1024, 1025, 4000])
+def test_m1_covers_a_mode_at_either_edge(n):
+    # Exp(1) has its mode 0 at the left end of the support, -Exp(1) at the
+    # right end; at n = 1000, 1024 and 4000 the finer levels have more
+    # blocks than twice the coarser ones, at n = 1025 exactly twice
+    reps = 200
+    draws = RngStream(57, n).generator().exponential(size=(reps, n))
+    for rows in (np.sort(draws, axis=1), np.sort(-draws, axis=1)):
+        lo, hi = m1_bounds(rows, 0.05)
+        covered = np.count_nonzero((lo <= 0.0) & (0.0 <= hi))
+        assert covered / reps >= _coverage_floor(0.05, reps)
+
+
+def test_m1_coverage_at_n60():
+    # n = 60 has one usable level only because the base block is capped
+    reps = 400
+    rows = np.sort([FBetaDensity(1.0).sample(RngStream(58, rep), 60)
+                    for rep in range(reps)], axis=1)
+    lo, hi = m1_bounds(rows, 0.05)
+    covered = np.count_nonzero((lo <= 0.0) & (0.0 <= hi))
+    assert covered / reps >= _coverage_floor(0.05, reps)
+
+
 def _kernel_rows(gen, n, k):
     """k sorted rows of size n: smooth, rounded (ties), and modes at either end."""
     rows = [
@@ -182,7 +211,7 @@ def _kernel_rows(gen, n, k):
     return np.sort(np.concatenate(rows), axis=1)
 
 
-@pytest.mark.parametrize("n", [32, 54, 64, 65, 100, 129, 257, 1000, 1023, 4097, 5000])
+@pytest.mark.parametrize("n", [32, 54, 60, 64, 65, 100, 129, 257, 1000, 1023, 4097, 5000])
 def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
     gen = np.random.default_rng(n)
     rows = _kernel_rows(gen, n, 4)
@@ -195,11 +224,8 @@ def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
             assert (lo1[0], hi1[0]) == (a, b)
             cs = m1_confidence_interval(SortedSample.from_data(row), alpha)
             assert cs.intervals == ((a, b),)
-    # both tail inflations ran, and runs that stop short of either end; a
-    # run reaches the last level-0 block only when each level's blocks are
-    # exactly the halves of the coarser level's
-    plan = build_plan(n, 0.3)
-    if all(plan.n_b[b - 1] == 2 * plan.n_b[b] for b in range(1, plan.b_max + 1)):
-        assert np.any(hi > rows[:, -1])
-    assert np.any(lo < rows[:, 0])
+    # both tail inflations ran, whether or not each level's blocks are
+    # exactly the halves of the coarser level's, and runs that stop short
+    # of either end
+    assert np.any(hi > rows[:, -1]) and np.any(lo < rows[:, 0])
     assert np.any(lo > rows[:, 0]) and np.any(hi < rows[:, -1])
