@@ -58,7 +58,6 @@ from .spacings import (
     SpacingsPlan,
     build_plan,
     lanke_inflation,
-    level_intervals,
     m1_confidence_interval,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "edelman_single_interval",
     "hoeffding_count_slack",
     "lanke_inflation",
-    "level_intervals",
     "m1_confidence_interval",
     "m2_adaptive_details",
     "m2_details",

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--rho", type=float, default=None,
                     help="damping exponent for m3p (default 2)")
     ci.add_argument("--pilot-r", type=int, default=None)
-    ci.add_argument("--split-seed", type=int, default=0)
+    ci.add_argument("--split-seed", type=int, default=None, help="default 0")
     ci.add_argument("--format", choices=("json", "csv"), default="json")
 
     sim = sub.add_parser("simulate", help="Monte-Carlo coverage/width study")
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     m2d.add_argument("--gamma", type=float, required=True)
     m2d.add_argument("--alpha", type=float, default=0.05)
     m2d.add_argument("--input", required=True, help="headerless CSV of points")
-    m2d.add_argument("--method", choices=METHOD_CODES, default="m1")
+    # no m2: it needs a bandwidth, and mode2d has no --h
+    m2d.add_argument("--method", choices=("m1", "m2a", "m3", "m3p"), default="m1")
     m2d.add_argument("--box", default="auto",
                      help="'auto' or lo:hi pairs, comma separated per dimension")
     m2d.add_argument("--res", type=int, default=64, help="cells per dimension")
@@ -108,21 +109,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags of ``ci`` that only one method takes, by argparse destination
+# flags of ``ci`` that only some methods take, by argparse destination
 _METHOD_FLAGS = {
-    "h": "m2",
-    "h_grid_min": "m2a",
-    "h_grid_max": "m2a",
-    "h_grid_size": "m2a",
-    "rho": "m3p",
+    "h": ("m2",),
+    "h_grid_min": ("m2a",),
+    "h_grid_max": ("m2a",),
+    "h_grid_size": ("m2a",),
+    "rho": ("m3p",),
+    "pilot_r": ("m2", "m2a", "m3", "m3p"),
+    "split_seed": ("m2", "m2a", "m3", "m3p"),
 }
 
 
 def _run_ci(args) -> int:
-    for dest, method in _METHOD_FLAGS.items():
-        if getattr(args, dest) is not None and args.method != method:
+    for dest, methods in _METHOD_FLAGS.items():
+        if getattr(args, dest) is not None and args.method not in methods:
             flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag} applies only to method {method}, not {args.method}")
+            named = ("method " if len(methods) == 1 else "methods ") + ", ".join(methods)
+            raise ValueError(f"{flag} applies only to {named}, not {args.method}")
     data = _read_floats(args.input)
     h_grid = None
     if (args.h_grid_min, args.h_grid_max, args.h_grid_size) != (None, None, None):
@@ -142,7 +146,7 @@ def _run_ci(args) -> int:
         h_grid=h_grid,
         **({} if args.rho is None else {"rho": args.rho}),
         pilot_r=args.pilot_r,
-        split_stream=RngStream(args.split_seed, 0),
+        split_stream=RngStream(args.split_seed or 0, 0),
     )
     if args.format == "json":
         payload = json.dumps(cs.to_json_dict(alpha=args.alpha, method=args.method))

@@ -72,12 +72,6 @@ class SortedSample:
     def n(self) -> int:
         return int(self.values.size)
 
-    def order_statistic(self, j: int) -> float:
-        """X_(j) with 1-based indexing."""
-        if not 1 <= j <= self.n:
-            raise IndexError(f"order statistic index {j} outside 1..{self.n}")
-        return float(self.values[j - 1])
-
 
 @dataclass(frozen=True)
 class ConfidenceSet:
@@ -181,32 +175,28 @@ class SampleSplit:
     s2: SortedSample
 
 
-def split_sample(data, stream: RngStream, fraction: float = 0.5) -> SampleSplit:
+def split_sample(data, stream: RngStream) -> SampleSplit:
     """Random partition of ``data`` into two disjoint halves.
 
-    ``fraction`` is the share assigned to the evaluation half ``s2``
-    (rounded, clamped so neither half is empty).  The partition is a
+    The evaluation half ``s2`` gets ``round(m / 2)`` of the m points
+    (half to even), the pilot half ``s1`` the rest.  The partition is a
     deterministic function of ``stream``.
     """
     arr = _as_finite_1d(data)
     m = arr.size
     if m < 2:
         raise ValueError("splitting requires at least 2 observations")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie strictly in (0, 1), got {fraction}")
-    n2 = int(round(m * fraction))
-    n2 = min(max(n2, 1), m - 1)
+    n2 = round(m / 2)
     perm = stream.generator().permutation(m)
     s2 = SortedSample.from_data(arr[perm[:n2]])
     s1 = SortedSample.from_data(arr[perm[n2:]])
     return SampleSplit(s1=s1, s2=s2)
 
 
-def split_and_pilot(data, stream: RngStream, fraction: float,
-                    r: int | None) -> tuple[np.ndarray, float]:
+def split_and_pilot(data, stream: RngStream, r: int | None) -> tuple[np.ndarray, float]:
     """The sorted evaluation half of a split and the pilot mode estimate
     from the other half: the first step of every split-based method."""
-    split = split_sample(data, stream, fraction)
+    split = split_sample(data, stream)
     try:
         pilot = venter_pilot(split.s1, r)
     except MethodInfeasibleError as exc:

@@ -17,8 +17,9 @@ which stays valid under arbitrary dependence between observations.
 
 Both statistics are concave between consecutive evaluation points and
 diverge at infinity, so every connected component of a sublevel set
-contains an evaluation point; a scan anchored at those points plus
-bisection on each boundary crossing extracts the set exactly.
+contains an evaluation point, which a scan anchored at those points finds.
+A gap between two anchors that both lie in the set is found only if a scan
+point falls in it; a missed gap enlarges the set, so coverage holds.
 """
 
 from __future__ import annotations
@@ -110,12 +111,13 @@ def _bisect_boundary(stat, cutoff: float, a: float, b: float, tol: float) -> flo
 
 
 def _extract_level_set(stat, cutoff: float, anchors: np.ndarray) -> ConfidenceSet:
-    """Exact sublevel set {theta : stat(theta) < cutoff} as closed intervals.
+    """Sublevel set {theta : stat(theta) < cutoff} as closed intervals.
 
     ``anchors`` must include every point at which a component of the
     sublevel set could sit (here: the evaluation points and the pilot);
     both statistics are concave between consecutive anchors, so a component
-    that contains no anchor cannot exist.
+    that contains no anchor cannot exist.  A gap that no scan point falls
+    in is missed, which enlarges the set and keeps its coverage.
     """
     lo = float(anchors.min())
     hi = float(anchors.max())
@@ -146,8 +148,8 @@ def _extract_level_set(stat, cutoff: float, anchors: np.ndarray) -> ConfidenceSe
     return make_confidence_set(zip(bounds[::2], bounds[1::2]))
 
 
-def _split_pilot_points(data, split_stream, split_fraction, pilot_r):
-    points, pilot = split_and_pilot(data, split_stream, split_fraction, pilot_r)
+def _split_pilot_points(data, split_stream, pilot_r):
+    points, pilot = split_and_pilot(data, split_stream, pilot_r)
     if np.any(points == pilot):
         raise MethodInfeasibleError(
             "an evaluation point coincides with the pilot estimate; "
@@ -161,7 +163,6 @@ def m3_confidence_set(
     alpha: float,
     *,
     split_stream: RngStream = RngStream(0, 0),
-    split_fraction: float = 0.5,
     pilot_r: int | None = None,
 ) -> ConfidenceSet:
     """Combined p-value confidence set for the mode (method m3).
@@ -173,7 +174,7 @@ def m3_confidence_set(
     large numbers limit pins a fixed limiting set.
     """
     check_alpha(alpha)
-    points, pilot = _split_pilot_points(data, split_stream, split_fraction, pilot_r)
+    points, pilot = _split_pilot_points(data, split_stream, pilot_r)
     cutoff = qchisq(1.0 - alpha, 2 * points.size)
 
     def stat(thetas):
@@ -189,7 +190,6 @@ def m3prime_confidence_set(
     rho: float = 2.0,
     *,
     split_stream: RngStream = RngStream(0, 0),
-    split_fraction: float = 0.5,
     pilot_r: int | None = None,
 ) -> ConfidenceSet:
     """Dependence-robust confidence set for the mode (method m3p).
@@ -202,7 +202,7 @@ def m3prime_confidence_set(
     check_alpha(alpha)
     if not rho > 1.0:
         raise ValueError(f"rho must exceed 1, got {rho}")
-    points, pilot = _split_pilot_points(data, split_stream, split_fraction, pilot_r)
+    points, pilot = _split_pilot_points(data, split_stream, pilot_r)
     cutoff = 1.0 / alpha
 
     def stat(thetas):

@@ -28,8 +28,6 @@ from .core import (
     ConfidenceSet,
     MethodInfeasibleError,
     check_alpha,
-    dilate,
-    make_confidence_set,
     split_and_pilot,
 )
 from .numerics import RngStream
@@ -153,25 +151,26 @@ class MEstResult:
 
 
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> MEstResult:
-    # narrowest dilated level set over the bandwidth grid, ranked on the run
-    # arrays; the strict comparison sends ties to the smallest h, and only
-    # the winner's sets are built
-    pts = np.sort(points)
-    best_h = best_cutoff = None
-    best_width = math.inf
+    # narrowest dilated level set over the bandwidth grid for the sorted
+    # points; the strict comparison sends ties to the smallest h, and only
+    # the winner's sets are built, from the run arrays that ranked it
+    best = None
     for h in grid:
-        starts, ends = pts - h, pts + h
+        starts, ends = points - h, points + h
         count = np.searchsorted(starts, pilot, side="right") - np.searchsorted(
             ends, pilot, side="right"
         )
         cutoff = float(count) - slack
-        width = _dilated_width(*_level_runs(starts, ends, cutoff), h)
-        if best_h is None or width < best_width:
-            best_h, best_cutoff, best_width = h, cutoff, width
-    assert best_h is not None
-    pre = make_confidence_set(WindowStatistic.from_points(pts, best_h).level_set(best_cutoff))
-    return MEstResult(confidence_set=dilate(pre, best_h), pre_dilation=pre, h=best_h,
-                      pilot=pilot, vacuous=best_cutoff <= 0.0)
+        runs = _level_runs(starts, ends, cutoff)
+        width = _dilated_width(*runs, h)
+        if best is None or width < best[0]:
+            best = (width, h, cutoff, runs)
+    _, h, cutoff, (lo, hi) = best
+    dlo, dhi = _join_runs(lo - h, hi + h)
+    pre = ConfidenceSet(tuple(zip(lo.tolist(), hi.tolist())))
+    dilated = ConfidenceSet(tuple(zip(dlo.tolist(), dhi.tolist())))
+    return MEstResult(confidence_set=dilated, pre_dilation=pre, h=h,
+                      pilot=pilot, vacuous=cutoff <= 0.0)
 
 
 def m2_details(
@@ -180,7 +179,6 @@ def m2_details(
     h: float | None = None,
     *,
     split_stream: RngStream = RngStream(0, 0),
-    split_fraction: float = 0.5,
     pilot_r: int | None = None,
 ) -> MEstResult:
     """Fixed-bandwidth M-estimation set with diagnostics (method m2).
@@ -195,7 +193,7 @@ def m2_details(
         raise ValueError("method m2 requires a fixed bandwidth h (--h)")
     if not h > 0:
         raise ValueError(f"bandwidth h must be positive, got {h}")
-    points, pilot = split_and_pilot(data, split_stream, split_fraction, pilot_r)
+    points, pilot = split_and_pilot(data, split_stream, pilot_r)
     return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
 
 
@@ -218,7 +216,6 @@ def m2_adaptive_details(
     h_grid: tuple[float, ...] | None = None,
     *,
     split_stream: RngStream = RngStream(0, 0),
-    split_fraction: float = 0.5,
     pilot_r: int | None = None,
 ) -> MEstResult:
     """Width-minimizing bandwidth M-estimation set with diagnostics (m2a).
@@ -239,6 +236,6 @@ def m2_adaptive_details(
             raise ValueError("h_grid entries must be positive")
         if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
             raise ValueError("h_grid must be strictly ascending")
-    points, pilot = split_and_pilot(data, split_stream, split_fraction, pilot_r)
+    points, pilot = split_and_pilot(data, split_stream, pilot_r)
     grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
     return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))

@@ -32,21 +32,20 @@ def run_method(
     rho: float = 2.0,
     pilot_r: int | None = None,
     split_stream: RngStream = RngStream(0, 0),
-    split_fraction: float = 0.5,
 ) -> tuple[ConfidenceSet, bool]:
     """Run one univariate mode confidence-set construction by code.
 
     Returns the set and whether its threshold was vacuous (only ``m2`` and
     ``m2a`` can be).  ``m1`` needs no extra options; ``m2`` needs ``h``;
     ``m2a`` accepts an optional ``h_grid``; ``m3p`` accepts ``rho`` (> 1).
-    The split-based methods take ``pilot_r``, ``split_stream`` and
-    ``split_fraction``.  Options a method does not use are ignored.
+    The split-based methods take ``pilot_r`` and ``split_stream``.
+    Options a method does not use are ignored.
     """
     # checked first, so a bad alpha is reported before any sample-size check
     check_alpha(alpha)
     if method == "m1":
         return m1_confidence_interval(SortedSample.from_data(data), alpha), False
-    split = dict(split_stream=split_stream, split_fraction=split_fraction, pilot_r=pilot_r)
+    split = dict(split_stream=split_stream, pilot_r=pilot_r)
     if method == "m2":
         res = m2_details(data, alpha, h, **split)
         return res.confidence_set, res.vacuous

@@ -119,7 +119,7 @@ class MembershipGrid:
 
     def rows(self):
         """Yield (center coordinates..., in_set) per cell in index order."""
-        axes = [self.centers(i) for i in range(len(self.resolution))]
+        axes = [self.centers(i).tolist() for i in range(len(self.resolution))]
         for idx in itertools.product(*(range(k) for k in self.resolution)):
             coords = tuple(axes[i][j] for i, j in enumerate(idx))
             yield coords + (bool(self.mask[idx]),)

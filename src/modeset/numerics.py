@@ -99,7 +99,7 @@ def qbeta(p: float, a: float, b: float) -> float:
     Endpoints map to the support limits: ``qbeta(0, ., .) == 0`` and
     ``qbeta(1, ., .) == 1``.  The result satisfies
     ``|reg_inc_beta(x, a, b) - p| <= 1e-10`` across the shape ranges used by
-    the spacing plans (a, b up to a few thousand, p down to ~1e-9).
+    the spacing plans; a miss raises ``ArithmeticError``.
     """
     _check_shapes(a, b)
     if not 0.0 <= p <= 1.0:
@@ -109,26 +109,9 @@ def qbeta(p: float, a: float, b: float) -> float:
     if p == 1.0:
         return 1.0
     x = float(special.betaincinv(a, b, p))
-    # scipy's inverse is nearly always exact to machine precision; polish the
-    # rare straggler with safeguarded Newton so the quantile contract holds
-    # uniformly over extreme, imbalanced shape pairs.
-    lo, hi = 0.0, 1.0
-    log_beta = float(special.betaln(a, b))
-    for _ in range(100):
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        err = float(special.betainc(a, b, x)) - p
-        if abs(err) <= 1e-13:
-            break
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        log_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta
-        if log_pdf > 700.0 or log_pdf < -700.0:
-            x = 0.5 * (lo + hi)
-        else:
-            x = x - err * math.exp(-log_pdf)
+    resid = abs(float(special.betainc(a, b, x)) - p)
+    if not resid <= 1e-10:
+        raise ArithmeticError(f"qbeta({p!r}, {a!r}, {b!r}) residual {resid!r} exceeds 1e-10")
     return x
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "SpacingsPlan",
     "build_plan",
     "lanke_inflation",
-    "level_intervals",
     "m1_bounds",
     "m1_confidence_interval",
 ]
@@ -139,22 +138,6 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
         )
     check_alpha(alpha)
     return _cached_plan(int(n), float(alpha))
-
-
-def level_intervals(sample: SortedSample, plan: SpacingsPlan, level: int) -> np.ndarray:
-    """Block intervals at one level as an (n_b, 2) array of endpoints.
-
-    Block i (1-based) is [X_(1+(i-1)w), X_(1+i*w)] with w = 2**(level + s_n);
-    consecutive blocks share exactly one endpoint and each spans w + 1
-    order statistics.
-    """
-    if not 0 <= level <= plan.b_max:
-        raise ValueError(f"level must lie in [0, {plan.b_max}], got {level}")
-    w = 1 << (level + plan.s_n)
-    n_b = plan.n_b[level]
-    idx = np.arange(n_b + 1) * w  # 0-based positions of X_(1 + i*w)
-    pts = sample.values[idx]
-    return np.column_stack([pts[:-1], pts[1:]])
 
 
 def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:

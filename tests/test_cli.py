@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from modeset import FBetaDensity, RngStream, sample_uniform
+from modeset import (FBetaDensity, PointCloud, RngStream, compute_confidence_set,
+                     sample_uniform, scan_region)
 from modeset.cli import main
 
 
@@ -95,11 +96,28 @@ def test_ci_pilot_error_names_the_sample_size(tmp_path, capsys, method):
     ("m3p", "--h-grid-size", "16"),
     ("m3", "--rho", "0.5"),
     ("m2a", "--rho", "2.5"),
+    ("m1", "--pilot-r", "0"),
+    ("m1", "--split-seed", "7"),
 ])
 def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, flag, value):
     assert main(["ci", "--method", method, flag, value, "--input", str(data_1000)]) == 2
     err = capsys.readouterr().err
     assert flag in err and method in err
+
+
+def test_ci_pilot_r(data_1000, capsys):
+    values = np.loadtxt(data_1000)
+    for method in ("m2a", "m3"):
+        assert main(["ci", "--method", method, "--pilot-r", "10",
+                     "--input", str(data_1000)]) == 0
+        ref = compute_confidence_set(values, 0.05, method, pilot_r=10)
+        assert json.loads(capsys.readouterr().out)["intervals"] == [
+            [lo, hi] for lo, hi in ref.intervals]
+    assert main(["ci", "--method", "m2a", "--pilot-r", "0", "--input", str(data_1000)]) == 2
+    assert "positive integer" in capsys.readouterr().err
+    # the pilot half has 500 points, too few for a window of 2 * 250 + 1
+    assert main(["ci", "--method", "m3", "--pilot-r", "250", "--input", str(data_1000)]) == 3
+    assert "needs n >= 501" in capsys.readouterr().err
 
 
 def test_ci_m2a_grid_size_needs_bounds(data_1000, capsys):
@@ -194,6 +212,21 @@ def test_mode2d_scan(tmp_path, capsys):
     lines = mask_path.read_text().strip().split("\n")
     assert lines[0] == "x0,x1,in_set"
     assert len(lines) == 10
+    # the coordinates are plain numbers: the cell centres in index order
+    table = np.loadtxt(mask_path, delimiter=",", skiprows=1)
+    grid = scan_region(PointCloud.from_points(pts, 2.0), [(-1, 1), (-1, 1)], 3, 0.05)
+    assert np.array_equal(table[:, 0], np.repeat(grid.centers(0), 3))
+    assert np.array_equal(table[:, 1], np.tile(grid.centers(1), 3))
+    assert np.array_equal(table[:, 2], grid.mask.ravel())
+
+
+def test_mode2d_does_not_offer_m2(tmp_path, capsys):
+    # m2 needs a bandwidth, which mode2d has no flag for
+    path = _write_lines(tmp_path, "p.csv", ["0.0,0.0", "1.0,1.0"])
+    with pytest.raises(SystemExit) as exc:
+        main(["mode2d", "--gamma", "2", "--method", "m2", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'm2'" in capsys.readouterr().err
 
 
 def test_mode2d_auto_box_to_stdout(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from modeset import RngStream, qbeta, qchisq, reg_inc_beta, sample_uniform
 
@@ -91,6 +92,14 @@ def test_qbeta_round_trip():
         b = rng.uniform(0.5, 5000.0)
         p = rng.uniform(1e-9, 1.0 - 1e-9)
         assert abs(reg_inc_beta(qbeta(p, a, b), a, b) - p) <= 1e-9
+
+
+def test_qbeta_raises_when_the_inverse_misses(monkeypatch):
+    inverse = special.betaincinv
+    monkeypatch.setattr("modeset.numerics.special.betaincinv",
+                        lambda a, b, p: inverse(a, b, p) + 1e-6)
+    with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
+        qbeta(0.3, 2.0, 5.0)
 
 
 def test_qchisq_exponential_closed_form():

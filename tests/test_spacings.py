@@ -9,7 +9,7 @@ from modeset import (
     SortedSample,
     m1_confidence_interval,
 )
-from modeset.spacings import build_plan, lanke_inflation, level_intervals, m1_bounds
+from modeset.spacings import build_plan, lanke_inflation, m1_bounds
 
 
 def scalar_m1(v, alpha):
@@ -81,20 +81,6 @@ def test_plan_tolerance_monotone_in_alpha():
     for b in range(plans[0].b_max + 1):
         hs = [p.h_b[b] for p in plans]
         assert all(h2 >= h1 for h1, h2 in zip(hs, hs[1:]))
-
-
-def test_level_intervals_structure():
-    sample = SortedSample.from_data(FBetaDensity(1.0).sample(RngStream(11, 0), 1000))
-    plan = build_plan(1000, 0.05)
-    for b in range(plan.b_max + 1):
-        ivs = level_intervals(sample, plan, b)
-        assert ivs.shape == (plan.n_b[b], 2)
-        # consecutive blocks share exactly one endpoint
-        assert np.array_equal(ivs[1:, 0], ivs[:-1, 1])
-        # each block spans 2**(b + s_n) + 1 order statistics
-        w = 1 << (b + plan.s_n)
-        assert ivs[0, 0] == sample.order_statistic(1)
-        assert ivs[0, 1] == sample.order_statistic(1 + w)
 
 
 def test_m1_equal_spacing_traces_to_full_tail_extension():
