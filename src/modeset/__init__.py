@@ -12,23 +12,17 @@ from .core import (
     ConfidenceSet,
     MethodInfeasibleError,
     ModeSetError,
-    SampleSplit,
     SortedSample,
     dilate,
     make_confidence_set,
-    split_sample,
-    venter_pilot,
 )
 from .edelman import (
-    edelman_single_interval,
     m3_confidence_set,
     m3prime_confidence_set,
 )
 from .mest import (
     MEstResult,
-    WindowStatistic,
     dkw_count_slack,
-    hoeffding_count_slack,
     m2_adaptive_details,
     m2_details,
 )
@@ -42,9 +36,6 @@ from .multivariate import (
 )
 from .numerics import (
     RngStream,
-    qbeta,
-    qchisq,
-    reg_inc_beta,
     sample_uniform,
 )
 from .sim import (
@@ -55,9 +46,6 @@ from .sim import (
     study_bandwidth,
 )
 from .spacings import (
-    SpacingsPlan,
-    build_plan,
-    lanke_inflation,
     m1_confidence_interval,
 )
 
@@ -73,33 +61,21 @@ __all__ = [
     "ModeSetError",
     "PointCloud",
     "RngStream",
-    "SampleSplit",
     "SortedSample",
-    "SpacingsPlan",
-    "WindowStatistic",
-    "build_plan",
     "compute_confidence_set",
     "contains_mode_candidate",
     "coverage_report_csv",
     "dilate",
     "dkw_count_slack",
-    "edelman_single_interval",
-    "hoeffding_count_slack",
-    "lanke_inflation",
     "m1_confidence_interval",
     "m2_adaptive_details",
     "m2_details",
     "m3_confidence_set",
     "m3prime_confidence_set",
     "make_confidence_set",
-    "qbeta",
-    "qchisq",
     "radial_transform",
-    "reg_inc_beta",
     "run_coverage_study",
     "sample_uniform",
     "scan_region",
-    "split_sample",
     "study_bandwidth",
-    "venter_pilot",
 ]

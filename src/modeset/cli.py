@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .core import MethodInfeasibleError
+from .mest import geometric_grid
 from .methods import METHOD_CODES, compute_confidence_set
 from .multivariate import PointCloud, scan_region
 from .numerics import RngStream
@@ -92,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="-", help="CSV destination, '-' for stdout")
     sim.add_argument("--emit-widths", default=None, metavar="PATH",
                      help="also write per-replication widths to PATH")
-    sim.add_argument("--workers", type=int, default=None,
-                     help="process count (default: MODESET_THREADS or 1)")
+    sim.add_argument("--workers", type=int, default=1, help="process count (default 1)")
 
     m2d = sub.add_parser("mode2d", help="candidate-mode scan for multivariate data")
     m2d.add_argument("--gamma", type=float, required=True)
@@ -132,12 +132,8 @@ def _run_ci(args) -> int:
     if (args.h_grid_min, args.h_grid_max, args.h_grid_size) != (None, None, None):
         if args.h_grid_min is None or args.h_grid_max is None:
             raise ValueError("--h-grid-min and --h-grid-max must be given together")
-        if not 0 < args.h_grid_min <= args.h_grid_max:
-            raise ValueError("h grid bounds must satisfy 0 < min <= max")
         size = 64 if args.h_grid_size is None else args.h_grid_size
-        h_grid = tuple(
-            float(h) for h in np.unique(np.geomspace(args.h_grid_min, args.h_grid_max, size))
-        )
+        h_grid = geometric_grid(args.h_grid_min, args.h_grid_max, size)
     cs = compute_confidence_set(
         data,
         args.alpha,
@@ -167,7 +163,6 @@ def _run_simulate(args) -> int:
         replications=args.reps,
         base_seed=args.seed,
         workers=args.workers,
-        keep_widths=args.emit_widths is not None,
     )
     payload = coverage_report_csv(reports)
     if args.out == "-":

@@ -117,14 +117,16 @@ def _extract_level_set(stat, cutoff: float, anchors: np.ndarray) -> ConfidenceSe
     sublevel set could sit (here: the evaluation points and the pilot);
     both statistics are concave between consecutive anchors, so a component
     that contains no anchor cannot exist.  A gap that no scan point falls
-    in is missed, which enlarges the set and keeps its coverage.
+    in is missed, which enlarges the set and keeps its coverage.  When 200
+    doublings of the span do not bracket the set (m3p at a large rho, whose
+    statistic grows too slowly), the whole line is returned: it contains
+    the set, so coverage holds.
     """
     lo = float(anchors.min())
     hi = float(anchors.max())
     span = hi - lo
     margin = span if span > 0 else 1.0
-    # widen until the statistic clears the cutoff at both ends; the
-    # statistics diverge at infinity so this terminates
+    # widen until the statistic clears the cutoff at both ends
     for _ in range(200):
         edge = np.array([lo - margin, hi + margin])
         vals = stat(edge)
@@ -132,7 +134,7 @@ def _extract_level_set(stat, cutoff: float, anchors: np.ndarray) -> ConfidenceSe
             break
         margin *= 2.0
     else:
-        raise RuntimeError("level-set scan failed to bracket the sublevel set")
+        return ConfidenceSet(((-math.inf, math.inf),))
     scan_lo, scan_hi = lo - margin, hi + margin
     grid = np.unique(np.concatenate([
         np.linspace(scan_lo, scan_hi, _SCAN_SIZE),
@@ -197,11 +199,12 @@ def m3prime_confidence_set(
     Valid whenever the observations are identically distributed, without
     any independence assumption: Markov's inequality applied to the mean of
     the dampened ratios needs only the single-observation concentration
-    bound, which requires rho > 1 for integrability.
+    bound, which requires rho > 1 for integrability.  A large rho can give
+    the whole line (see :func:`_extract_level_set`).
     """
     check_alpha(alpha)
-    if not rho > 1.0:
-        raise ValueError(f"rho must exceed 1, got {rho}")
+    if not 1.0 < rho < math.inf:
+        raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
     points, pilot = _split_pilot_points(data, split_stream, pilot_r)
     cutoff = 1.0 / alpha
 

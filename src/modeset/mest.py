@@ -37,6 +37,7 @@ __all__ = [
     "WindowStatistic",
     "default_bandwidth_grid",
     "dkw_count_slack",
+    "geometric_grid",
     "hoeffding_count_slack",
     "m2_adaptive_details",
     "m2_details",
@@ -51,6 +52,13 @@ def hoeffding_count_slack(n: int, alpha: float) -> float:
 def dkw_count_slack(n: int, alpha: float) -> float:
     """Count slack 2*sqrt(2n*log(2/alpha)), simultaneously valid over all h."""
     return 2.0 * math.sqrt(2.0 * n * math.log(2.0 / alpha))
+
+
+def _window_count(starts: np.ndarray, ends: np.ndarray, theta) -> np.ndarray | int:
+    """N(theta) from the sorted X_i - h and X_i + h: the windows holding theta."""
+    return np.searchsorted(starts, theta, side="right") - np.searchsorted(
+        ends, theta, side="right"
+    )
 
 
 def _level_runs(starts: np.ndarray, ends: np.ndarray,
@@ -123,10 +131,7 @@ class WindowStatistic:
 
     def at(self, theta) -> np.ndarray | int:
         """Exact window count at one or many locations."""
-        n = np.searchsorted(self.starts, theta, side="right") - np.searchsorted(
-            self.ends, theta, side="right"
-        )
-        return n
+        return _window_count(self.starts, self.ends, theta)
 
     def level_set(self, cutoff: float) -> list[tuple[float, float]]:
         """Closed intervals where N(theta) >= cutoff.
@@ -157,10 +162,7 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> MEstResult:
     best = None
     for h in grid:
         starts, ends = points - h, points + h
-        count = np.searchsorted(starts, pilot, side="right") - np.searchsorted(
-            ends, pilot, side="right"
-        )
-        cutoff = float(count) - slack
+        cutoff = float(_window_count(starts, ends, pilot)) - slack
         runs = _level_runs(starts, ends, cutoff)
         width = _dilated_width(*runs, h)
         if best is None or width < best[0]:
@@ -191,10 +193,17 @@ def m2_details(
     check_alpha(alpha)
     if h is None:
         raise ValueError("method m2 requires a fixed bandwidth h (--h)")
-    if not h > 0:
-        raise ValueError(f"bandwidth h must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"bandwidth h must be positive and finite, got {h}")
     points, pilot = split_and_pilot(data, split_stream, pilot_r)
     return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
+
+
+def geometric_grid(lo: float, hi: float, size: int) -> tuple[float, ...]:
+    """``size`` geometrically spaced bandwidths from ``lo`` to ``hi``, deduplicated."""
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {lo}, {hi}")
+    return tuple(float(h) for h in np.unique(np.geomspace(lo, hi, size)))
 
 
 def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
@@ -205,9 +214,7 @@ def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
         raise MethodInfeasibleError("bandwidth grid needs a sample with positive range")
     gaps = np.diff(pts)
     positive = gaps[gaps > 0]
-    lo = float(positive.min()) / 2.0
-    grid = np.geomspace(lo, span, size)
-    return tuple(float(h) for h in np.unique(grid))
+    return geometric_grid(float(positive.min()) / 2.0, span, size)
 
 
 def m2_adaptive_details(
@@ -220,7 +227,7 @@ def m2_adaptive_details(
 ) -> MEstResult:
     """Width-minimizing bandwidth M-estimation set with diagnostics (m2a).
 
-    ``h_grid`` holds the candidate bandwidths, positive and strictly
+    ``h_grid`` holds the candidate bandwidths, positive, finite and strictly
     ascending; it defaults to a geometric grid spanning the evaluation
     half's resolution to its range.  Every candidate uses the DKW slack,
     which is simultaneously valid over all h, so minimizing the dilated
@@ -232,8 +239,8 @@ def m2_adaptive_details(
         h_grid = tuple(float(h) for h in h_grid)
         if len(h_grid) == 0:
             raise ValueError("h_grid must be nonempty")
-        if any(h <= 0 for h in h_grid):
-            raise ValueError("h_grid entries must be positive")
+        if not all(0 < h < math.inf for h in h_grid):
+            raise ValueError("h_grid entries must be positive and finite")
         if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
             raise ValueError("h_grid must be strictly ascending")
     points, pilot = split_and_pilot(data, split_stream, pilot_r)

@@ -64,8 +64,8 @@ def compute_confidence_set(data, alpha: float, method: str, **options) -> Confid
     return run_method(data, alpha, method, **options)[0]
 
 
-def covers(rows, x: float, alpha: float, method: str, **options) -> np.ndarray:
-    """Whether each row's set (of :func:`run_method`) contains ``x``.
+def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
+    """Whether each row's set (of :func:`run_method` with its defaults) contains ``x``.
 
     ``rows`` is a (k, n) matrix holding k samples of equal size n >= 1.
     ``m1`` runs as one batch over all rows; every other method runs row
@@ -74,7 +74,7 @@ def covers(rows, x: float, alpha: float, method: str, **options) -> np.ndarray:
     check_alpha(alpha)
     if method != "m1":
         return np.array(
-            [run_method(row, alpha, method, **options)[0].contains(x) for row in rows],
+            [run_method(row, alpha, method)[0].contains(x) for row in rows],
             dtype=bool,
         )
     values = np.sort(np.asarray(rows, dtype=np.float64), axis=1)

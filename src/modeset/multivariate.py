@@ -49,8 +49,8 @@ class PointCloud:
             raise ValueError("points must form a nonempty (n, d) array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("points must be finite")
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         arr = arr.copy()
         arr.setflags(write=False)
         return cls(points=arr, gamma=float(gamma))
@@ -78,11 +78,13 @@ def radial_transform(cloud: PointCloud, theta) -> np.ndarray:
             f"candidate points must have shape (d,) or (k, d) with d = {cloud.d}, "
             f"got {theta.shape}"
         )
-    # one coordinate at a time: no (k, n, d) temporary
+    # one coordinate at a time: no (k, n, d) temporary.  An overflow gives
+    # inf, which the methods' finite-data check reports
     squares = 0.0
-    for j in range(cloud.d):
-        squares = squares + np.square(cloud.points[:, j] - theta[..., j, None])
-    return np.sqrt(squares) ** cloud.gamma
+    with np.errstate(over="ignore"):
+        for j in range(cloud.d):
+            squares = squares + np.square(cloud.points[:, j] - theta[..., j, None])
+        return np.sqrt(squares) ** cloud.gamma
 
 
 def contains_mode_candidate(
@@ -90,17 +92,21 @@ def contains_mode_candidate(
     theta,
     alpha: float,
     algorithm: str = "m1",
-    **options,
 ) -> bool:
     """True when 0 lies in the univariate set built on the radial transform.
 
-    ``algorithm`` is a univariate method code (m1, m2, m2a, m3, m3p) and
-    ``options`` are forwarded to it.  The spacing interval m1 is the
-    default: it needs no sample split, and its left tail extension handles
-    a mode sitting at the support boundary 0.
+    ``algorithm`` is a univariate method code (m1, m2a, m3 or m3p), run
+    with its defaults; m2 cannot run here, since it needs a bandwidth h.
+    The spacing interval m1 is the default: it needs no sample split, and
+    its left tail extension handles a mode sitting at the support boundary 0.
     """
     transformed = radial_transform(cloud, theta)
-    return bool(covers(transformed[None, :], 0.0, alpha, algorithm, **options)[0])
+    return bool(covers(transformed[None, :], 0.0, alpha, algorithm)[0])
+
+
+def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
+    """Centers of the k equal cells that split [lo, hi]."""
+    return lo + (hi - lo) / k * (np.arange(k) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,7 @@ class MembershipGrid:
     mask: np.ndarray
 
     def centers(self, axis: int) -> np.ndarray:
-        lo, hi = self.box[axis]
-        k = self.resolution[axis]
-        step = (hi - lo) / k
-        return lo + step * (np.arange(k) + 0.5)
+        return _cell_centers(*self.box[axis], self.resolution[axis])
 
     def rows(self):
         """Yield (center coordinates..., in_set) per cell in index order."""
@@ -131,14 +134,13 @@ def scan_region(
     resolution,
     alpha: float,
     algorithm: str = "m1",
-    **options,
 ) -> MembershipGrid:
     """Evaluate the lift test at every cell center of a rectangular grid.
 
-    ``box`` is a per-dimension sequence of (lo, hi); ``resolution`` an int
-    or per-dimension counts.  Restricted to d <= 3 and at most 1e7 cells.
-    Cells are tested in index order, in chunks of 2**15 // n of them (at
-    least one); ``m1`` tests a whole chunk as one batch.
+    ``box`` is a per-dimension sequence of finite (lo, hi); ``resolution``
+    an int or per-dimension counts.  Restricted to d <= 3 and at most 1e7
+    cells.  Cells are tested in index order, in chunks of 2**15 // n of
+    them (at least one); ``m1`` tests a whole chunk as one batch.
     """
     d = cloud.d
     if d > 3:
@@ -146,6 +148,8 @@ def scan_region(
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     if len(box) != d:
         raise ValueError(f"box has {len(box)} dimensions, cloud has {d}")
+    if not np.all(np.isfinite(box)):
+        raise ValueError(f"box sides must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box sides must have positive length")
     if np.isscalar(resolution):
@@ -157,17 +161,14 @@ def scan_region(
     cells = int(np.prod(resolution))
     if cells > _MAX_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds the {_MAX_CELLS} cell limit")
-    axes = [
-        lo + (hi - lo) / k * (np.arange(k) + 0.5)
-        for (lo, hi), k in zip(box, resolution)
-    ]
+    axes = [_cell_centers(lo, hi, k) for (lo, hi), k in zip(box, resolution)]
     mask = np.empty(cells, dtype=bool)
     chunk = max(1, _CHUNK_VALUES // cloud.n)
     for start in range(0, cells, chunk):
         idx = np.unravel_index(np.arange(start, min(start + chunk, cells)), resolution)
         thetas = np.column_stack([axis[i] for axis, i in zip(axes, idx)])
         transformed = radial_transform(cloud, thetas)
-        mask[start : start + chunk] = covers(transformed, 0.0, alpha, algorithm, **options)
+        mask[start : start + chunk] = covers(transformed, 0.0, alpha, algorithm)
     mask = mask.reshape(resolution)
     mask.setflags(write=False)
     return MembershipGrid(box=box, resolution=resolution, mask=mask)

@@ -58,10 +58,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Stream with the same seed and a different id."""
-        return RngStream(self.seed, stream_id)
-
 
 def _check_shapes(a: float, b: float) -> None:
     if not (a > 0 and math.isfinite(a)):

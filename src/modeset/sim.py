@@ -17,7 +17,6 @@ run in parallel.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -157,7 +156,7 @@ class CoverageReport:
     vacuous: int
     errors: int
     wall_time_s: float = field(compare=False)
-    widths: tuple[float, ...] | None = field(default=None, compare=False)
+    widths: tuple[float, ...] = field(compare=False)
 
 
 def _data_stream(base_seed: int, rep: int) -> RngStream:
@@ -205,8 +204,7 @@ def run_coverage_study(
     alpha: float = 0.05,
     replications: int = 1000,
     base_seed: int = 0,
-    workers: int | None = None,
-    keep_widths: bool = False,
+    workers: int = 1,
 ) -> list[CoverageReport]:
     """Coverage and width study over a (method, n, beta) grid.
 
@@ -223,6 +221,8 @@ def run_coverage_study(
     """
     if replications < 1:
         raise ValueError("replications must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     check_alpha(alpha)
     methods = list(methods)
     if not methods:
@@ -236,9 +236,6 @@ def run_coverage_study(
     beta_values = [float(beta) for beta in beta_values]
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
-    if workers is None:
-        workers = int(os.environ.get("MODESET_THREADS", "1"))
-    workers = max(1, workers)
     cells = [(method, n) for method in methods for n in n_values]
     jobs = [
         (cells, beta, float(alpha), int(base_seed), rep)
@@ -278,7 +275,7 @@ def run_coverage_study(
                     vacuous=sum(vacuous),
                     errors=sum(errored),
                     wall_time_s=sum(seconds),
-                    widths=per_rep if keep_widths else None,
+                    widths=per_rep,
                 )
             )
     return reports
@@ -304,15 +301,13 @@ def coverage_report_csv(reports) -> str:
 
 
 def replication_widths_csv(reports) -> str:
-    """Per-replication widths for external box plotting (needs keep_widths).
+    """Per-replication widths for external box plotting.
 
     ``rep`` is the replication's stream index; errored replications are
     skipped, so the column may have gaps.
     """
     lines = ["method,n,beta,alpha,rep,width"]
     for r in reports:
-        if r.widths is None:
-            raise ValueError("per-replication widths were not kept; rerun with keep_widths")
         for rep, w in enumerate(r.widths):
             if math.isnan(w):
                 continue

@@ -69,8 +69,6 @@ class SpacingsPlan:
         Tail inflation factor (alpha/2)**(-1/(n-1)) - 1.
     """
 
-    n: int
-    alpha: float
     s_n: int
     b_max: int
     n_b: tuple[int, ...]
@@ -113,8 +111,6 @@ def _cached_plan(n: int, alpha: float) -> SpacingsPlan:
         h_b.append(upper / lower)
     lam = lanke_inflation(n, alpha)
     return SpacingsPlan(
-        n=n,
-        alpha=alpha,
         s_n=s_n,
         b_max=b_max,
         n_b=tuple(n_b),

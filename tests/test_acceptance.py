@@ -16,20 +16,17 @@ from modeset import (
     RngStream,
     contains_mode_candidate,
     dkw_count_slack,
-    hoeffding_count_slack,
     m3prime_confidence_set,
     make_confidence_set,
-    qbeta,
-    qchisq,
-    reg_inc_beta,
     run_coverage_study,
     sample_uniform,
 )
 from modeset.cli import main as cli_main
 from modeset.core import split_sample, venter_pilot
 from modeset.edelman import m3_confidence_set
-from modeset.mest import WindowStatistic
+from modeset.mest import WindowStatistic, hoeffding_count_slack
 from modeset.multivariate import PointCloud
+from modeset.numerics import qbeta, qchisq, reg_inc_beta
 from modeset.sim import FBetaDensity
 from modeset.spacings import build_plan
 

@@ -59,6 +59,35 @@ def test_ci_m3p_rho_validation_exits_2(data_1000, capsys):
     assert "rho must exceed 1" in capsys.readouterr().err
 
 
+def test_ci_m3p_large_rho_returns_the_whole_line(tmp_path, capsys):
+    values = RngStream(95, 0).generator().normal(size=3000)
+    path = _write_lines(tmp_path, "normal.txt", values)
+    assert main(["ci", "--method", "m3p", "--rho", "50", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["intervals"] == [[-np.inf, np.inf]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mode2d", "--gamma", "inf", "--res", "4"], "gamma must be positive and finite"),
+    (["mode2d", "--gamma", "2", "--box", "nan:1,0:1"], "box sides must be finite"),
+    (["mode2d", "--gamma", "2", "--box", "0:inf,0:1"], "box sides must be finite"),
+    (["ci", "--method", "m2", "--h", "inf"], "bandwidth h must be positive and finite"),
+    (["ci", "--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "inf"],
+     "0 < min <= max < inf"),
+    (["ci", "--method", "m3p", "--rho", "inf"], "rho must exceed 1 and be finite"),
+])
+def test_non_finite_options_exit_2(tmp_path, capsys, argv, message):
+    rng = RngStream(96, 0).generator()
+    if argv[0] == "mode2d":
+        path = _write_lines(tmp_path, "p.csv", [f"{x!r},{y!r}" for x, y in
+                                                rng.normal(size=(300, 2)).tolist()])
+    else:
+        path = _write_lines(tmp_path, "x.txt", rng.normal(size=300))
+    assert main(argv + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+
+
 def test_ci_m2_requires_bandwidth(data_1000, capsys):
     code = main(["ci", "--method", "m2", "--input", str(data_1000)])
     assert code == 2
@@ -291,15 +320,10 @@ def test_simulate_workers_flag_matches_serial(tmp_path, capsys):
     assert len(outputs["1"][0].decode().strip().split("\n")) == 1 + 3 * 2 * 2
 
 
-def test_simulate_env_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MODESET_THREADS", "2")
-    out_env = tmp_path / "env.csv"
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_simulate_rejects_workers_below_one(capsys, monkeypatch, workers):
+    # the count is checked before any replication runs
+    monkeypatch.setattr("modeset.sim._run_replication", None)
     assert main(["simulate", "--methods", "m1", "--n", "200", "--beta", "1",
-                 "--reps", "8", "--seed", "5", "--out", str(out_env)]) == 0
-    capsys.readouterr()
-    monkeypatch.delenv("MODESET_THREADS")
-    out_plain = tmp_path / "plain.csv"
-    assert main(["simulate", "--methods", "m1", "--n", "200", "--beta", "1",
-                 "--reps", "8", "--seed", "5", "--out", str(out_plain)]) == 0
-    capsys.readouterr()
-    assert out_env.read_bytes() == out_plain.read_bytes()
+                 "--reps", "2", "--workers", workers]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err

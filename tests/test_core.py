@@ -13,10 +13,8 @@ from modeset import (
     SortedSample,
     dilate,
     make_confidence_set,
-    split_sample,
-    venter_pilot,
 )
-from modeset.core import run_edges
+from modeset.core import run_edges, split_sample, venter_pilot
 
 
 def test_every_exported_name_resolves():

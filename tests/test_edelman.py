@@ -7,13 +7,16 @@ from modeset import (
     FBetaDensity,
     MethodInfeasibleError,
     RngStream,
-    edelman_single_interval,
     m3_confidence_set,
     m3prime_confidence_set,
-    qchisq,
 )
 from modeset.core import split_sample, venter_pilot
-from modeset.edelman import fisher_combination_statistic, markov_ratio_statistic
+from modeset.edelman import (
+    edelman_single_interval,
+    fisher_combination_statistic,
+    markov_ratio_statistic,
+)
+from modeset.numerics import qchisq
 
 
 def test_single_interval_degenerate_at_anchor():
@@ -147,12 +150,23 @@ def test_m3prime_rho_validation_and_small_rho_blowup():
     data = FBetaDensity(1.0).sample(RngStream(67, 0), 200)
     with pytest.raises(ValueError, match="rho must exceed 1"):
         m3prime_confidence_set(data, 0.05, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        m3prime_confidence_set(data, 0.05, math.inf)
     narrow = m3prime_confidence_set(data, 0.5, 3.0, split_stream=RngStream(68, 0))
     wide = m3prime_confidence_set(data, 0.5, 1.01, split_stream=RngStream(68, 0))
     span = data.max() - data.min()
     # prefactor (rho-1)/(rho+1) -> 0: the set swallows the whole scan scale
     assert wide.width > 20 * span
     assert wide.width > narrow.width
+
+
+def test_m3prime_large_rho_gives_the_whole_line():
+    # at rho = 50 the statistic grows too slowly for the scan to bracket
+    # the set; the whole line contains it
+    data = RngStream(69, 0).generator().normal(size=200)
+    assert m3prime_confidence_set(data, 0.05, 50.0).intervals == ((-math.inf, math.inf),)
+    lo, hi = m3prime_confidence_set(data, 0.05, 30.0).hull()
+    assert math.isfinite(lo) and math.isfinite(hi)
 
 
 def test_m3_rejects_pilot_collision():

@@ -8,7 +8,6 @@ from modeset import (
     RngStream,
     dilate,
     dkw_count_slack,
-    hoeffding_count_slack,
     m2_adaptive_details,
     m2_details,
     make_confidence_set,
@@ -20,6 +19,8 @@ from modeset.mest import (
     _level_runs,
     _sweep,
     default_bandwidth_grid,
+    geometric_grid,
+    hoeffding_count_slack,
 )
 
 
@@ -278,12 +279,18 @@ def test_mest_option_validation():
         m2_details(data, 1.5, 1.0)
     with pytest.raises(ValueError, match="positive"):
         m2_details(data, 0.05, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        m2_details(data, 0.05, math.inf)
     with pytest.raises(ValueError, match="nonempty"):
         m2_adaptive_details(data, 0.05, ())
     with pytest.raises(ValueError, match="ascending"):
         m2_adaptive_details(data, 0.05, (0.5, 0.25))
     with pytest.raises(ValueError, match="positive"):
         m2_adaptive_details(data, 0.05, (-0.5, 0.25))
+    with pytest.raises(ValueError, match="finite"):
+        m2_adaptive_details(data, 0.05, (0.25, math.inf))
+    with pytest.raises(ValueError, match="max < inf"):
+        geometric_grid(0.1, math.inf, 8)
     with pytest.raises(ValueError, match="alpha"):
         m2_adaptive_details(data, 0.0)
 

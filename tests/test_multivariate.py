@@ -138,6 +138,9 @@ def test_scan_region_guards():
         scan_region(cloud2, [(-1, 1)], 4, 0.05)  # box dimension mismatch
     with pytest.raises(ValueError):
         scan_region(cloud2, [(-1, 1), (1, -1)], 4, 0.05)
+    for side in ((np.nan, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="box sides must be finite"):
+            scan_region(cloud2, [side, (0.0, 1.0)], 4, 0.05)
 
 
 def test_point_cloud_validation():
@@ -145,6 +148,8 @@ def test_point_cloud_validation():
         PointCloud.from_points([[1.0, np.nan]], gamma=2.0)
     with pytest.raises(ValueError):
         PointCloud.from_points([[1.0, 2.0]], gamma=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        PointCloud.from_points([[1.0, 2.0]], gamma=np.inf)
     with pytest.raises(ValueError):
         PointCloud.from_points(np.empty((0, 2)), gamma=1.0)
 

@@ -13,8 +13,8 @@ from modeset import (
     run_coverage_study,
     sample_uniform,
     study_bandwidth,
-    venter_pilot,
 )
+from modeset.core import venter_pilot
 from modeset.sim import FBetaDensity, replication_widths_csv
 
 BETAS = (0.5, 1.0, 2.0, 4.0)
@@ -228,14 +228,11 @@ def test_study_propagates_errors_that_are_not_method_errors(monkeypatch):
 
 def test_replication_widths_emission():
     reports = run_coverage_study(["m1"], [200], [1.0], alpha=0.05,
-                                 replications=6, base_seed=11, keep_widths=True)
+                                 replications=6, base_seed=11)
     csv = replication_widths_csv(reports)
     lines = csv.strip().split("\n")
     assert lines[0] == "method,n,beta,alpha,rep,width"
     assert len(lines) == 7
-    with pytest.raises(ValueError):
-        replication_widths_csv(run_coverage_study(["m1"], [200], [1.0],
-                                                  replications=2, base_seed=11))
 
 
 def test_study_validation():
@@ -265,7 +262,7 @@ def test_study_replications_match_direct_dispatch(method):
     # on replication r's data stream 2r and split stream 2r + 1
     seed, n_values, betas, reps = 17, [24, 120], [0.5, 2.0], 3
     reports = run_coverage_study([method], n_values, betas, alpha=0.1,
-                                 replications=reps, base_seed=seed, keep_widths=True)
+                                 replications=reps, base_seed=seed)
     assert [(r.n, r.beta) for r in reports] == [(n, b) for n in n_values for b in betas]
     for r in reports:
         assert len(r.widths) == reps
