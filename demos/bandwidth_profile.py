@@ -9,15 +9,16 @@ threshold never binds; large bandwidths bind sooner but pay 2h of dilation.
 
 import numpy as np
 
-from modeset import FBetaDensity, RngStream, dilate, dkw_count_slack, make_confidence_set
+from modeset import FBetaDensity, RngStream, dkw_count_slack, run_method
 from modeset.core import split_sample, venter_pilot
-from modeset.mest import WindowStatistic, default_bandwidth_grid
+from modeset.mest import default_bandwidth_grid
 
 ALPHA = 0.05
 N = 2000
 
 data = FBetaDensity(beta=1.0).sample(RngStream(seed=11, stream_id=0), n=N)
-split = split_sample(data, RngStream(seed=11, stream_id=1))
+split_stream = RngStream(seed=11, stream_id=1)
+split = split_sample(data, split_stream)
 pilot = venter_pilot(split.s1)
 points = split.s2.values
 slack = dkw_count_slack(points.size, ALPHA)
@@ -28,12 +29,11 @@ print(f"{'h':>8}  {'N(pilot)':>8}  {'binds':>5}  {'width':>8}")
 grid = default_bandwidth_grid(points, size=24)
 best_h, best_width = None, np.inf
 for h in grid:
-    ws = WindowStatistic.from_points(points, h)
-    n_pilot = int(ws.at(pilot))
-    cutoff = n_pilot - slack
-    pre = make_confidence_set(ws.level_set(cutoff))
-    binds = "yes" if cutoff > 0 else " no"
-    width = dilate(pre, h).width
+    # a one-bandwidth grid: the m2a set at this h, with the same split
+    res = run_method(data, ALPHA, "m2a", h_grid=(h,), split_stream=split_stream)
+    n_pilot = int(np.count_nonzero((points > pilot - h) & (points <= pilot + h)))
+    binds = " no" if res.vacuous else "yes"
+    width = res.confidence_set.width
     marker = ""
     if width < best_width:
         best_h, best_width = h, width

@@ -11,17 +11,7 @@ p-value sets are wide but valid.
 
 import json
 
-from modeset import (
-    FBetaDensity,
-    RngStream,
-    SortedSample,
-    m1_confidence_interval,
-    m2_adaptive_details,
-    m2_details,
-    m3_confidence_set,
-    m3prime_confidence_set,
-    study_bandwidth,
-)
+from modeset import FBetaDensity, RngStream, run_method, study_bandwidth
 
 ALPHA = 0.05
 N = 1000
@@ -30,26 +20,23 @@ data = FBetaDensity(beta=1.0).sample(RngStream(seed=7, stream_id=0), n=N)
 split_stream = RngStream(seed=7, stream_id=1)
 print(f"sample: n={N}, range [{data.min():.3f}, {data.max():.3f}], true mode 0.0\n")
 
-results = {}
-
-results["m1 (order-statistic spacings)"] = m1_confidence_interval(
-    SortedSample.from_data(data), ALPHA
-)
-
+# run_method returns a ModeResult: the set plus the diagnostics the method
+# computed (pilot, bandwidth, pre-dilation set, vacuous threshold)
 h = study_bandwidth(N, beta=1.0)
-m2 = m2_details(data, ALPHA, h, split_stream=split_stream)
-label = "m2 (fixed bandwidth h=%.3f%s)" % (h, ", vacuous" if m2.vacuous else "")
-results[label] = m2.confidence_set
+m1 = run_method(data, ALPHA, "m1")
+m2 = run_method(data, ALPHA, "m2", h=h, split_stream=split_stream)
+m2a = run_method(data, ALPHA, "m2a", split_stream=split_stream)
+m3 = run_method(data, ALPHA, "m3", split_stream=split_stream)
+m3p = run_method(data, ALPHA, "m3p", rho=2.0, split_stream=split_stream)
 
-m2a = m2_adaptive_details(data, ALPHA, split_stream=split_stream)
-results[f"m2a (width-minimizing, picked h={m2a.h:.3f})"] = m2a.confidence_set
-
-results["m3 (combined p-values)"] = m3_confidence_set(
-    data, ALPHA, split_stream=split_stream
-)
-results["m3p (dependence-robust, rho=2)"] = m3prime_confidence_set(
-    data, ALPHA, rho=2.0, split_stream=split_stream
-)
+results = {
+    "m1 (order-statistic spacings)": m1.confidence_set,
+    "m2 (fixed bandwidth h=%.3f%s)" % (h, ", vacuous" if m2.vacuous else ""):
+        m2.confidence_set,
+    f"m2a (width-minimizing, picked h={m2a.h:.3f})": m2a.confidence_set,
+    "m3 (combined p-values)": m3.confidence_set,
+    "m3p (dependence-robust, rho=2)": m3p.confidence_set,
+}
 
 for name, cs in results.items():
     lo, hi = cs.hull()
@@ -58,5 +45,4 @@ for name, cs in results.items():
           f"covers 0: {cs.contains(0.0)}")
 
 print("\nJSON form of the spacing interval:")
-print(json.dumps(results["m1 (order-statistic spacings)"].to_json_dict(
-    alpha=ALPHA, method="m1")))
+print(json.dumps(m1.confidence_set.to_json_dict(alpha=ALPHA, method="m1")))

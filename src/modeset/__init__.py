@@ -11,22 +11,14 @@ engine reproduces coverage/width studies at desk scale.
 from .core import (
     ConfidenceSet,
     MethodInfeasibleError,
+    ModeResult,
     ModeSetError,
     SortedSample,
     dilate,
     make_confidence_set,
 )
-from .edelman import (
-    m3_confidence_set,
-    m3prime_confidence_set,
-)
-from .mest import (
-    MEstResult,
-    dkw_count_slack,
-    m2_adaptive_details,
-    m2_details,
-)
-from .methods import compute_confidence_set
+from .mest import dkw_count_slack
+from .methods import compute_confidence_set, run_method
 from .multivariate import (
     MembershipGrid,
     PointCloud,
@@ -45,9 +37,6 @@ from .sim import (
     run_coverage_study,
     study_bandwidth,
 )
-from .spacings import (
-    m1_confidence_interval,
-)
 
 __version__ = "0.1.0"
 
@@ -55,9 +44,9 @@ __all__ = [
     "ConfidenceSet",
     "CoverageReport",
     "FBetaDensity",
-    "MEstResult",
     "MembershipGrid",
     "MethodInfeasibleError",
+    "ModeResult",
     "ModeSetError",
     "PointCloud",
     "RngStream",
@@ -67,14 +56,10 @@ __all__ = [
     "coverage_report_csv",
     "dilate",
     "dkw_count_slack",
-    "m1_confidence_interval",
-    "m2_adaptive_details",
-    "m2_details",
-    "m3_confidence_set",
-    "m3prime_confidence_set",
     "make_confidence_set",
     "radial_transform",
     "run_coverage_study",
+    "run_method",
     "sample_uniform",
     "scan_region",
     "study_bandwidth",

@@ -145,7 +145,8 @@ def _run_ci(args) -> int:
         split_stream=RngStream(args.split_seed or 0, 0),
     )
     if args.format == "json":
-        payload = json.dumps(cs.to_json_dict(alpha=args.alpha, method=args.method))
+        payload = json.dumps(cs.to_json_dict(alpha=args.alpha, method=args.method),
+                             allow_nan=False)
         sys.stdout.write(payload + "\n")
     else:
         sys.stdout.write("lo,hi\n")

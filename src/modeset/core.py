@@ -15,6 +15,7 @@ __all__ = [
     "MethodInfeasibleError",
     "SortedSample",
     "ConfidenceSet",
+    "ModeResult",
     "SampleSplit",
     "make_confidence_set",
     "dilate",
@@ -119,16 +120,42 @@ class ConfidenceSet:
         return self.intervals[0][0], self.intervals[-1][1]
 
     def to_json_dict(self, alpha: float | None = None, method: str | None = None) -> dict:
-        """Serializable form: intervals, width, and optional labelling."""
+        """Serializable form: intervals, width, and optional labelling.
+
+        An unbounded endpoint, and the infinite width it gives, become
+        ``None`` (JSON ``null``, as ``JSON.stringify`` writes them), so the
+        form dumps as strict JSON.
+        """
+        def number(x):
+            return x if math.isfinite(x) else None
+
         out = {
-            "intervals": [[lo, hi] for lo, hi in self.intervals],
-            "width": self.width,
+            "intervals": [[number(lo), number(hi)] for lo, hi in self.intervals],
+            "width": number(self.width),
         }
         if alpha is not None:
             out["alpha"] = alpha
         if method is not None:
             out["method"] = method
         return out
+
+
+@dataclass(frozen=True)
+class ModeResult:
+    """A method's confidence set and the diagnostics it computed on the way.
+
+    ``vacuous`` is set when the ``m2``/``m2a`` count condition excluded
+    nothing.  ``pilot`` is the pilot mode estimate of a split method;
+    ``h`` and ``pre_dilation`` are the bandwidth ``m2``/``m2a`` used and
+    the level set before dilation by it.  A method leaves a diagnostic it
+    does not compute at its default.
+    """
+
+    confidence_set: ConfidenceSet
+    vacuous: bool = False
+    pilot: float | None = None
+    h: float | None = None
+    pre_dilation: ConfidenceSet | None = None
 
 
 def make_confidence_set(raw) -> ConfidenceSet:

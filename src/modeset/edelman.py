@@ -25,6 +25,7 @@ point falls in it; a missed gap enlarges the set, so coverage holds.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -34,16 +35,13 @@ from .core import (
     check_alpha,
     make_confidence_set,
     run_edges,
-    split_and_pilot,
 )
-from .numerics import RngStream, qchisq
+from .numerics import qchisq
 
 __all__ = [
     "edelman_single_interval",
     "fisher_combination_statistic",
     "markov_ratio_statistic",
-    "m3_confidence_set",
-    "m3prime_confidence_set",
 ]
 
 _LOG2 = math.log(2.0)
@@ -150,66 +148,32 @@ def _extract_level_set(stat, cutoff: float, anchors: np.ndarray) -> ConfidenceSe
     return make_confidence_set(zip(bounds[::2], bounds[1::2]))
 
 
-def _split_pilot_points(data, split_stream, pilot_r):
-    points, pilot = split_and_pilot(data, split_stream, pilot_r)
+def _concentration_set(points: np.ndarray, pilot: float, alpha: float,
+                       rho: float | None) -> ConfidenceSet:
+    """The m3 set for ``rho=None``, else the m3p set at that ``rho``.
+
+    ``points`` is the sorted evaluation half and ``pilot`` the mode
+    estimate from the other half.  m3 collects every theta whose
+    combination statistic stays below the chi-square quantile with 2|S2|
+    degrees of freedom; the set always contains the pilot (all p-values
+    equal 1 there) and is bounded, but its width does not shrink with the
+    sample size: the statistic's law of large numbers limit pins a fixed
+    limiting set.  m3p is valid whenever the observations are identically
+    distributed, without any independence assumption: Markov's inequality
+    applied to the mean of the dampened ratios needs only the
+    single-observation concentration bound, which requires rho > 1 for
+    integrability.  A large rho can give the whole line (see
+    :func:`_extract_level_set`).
+    """
     if np.any(points == pilot):
         raise MethodInfeasibleError(
             "an evaluation point coincides with the pilot estimate; "
             "the p-value ratios are undefined for non-continuous data"
         )
-    return points, pilot
-
-
-def m3_confidence_set(
-    data,
-    alpha: float,
-    *,
-    split_stream: RngStream = RngStream(0, 0),
-    pilot_r: int | None = None,
-) -> ConfidenceSet:
-    """Combined p-value confidence set for the mode (method m3).
-
-    Collects every theta whose combination statistic stays below the
-    chi-square quantile with 2|S2| degrees of freedom.  The set always
-    contains the pilot (all p-values equal 1 there) and is bounded, but its
-    width does not shrink with the sample size: the statistic's law of
-    large numbers limit pins a fixed limiting set.
-    """
-    check_alpha(alpha)
-    points, pilot = _split_pilot_points(data, split_stream, pilot_r)
-    cutoff = qchisq(1.0 - alpha, 2 * points.size)
-
-    def stat(thetas):
-        return fisher_combination_statistic(points, pilot, thetas)
-
-    anchors = np.append(points, pilot)
-    return _extract_level_set(stat, cutoff, anchors)
-
-
-def m3prime_confidence_set(
-    data,
-    alpha: float,
-    rho: float = 2.0,
-    *,
-    split_stream: RngStream = RngStream(0, 0),
-    pilot_r: int | None = None,
-) -> ConfidenceSet:
-    """Dependence-robust confidence set for the mode (method m3p).
-
-    Valid whenever the observations are identically distributed, without
-    any independence assumption: Markov's inequality applied to the mean of
-    the dampened ratios needs only the single-observation concentration
-    bound, which requires rho > 1 for integrability.  A large rho can give
-    the whole line (see :func:`_extract_level_set`).
-    """
-    check_alpha(alpha)
-    if not 1.0 < rho < math.inf:
-        raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
-    points, pilot = _split_pilot_points(data, split_stream, pilot_r)
-    cutoff = 1.0 / alpha
-
-    def stat(thetas):
-        return markov_ratio_statistic(points, pilot, rho, thetas)
-
-    anchors = np.append(points, pilot)
-    return _extract_level_set(stat, cutoff, anchors)
+    if rho is None:
+        cutoff = qchisq(1.0 - alpha, 2 * points.size)
+        stat = partial(fisher_combination_statistic, points, pilot)
+    else:
+        cutoff = 1.0 / alpha
+        stat = partial(markov_ratio_statistic, points, pilot, rho)
+    return _extract_level_set(stat, cutoff, np.append(points, pilot))

@@ -20,27 +20,16 @@ DKW-based slack (simultaneous over all h) for the width-minimizing one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfidenceSet,
-    MethodInfeasibleError,
-    check_alpha,
-    split_and_pilot,
-)
-from .numerics import RngStream
+from .core import ConfidenceSet, MethodInfeasibleError, ModeResult
 
 __all__ = [
-    "MEstResult",
-    "WindowStatistic",
     "default_bandwidth_grid",
     "dkw_count_slack",
     "geometric_grid",
     "hoeffding_count_slack",
-    "m2_adaptive_details",
-    "m2_details",
 ]
 
 
@@ -55,7 +44,11 @@ def dkw_count_slack(n: int, alpha: float) -> float:
 
 
 def _window_count(starts: np.ndarray, ends: np.ndarray, theta) -> np.ndarray | int:
-    """N(theta) from the sorted X_i - h and X_i + h: the windows holding theta."""
+    """N(theta) from the sorted X_i - h and X_i + h: the windows holding theta.
+
+    N(theta) counts the points with theta - h < X_i <= theta + h: the
+    indicator of point i is 1 exactly on [X_i - h, X_i + h).
+    """
     return np.searchsorted(starts, theta, side="right") - np.searchsorted(
         ends, theta, side="right"
     )
@@ -96,69 +89,15 @@ def _dilated_width(lo: np.ndarray, hi: np.ndarray, h: float) -> float:
     return float(np.cumsum(hi - lo)[-1]) if lo.size else 0.0
 
 
-@dataclass(frozen=True)
-class WindowStatistic:
-    """Piecewise-constant window occupancy N(theta) over one point set.
+def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
+    """The narrowest dilated level set over the bandwidth ``grid`` for the
+    sorted evaluation ``points``, with its bandwidth and diagnostics.
 
-    N(theta) counts points with theta - h < X_i <= theta + h, i.e. the
-    indicator of point i is 1 exactly on [X_i - h, X_i + h).  ``starts``
-    and ``ends`` hold the sorted X_i - h and X_i + h.
+    The strict comparison sends ties to the smallest h, and only the
+    winner's sets are built, from the run arrays that ranked it.  A cutoff
+    <= 0 excludes nothing: the set is then the dilated knot hull and
+    ``vacuous`` is set.
     """
-
-    h: float
-    starts: np.ndarray  # sorted X_i - h
-    ends: np.ndarray  # sorted X_i + h
-
-    @classmethod
-    def from_points(cls, points, h: float) -> "WindowStatistic":
-        if not h > 0:
-            raise ValueError(f"bandwidth h must be positive, got {h}")
-        pts = np.sort(np.asarray(points, dtype=np.float64))
-        if pts.size == 0:
-            raise ValueError("window statistic needs at least one point")
-        return cls(h=float(h), starts=pts - h, ends=pts + h)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """The sorted distinct knots {X_i - h} union {X_i + h}."""
-        return np.unique(np.concatenate([self.starts, self.ends]))
-
-    @property
-    def counts(self) -> np.ndarray:
-        """``counts[k]`` is N on [breakpoints[k], breakpoints[k+1]); N = 0
-        outside the knot hull."""
-        return self.at(self.breakpoints)
-
-    def at(self, theta) -> np.ndarray | int:
-        """Exact window count at one or many locations."""
-        return _window_count(self.starts, self.ends, theta)
-
-    def level_set(self, cutoff: float) -> list[tuple[float, float]]:
-        """Closed intervals where N(theta) >= cutoff.
-
-        Internal segments are right-open; emission closes them, a
-        measure-zero enlargement.  Every count is >= 0, so a cutoff <= 0
-        gives the knot hull [breakpoints[0], breakpoints[-1]].
-        """
-        lo, hi = _level_runs(self.starts, self.ends, cutoff)
-        return list(zip(lo.tolist(), hi.tolist()))
-
-
-@dataclass(frozen=True)
-class MEstResult:
-    """Confidence set plus the diagnostics a coverage study wants."""
-
-    confidence_set: ConfidenceSet
-    pre_dilation: ConfidenceSet
-    h: float
-    pilot: float
-    vacuous: bool
-
-
-def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> MEstResult:
-    # narrowest dilated level set over the bandwidth grid for the sorted
-    # points; the strict comparison sends ties to the smallest h, and only
-    # the winner's sets are built, from the run arrays that ranked it
     best = None
     for h in grid:
         starts, ends = points - h, points + h
@@ -171,32 +110,8 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> MEstResult:
     dlo, dhi = _join_runs(lo - h, hi + h)
     pre = ConfidenceSet(tuple(zip(lo.tolist(), hi.tolist())))
     dilated = ConfidenceSet(tuple(zip(dlo.tolist(), dhi.tolist())))
-    return MEstResult(confidence_set=dilated, pre_dilation=pre, h=h,
-                      pilot=pilot, vacuous=cutoff <= 0.0)
-
-
-def m2_details(
-    data,
-    alpha: float,
-    h: float | None = None,
-    *,
-    split_stream: RngStream = RngStream(0, 0),
-    pilot_r: int | None = None,
-) -> MEstResult:
-    """Fixed-bandwidth M-estimation set with diagnostics (method m2).
-
-    ``h`` is required.  ``pilot_r`` overrides the pilot window size; the
-    split is a deterministic function of ``split_stream``.  A cutoff <= 0
-    excludes nothing: the set is then the dilated knot hull and
-    ``vacuous`` is set.
-    """
-    check_alpha(alpha)
-    if h is None:
-        raise ValueError("method m2 requires a fixed bandwidth h (--h)")
-    if not 0 < h < math.inf:
-        raise ValueError(f"bandwidth h must be positive and finite, got {h}")
-    points, pilot = split_and_pilot(data, split_stream, pilot_r)
-    return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
+    return ModeResult(dilated, vacuous=cutoff <= 0.0, pilot=pilot, h=h,
+                      pre_dilation=pre)
 
 
 def geometric_grid(lo: float, hi: float, size: int) -> tuple[float, ...]:
@@ -215,34 +130,3 @@ def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
     gaps = np.diff(pts)
     positive = gaps[gaps > 0]
     return geometric_grid(float(positive.min()) / 2.0, span, size)
-
-
-def m2_adaptive_details(
-    data,
-    alpha: float,
-    h_grid: tuple[float, ...] | None = None,
-    *,
-    split_stream: RngStream = RngStream(0, 0),
-    pilot_r: int | None = None,
-) -> MEstResult:
-    """Width-minimizing bandwidth M-estimation set with diagnostics (m2a).
-
-    ``h_grid`` holds the candidate bandwidths, positive, finite and strictly
-    ascending; it defaults to a geometric grid spanning the evaluation
-    half's resolution to its range.  Every candidate uses the DKW slack,
-    which is simultaneously valid over all h, so minimizing the dilated
-    width over the grid keeps the coverage guarantee.  Ties go to the
-    smallest bandwidth.
-    """
-    check_alpha(alpha)
-    if h_grid is not None:
-        h_grid = tuple(float(h) for h in h_grid)
-        if len(h_grid) == 0:
-            raise ValueError("h_grid must be nonempty")
-        if not all(0 < h < math.inf for h in h_grid):
-            raise ValueError("h_grid entries must be positive and finite")
-        if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
-            raise ValueError("h_grid must be strictly ascending")
-    points, pilot = split_and_pilot(data, split_stream, pilot_r)
-    grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
-    return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))

@@ -9,13 +9,22 @@ raises ``MethodInfeasibleError``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import ConfidenceSet, SortedSample, check_alpha
-from .edelman import m3_confidence_set, m3prime_confidence_set
-from .mest import m2_adaptive_details, m2_details
+from .core import (
+    ConfidenceSet,
+    ModeResult,
+    SortedSample,
+    check_alpha,
+    make_confidence_set,
+    split_and_pilot,
+)
+from .edelman import _concentration_set
+from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_count_slack
 from .numerics import RngStream
-from .spacings import m1_bounds, m1_confidence_interval
+from .spacings import m1_bounds
 
 __all__ = ["METHOD_CODES", "compute_confidence_set", "run_method"]
 
@@ -32,36 +41,66 @@ def run_method(
     rho: float = 2.0,
     pilot_r: int | None = None,
     split_stream: RngStream = RngStream(0, 0),
-) -> tuple[ConfidenceSet, bool]:
+) -> ModeResult:
     """Run one univariate mode confidence-set construction by code.
 
-    Returns the set and whether its threshold was vacuous (only ``m2`` and
-    ``m2a`` can be).  ``m1`` needs no extra options; ``m2`` needs ``h``;
-    ``m2a`` accepts an optional ``h_grid``; ``m3p`` accepts ``rho`` (> 1).
-    The split-based methods take ``pilot_r`` and ``split_stream``.
-    Options a method does not use are ignored.
+    - ``m1``: the spacing interval, always one closed interval within
+      [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics.
+    - ``m2``: the fixed-bandwidth window-count set; ``h`` is required.
+    - ``m2a``: the width-minimizing window-count set over ``h_grid``,
+      whose bandwidths are positive, finite and strictly ascending; it
+      defaults to a geometric grid from the evaluation half's resolution
+      to its range.  Every candidate uses the DKW slack, which holds
+      simultaneously over all h, so minimizing the dilated width over the
+      grid keeps the coverage guarantee; ties go to the smallest h.
+    - ``m3``: the combined p-value set.  It is bounded and contains the
+      pilot, but its width does not shrink with the sample size.
+    - ``m3p``: the dampened-ratio set, valid under arbitrary dependence
+      between identically distributed observations; ``rho`` must exceed 1,
+      and a large ``rho`` can give the whole line.
+
+    Every method but ``m1`` splits the sample with ``split_stream`` and
+    takes its pilot from one half, with window ``pilot_r``, and reports it
+    in ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and
+    ``vacuous``.  Alpha and the named method's own option are checked
+    before the sample; options a method does not use are ignored.
     """
     # checked first, so a bad alpha is reported before any sample-size check
     check_alpha(alpha)
-    if method == "m1":
-        return m1_confidence_interval(SortedSample.from_data(data), alpha), False
-    split = dict(split_stream=split_stream, pilot_r=pilot_r)
+    if method not in METHOD_CODES:
+        raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
     if method == "m2":
-        res = m2_details(data, alpha, h, **split)
-        return res.confidence_set, res.vacuous
+        if h is None:
+            raise ValueError("method m2 requires a fixed bandwidth h (--h)")
+        if not 0 < h < math.inf:
+            raise ValueError(f"bandwidth h must be positive and finite, got {h}")
+    elif method == "m2a" and h_grid is not None:
+        h_grid = tuple(float(v) for v in h_grid)
+        if len(h_grid) == 0:
+            raise ValueError("h_grid must be nonempty")
+        if not all(0 < v < math.inf for v in h_grid):
+            raise ValueError("h_grid entries must be positive and finite")
+        if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
+            raise ValueError("h_grid must be strictly ascending")
+    elif method == "m3p" and not 1.0 < rho < math.inf:
+        raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
+
+    if method == "m1":
+        lo, hi = m1_bounds(SortedSample.from_data(data).values[None, :], alpha)
+        return ModeResult(make_confidence_set([(float(lo[0]), float(hi[0]))]))
+    points, pilot = split_and_pilot(data, split_stream, pilot_r)
+    if method == "m2":
+        return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
     if method == "m2a":
-        res = m2_adaptive_details(data, alpha, h_grid, **split)
-        return res.confidence_set, res.vacuous
-    if method == "m3":
-        return m3_confidence_set(data, alpha, **split), False
-    if method == "m3p":
-        return m3prime_confidence_set(data, alpha, rho, **split), False
-    raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
+        grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
+        return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))
+    cs = _concentration_set(points, pilot, alpha, rho if method == "m3p" else None)
+    return ModeResult(cs, pilot=pilot)
 
 
 def compute_confidence_set(data, alpha: float, method: str, **options) -> ConfidenceSet:
     """The set of :func:`run_method`, which takes the same keyword options."""
-    return run_method(data, alpha, method, **options)[0]
+    return run_method(data, alpha, method, **options).confidence_set
 
 
 def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
@@ -74,7 +113,7 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
     check_alpha(alpha)
     if method != "m1":
         return np.array(
-            [run_method(row, alpha, method)[0].contains(x) for row in rows],
+            [run_method(row, alpha, method).confidence_set.contains(x) for row in rows],
             dtype=bool,
         )
     values = np.sort(np.asarray(rows, dtype=np.float64), axis=1)

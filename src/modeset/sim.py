@@ -183,7 +183,7 @@ def _run_replication(cells, beta, alpha, base_seed, rep):
     for method, n in cells:
         start = time.perf_counter()
         try:
-            cs, vacuous = run_method(
+            res = run_method(
                 full[:n], alpha, method, h=study_bandwidth(n, beta),
                 split_stream=split_stream,
             )
@@ -192,7 +192,8 @@ def _run_replication(cells, beta, alpha, base_seed, rep):
             # collision) counts as an error; it must not kill the study
             outcome = (False, math.nan, False, True)
         else:
-            outcome = (cs.contains(0.0), cs.width, bool(vacuous), False)
+            cs = res.confidence_set
+            outcome = (cs.contains(0.0), cs.width, res.vacuous, False)
         results.append(outcome + (time.perf_counter() - start,))
     return results
 

@@ -17,13 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    ConfidenceSet,
-    MethodInfeasibleError,
-    SortedSample,
-    check_alpha,
-    make_confidence_set,
-)
+from .core import MethodInfeasibleError, check_alpha
 from .numerics import qbeta
 
 __all__ = [
@@ -31,7 +25,6 @@ __all__ = [
     "build_plan",
     "lanke_inflation",
     "m1_bounds",
-    "m1_confidence_interval",
 ]
 
 
@@ -187,22 +180,3 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         hi_run == plan.n_b[0] - 1, last + plan.lam * span, v[pick, (hi_run + 1) * w0]
     )
     return lo, hi
-
-
-def m1_confidence_interval(sample: SortedSample, alpha: float) -> ConfidenceSet:
-    """Spacing-based confidence interval for the mode (method m1).
-
-    Parameters
-    ----------
-    sample : SortedSample
-    alpha : float
-        Miscoverage level in (0, 1).
-
-    Returns
-    -------
-    ConfidenceSet
-        A single closed interval; its endpoints lie within
-        [X_(1) - lam*range, X_(n) + lam*range].
-    """
-    lo, hi = m1_bounds(sample.values[None, :], alpha)
-    return make_confidence_set([(float(lo[0]), float(hi[0]))])

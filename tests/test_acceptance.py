@@ -16,15 +16,13 @@ from modeset import (
     RngStream,
     contains_mode_candidate,
     dkw_count_slack,
-    m3prime_confidence_set,
-    make_confidence_set,
     run_coverage_study,
+    run_method,
     sample_uniform,
 )
 from modeset.cli import main as cli_main
 from modeset.core import split_sample, venter_pilot
-from modeset.edelman import m3_confidence_set
-from modeset.mest import WindowStatistic, hoeffding_count_slack
+from modeset.mest import _sweep, hoeffding_count_slack
 from modeset.multivariate import PointCloud
 from modeset.numerics import qbeta, qchisq, reg_inc_beta
 from modeset.sim import FBetaDensity
@@ -181,14 +179,15 @@ def test_criterion_07_exact_level_set_oracles():
     m2_mismatch = 0
     m2_points = 0
     for s2, pilot, h, slack, tau in _m2_oracle_instances():
-        ws = WindowStatistic.from_points(s2, h)
-        cutoff = float(ws.at(pilot)) - slack
-        pre = make_confidence_set(ws.level_set(cutoff))
-        vacuous = cutoff <= 0
-        gaps = np.diff(ws.breakpoints)
+        # the pre-dilation level set the library returns
+        res = _sweep(np.sort(s2), pilot, (h,), slack)
+        pre = res.pre_dilation
+        vacuous = res.vacuous
+        knots = np.unique(np.concatenate([s2 - h, s2 + h]))
+        gaps = np.diff(knots)
         step = gaps[gaps > 0].min() / 3.3
-        grid = np.arange(ws.breakpoints[0] - 2 * h + 0.1234567 * step,
-                         ws.breakpoints[-1] + 2 * h, step)
+        grid = np.arange(knots[0] - 2 * h + 0.1234567 * step,
+                         knots[-1] + 2 * h, step)
         n_theta = np.count_nonzero(
             (s2[None, :] > grid[:, None] - h) & (s2[None, :] <= grid[:, None] + h),
             axis=1,
@@ -196,7 +195,7 @@ def test_criterion_07_exact_level_set_oracles():
         n_pilot = np.count_nonzero((s2 > pilot - h) & (s2 <= pilot + h))
         want = (n_pilot - n_theta) / (2.0 * h * s2.size) <= tau
         if vacuous:
-            want &= (grid >= ws.breakpoints[0]) & (grid <= ws.breakpoints[-1])
+            want &= (grid >= knots[0]) & (grid <= knots[-1])
         got = np.zeros(grid.size, dtype=bool)
         for a, b in pre.intervals:
             got |= (grid >= a) & (grid <= b)
@@ -215,10 +214,11 @@ def test_criterion_07_exact_level_set_oracles():
             stream = RngStream(seed0 + k, 0)
             if kind == "m3":
                 alpha = 0.5
-                cs = m3_confidence_set(data, alpha, split_stream=stream)
+                cs = run_method(data, alpha, "m3", split_stream=stream).confidence_set
             else:
                 alpha = 0.9
-                cs = m3prime_confidence_set(data, alpha, 2.0, split_stream=stream)
+                cs = run_method(data, alpha, "m3p", rho=2.0,
+                                split_stream=stream).confidence_set
             split = split_sample(data, stream)
             pilot = venter_pilot(split.s1)
             pts = split.s2.values
@@ -291,8 +291,8 @@ def test_criterion_09_dependent_data_validity():
         eps = gen.standard_normal(n)
         z = math.sqrt(corr) * w + math.sqrt(1 - corr) * eps
         data = density.ppf(stats.norm.cdf(z))
-        cs = m3prime_confidence_set(data, ALPHA, 2.0,
-                                    split_stream=RngStream(SEED + 91, rep))
+        cs = run_method(data, ALPHA, "m3p", rho=2.0,
+                        split_stream=RngStream(SEED + 91, rep)).confidence_set
         covered += cs.contains(0.0)
     cov = covered / reps
     floor = 1 - ALPHA - _mc_slack(ALPHA, reps)

@@ -63,7 +63,18 @@ def test_ci_m3p_large_rho_returns_the_whole_line(tmp_path, capsys):
     values = RngStream(95, 0).generator().normal(size=3000)
     path = _write_lines(tmp_path, "normal.txt", values)
     assert main(["ci", "--method", "m3p", "--rho", "50", "--input", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["intervals"] == [[-np.inf, np.inf]]
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    # unbounded endpoints and the width are null, as JSON.stringify writes them
+    payload = json.loads(capsys.readouterr().out, parse_constant=strict)
+    assert payload["intervals"] == [[None, None]]
+    assert payload["width"] is None
+    # the CSV form still writes the endpoints as floats
+    assert main(["ci", "--method", "m3p", "--rho", "50", "--format", "csv",
+                 "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "lo,hi\n-inf,inf\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,11 +8,15 @@ import pytest
 import modeset
 from modeset import (
     ConfidenceSet,
+    FBetaDensity,
     MethodInfeasibleError,
+    ModeResult,
     RngStream,
     SortedSample,
+    compute_confidence_set,
     dilate,
     make_confidence_set,
+    run_method,
 )
 from modeset.core import run_edges, split_sample, venter_pilot
 
@@ -92,6 +96,9 @@ def test_confidence_set_json_schema():
     cs = make_confidence_set([(0.0, 1.0)])
     d = cs.to_json_dict(alpha=0.05, method="m1")
     assert d == {"intervals": [[0.0, 1.0]], "width": 1.0, "alpha": 0.05, "method": "m1"}
+    # an unbounded endpoint and the infinite width are JSON null
+    d = ConfidenceSet(((-math.inf, 0.0), (1.0, math.inf))).to_json_dict()
+    assert d == {"intervals": [[None, 0.0], [1.0, None]], "width": None}
 
 
 def test_dilate_basic_and_gap_absorption():
@@ -181,3 +188,20 @@ def test_venter_pilot_errors():
     # a direct caller sees the sample's own size, with no split context added
     with pytest.raises(MethodInfeasibleError, match="at least 3 points, got 2$"):
         venter_pilot(SortedSample.from_data([1.0, 2.0]))
+
+
+def test_run_method_reports_its_diagnostics():
+    data = FBetaDensity(1.0).sample(RngStream(77, 0), 600)
+    stream = RngStream(78, 0)
+    pilot = venter_pilot(split_sample(data, stream).s1)
+    options = dict(h=0.3, rho=2.0, split_stream=stream)
+    for method in ("m1", "m2", "m2a", "m3", "m3p"):
+        res = run_method(data, 0.05, method, **options)
+        assert isinstance(res, ModeResult)
+        assert res.confidence_set == compute_confidence_set(data, 0.05, method, **options)
+        if method == "m1":
+            assert res.pilot is None and res.h is None and res.pre_dilation is None
+            continue
+        assert res.pilot == pilot
+        if method in ("m2", "m2a"):
+            assert dilate(res.pre_dilation, res.h) == res.confidence_set

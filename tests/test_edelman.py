@@ -7,8 +7,7 @@ from modeset import (
     FBetaDensity,
     MethodInfeasibleError,
     RngStream,
-    m3_confidence_set,
-    m3prime_confidence_set,
+    run_method,
 )
 from modeset.core import split_sample, venter_pilot
 from modeset.edelman import (
@@ -89,7 +88,7 @@ def test_m3_pilot_always_in_set():
     for seed in range(5):
         data = FBetaDensity(1.0).sample(RngStream(63, seed), 200)
         stream = RngStream(64, seed)
-        cs = m3_confidence_set(data, 0.05, split_stream=stream)
+        cs = run_method(data, 0.05, "m3", split_stream=stream).confidence_set
         split = split_sample(data, stream)
         pilot = venter_pilot(split.s1)
         assert cs.contains(pilot)
@@ -106,7 +105,7 @@ def test_m3_grid_oracle_equivalence_small_n():
         )
         stream = RngStream(65, inst)
         alpha = 0.5
-        cs = m3_confidence_set(data, alpha, split_stream=stream)
+        cs = run_method(data, alpha, "m3", split_stream=stream).confidence_set
         split = split_sample(data, stream)
         pilot = venter_pilot(split.s1)
         pts = split.s2.values
@@ -130,7 +129,7 @@ def test_m3prime_grid_oracle_equivalence_small_n():
         data = rng.normal(0, 1, n)
         stream = RngStream(66, inst)
         alpha, rho = 0.9, 2.0
-        cs = m3prime_confidence_set(data, alpha, rho, split_stream=stream)
+        cs = run_method(data, alpha, "m3p", rho=rho, split_stream=stream).confidence_set
         split = split_sample(data, stream)
         pilot = venter_pilot(split.s1)
         pts = split.s2.values
@@ -149,11 +148,12 @@ def test_m3prime_grid_oracle_equivalence_small_n():
 def test_m3prime_rho_validation_and_small_rho_blowup():
     data = FBetaDensity(1.0).sample(RngStream(67, 0), 200)
     with pytest.raises(ValueError, match="rho must exceed 1"):
-        m3prime_confidence_set(data, 0.05, 1.0)
+        run_method(data, 0.05, "m3p", rho=1.0)
     with pytest.raises(ValueError, match="finite"):
-        m3prime_confidence_set(data, 0.05, math.inf)
-    narrow = m3prime_confidence_set(data, 0.5, 3.0, split_stream=RngStream(68, 0))
-    wide = m3prime_confidence_set(data, 0.5, 1.01, split_stream=RngStream(68, 0))
+        run_method(data, 0.05, "m3p", rho=math.inf)
+    stream = RngStream(68, 0)
+    narrow = run_method(data, 0.5, "m3p", rho=3.0, split_stream=stream).confidence_set
+    wide = run_method(data, 0.5, "m3p", rho=1.01, split_stream=stream).confidence_set
     span = data.max() - data.min()
     # prefactor (rho-1)/(rho+1) -> 0: the set swallows the whole scan scale
     assert wide.width > 20 * span
@@ -164,15 +164,16 @@ def test_m3prime_large_rho_gives_the_whole_line():
     # at rho = 50 the statistic grows too slowly for the scan to bracket
     # the set; the whole line contains it
     data = RngStream(69, 0).generator().normal(size=200)
-    assert m3prime_confidence_set(data, 0.05, 50.0).intervals == ((-math.inf, math.inf),)
-    lo, hi = m3prime_confidence_set(data, 0.05, 30.0).hull()
+    whole = run_method(data, 0.05, "m3p", rho=50.0).confidence_set
+    assert whole.intervals == ((-math.inf, math.inf),)
+    lo, hi = run_method(data, 0.05, "m3p", rho=30.0).confidence_set.hull()
     assert math.isfinite(lo) and math.isfinite(hi)
 
 
 def test_m3_rejects_pilot_collision():
     data = np.full(20, 5.0)
     with pytest.raises(MethodInfeasibleError, match="coincides"):
-        m3_confidence_set(data, 0.05, split_stream=RngStream(69, 0))
+        run_method(data, 0.05, "m3", split_stream=RngStream(69, 0))
 
 
 def test_m3_statistical_coverage_smoke():
@@ -180,6 +181,7 @@ def test_m3_statistical_coverage_smoke():
     reps = 40
     for rep in range(reps):
         data = FBetaDensity(1.0).sample(RngStream(70, 2 * rep), 400)
-        cs = m3_confidence_set(data, 0.05, split_stream=RngStream(70, 2 * rep + 1))
+        stream = RngStream(70, 2 * rep + 1)
+        cs = run_method(data, 0.05, "m3", split_stream=stream).confidence_set
         covered += cs.contains(0.0)
     assert covered / reps >= 0.95 - 2 * math.sqrt(0.05 * 0.95 / reps)

@@ -8,16 +8,15 @@ from modeset import (
     RngStream,
     dilate,
     dkw_count_slack,
-    m2_adaptive_details,
-    m2_details,
     make_confidence_set,
+    run_method,
 )
 from modeset.core import run_edges
 from modeset.mest import (
-    WindowStatistic,
     _dilated_width,
     _level_runs,
     _sweep,
+    _window_count,
     default_bandwidth_grid,
     geometric_grid,
     hoeffding_count_slack,
@@ -31,17 +30,31 @@ def test_count_slacks_match_direct_evaluation():
     assert dkw_count_slack(1000, 0.05) == pytest.approx(171.79, abs=0.05)
 
 
+def _window(points, h):
+    """The sorted X_i - h and X_i + h, and the knots: their distinct values."""
+    pts = np.sort(np.asarray(points, dtype=np.float64))
+    starts, ends = pts - h, pts + h
+    return starts, ends, np.unique(np.concatenate([starts, ends]))
+
+
+def _runs(starts, ends, cutoff):
+    """The runs of N(theta) >= cutoff as a list of (lo, hi) pairs."""
+    lo, hi = _level_runs(starts, ends, cutoff)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 def test_window_statistic_hand_sweep():
     # two points at 0 and 1 with h = 0.4: occupancy 1 on [-0.4, 0.4) and
     # [0.6, 1.4), zero elsewhere
-    ws = WindowStatistic.from_points([0.0, 1.0], 0.4)
-    assert np.allclose(ws.breakpoints, [-0.4, 0.4, 0.6, 1.4])
-    assert list(ws.counts[:-1]) == [1, 0, 1]
-    assert ws.counts[-1] == 0
-    segments = ws.level_set(0.5)
+    starts, ends, knots = _window([0.0, 1.0], 0.4)
+    assert np.allclose(knots, [-0.4, 0.4, 0.6, 1.4])
+    counts = _window_count(starts, ends, knots)
+    assert list(counts[:-1]) == [1, 0, 1]
+    assert counts[-1] == 0
+    segments = _runs(starts, ends, 0.5)
     assert segments == [(-0.4, 0.4), (0.6, 1.4)]
     # every count is >= 0, so a cutoff <= 0 keeps the whole knot hull
-    assert ws.level_set(0.0) == ws.level_set(-3.0) == [(-0.4, 1.4)]
+    assert _runs(starts, ends, 0.0) == _runs(starts, ends, -3.0) == [(-0.4, 1.4)]
     dilated = dilate(make_confidence_set(segments), 0.4)
     assert len(dilated.intervals) == 1
     assert dilated.intervals[0] == pytest.approx((-0.8, 1.8), abs=1e-12)
@@ -49,17 +62,17 @@ def test_window_statistic_hand_sweep():
 
 def test_window_statistic_half_open_convention():
     # the indicator of X_i is 1 exactly on [X_i - h, X_i + h)
-    ws = WindowStatistic.from_points([0.0], 0.5)
-    assert ws.at(-0.5) == 1
-    assert ws.at(0.5) == 0
-    assert ws.at(0.49999) == 1
-    assert ws.at(-0.50001) == 0
+    starts, ends, _ = _window([0.0], 0.5)
+    assert _window_count(starts, ends, -0.5) == 1
+    assert _window_count(starts, ends, 0.5) == 0
+    assert _window_count(starts, ends, 0.49999) == 1
+    assert _window_count(starts, ends, -0.50001) == 0
 
 
 def test_window_statistic_duplicates():
-    ws = WindowStatistic.from_points([1.0, 1.0, 1.0], 0.25)
-    assert ws.at(1.0) == 3
-    assert ws.level_set(2.5) == [(0.75, 1.25)]
+    starts, ends, _ = _window([1.0, 1.0, 1.0], 0.25)
+    assert _window_count(starts, ends, 1.0) == 3
+    assert _runs(starts, ends, 2.5) == [(0.75, 1.25)]
 
 
 def _m2_oracle_membership(grid, s2, pilot, h, tau):
@@ -96,21 +109,21 @@ def test_exact_sweep_matches_brute_force():
             tau = (1.0 / h) * math.sqrt(3.0 / (2 * n2)) * (
                 math.sqrt(math.log(1.0 / alpha)) + 2.0
             )
-        ws = WindowStatistic.from_points(s2, h)
-        cutoff = float(ws.at(pilot)) - slack
-        pre = make_confidence_set(ws.level_set(cutoff))
-        vacuous = cutoff <= 0
+        res = _sweep(np.sort(s2), pilot, (h,), slack)
+        pre = res.pre_dilation
+        vacuous = res.vacuous
         if not vacuous:
             nonvacuous += 1
             multi += len(pre.intervals) > 1
-        gaps = np.diff(ws.breakpoints)
+        knots = np.unique(np.concatenate([s2 - h, s2 + h]))
+        gaps = np.diff(knots)
         step = gaps[gaps > 0].min() / 3.3
-        lo = ws.breakpoints[0] - 2 * h
-        hi = ws.breakpoints[-1] + 2 * h
+        lo = knots[0] - 2 * h
+        hi = knots[-1] + 2 * h
         grid = np.arange(lo + 0.1234567 * step, hi, step)
         want = _m2_oracle_membership(grid, s2, pilot, h, tau)
         if vacuous:
-            want &= (grid >= ws.breakpoints[0]) & (grid <= ws.breakpoints[-1])
+            want &= (grid >= knots[0]) & (grid <= knots[-1])
         got = np.zeros(grid.size, dtype=bool)
         for a, b in pre.intervals:
             got |= (grid >= a) & (grid <= b)
@@ -164,9 +177,9 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
         rows = _reference_sweep(pts, pilot, grid, slack)
         for h, cutoff, pre, cs in rows:
             # every bandwidth's maximal runs, and the width it is ranked by
-            ws = WindowStatistic.from_points(pts, h)
-            assert ws.level_set(cutoff) == list(pre.intervals)
-            assert _dilated_width(*_level_runs(ws.starts, ws.ends, cutoff), h) == cs.width
+            starts, ends = pts - h, pts + h
+            assert _runs(starts, ends, cutoff) == list(pre.intervals)
+            assert _dilated_width(*_level_runs(starts, ends, cutoff), h) == cs.width
         widths = [cs.width for *_, cs in rows]
         h, cutoff, pre, cs = rows[widths.index(min(widths))]
         res = _sweep(pts, pilot, grid, slack)
@@ -183,7 +196,7 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
 def test_m2_pilot_always_covered_and_nonempty():
     for seed in range(5):
         data = FBetaDensity(1.0).sample(RngStream(41, seed), 400)
-        res = m2_details(data, 0.05, 0.3, split_stream=RngStream(42, seed))
+        res = run_method(data, 0.05, "m2", h=0.3, split_stream=RngStream(42, seed))
         assert not res.confidence_set.is_empty
         assert res.confidence_set.contains(res.pilot)
         assert res.pre_dilation.contains(res.pilot)
@@ -192,7 +205,7 @@ def test_m2_pilot_always_covered_and_nonempty():
 def test_m2_vacuous_clamps_to_breakpoint_hull():
     # tiny evaluation half: the count slack dwarfs any window count
     data = FBetaDensity(1.0).sample(RngStream(43, 0), 40)
-    res = m2_details(data, 0.05, 0.25, split_stream=RngStream(44, 0))
+    res = run_method(data, 0.05, "m2", h=0.25, split_stream=RngStream(44, 0))
     assert res.vacuous
     lo, hi = res.confidence_set.intervals[0]
     pre_lo, pre_hi = res.pre_dilation.intervals[0]
@@ -205,7 +218,7 @@ def test_m2_alpha_monotone_inclusion():
     data = FBetaDensity(1.0).sample(RngStream(45, 0), 4000)
     sets = {}
     for alpha in (0.5, 0.1, 0.02):
-        sets[alpha] = m2_details(data, alpha, 1.0, split_stream=RngStream(46, 0))
+        sets[alpha] = run_method(data, alpha, "m2", h=1.0, split_stream=RngStream(46, 0))
     for big, small in ((0.5, 0.1), (0.1, 0.02)):
         inner = sets[big].pre_dilation
         outer = sets[small].pre_dilation
@@ -216,21 +229,21 @@ def test_m2_alpha_monotone_inclusion():
 def test_m2_requires_bandwidth():
     data = FBetaDensity(1.0).sample(RngStream(47, 0), 100)
     with pytest.raises(ValueError, match="bandwidth"):
-        m2_details(data, 0.05)
+        run_method(data, 0.05, "m2")
 
 
 def test_m2a_degenerate_grid_matches_single_dkw_set():
     data = FBetaDensity(1.0).sample(RngStream(48, 0), 400)
     stream = RngStream(49, 0)
-    res_grid = m2_adaptive_details(data, 0.05, (0.5,), split_stream=stream)
+    res_grid = run_method(data, 0.05, "m2a", h_grid=(0.5,), split_stream=stream)
     # manual single-h DKW construction
     from modeset.core import split_sample, venter_pilot
 
     split = split_sample(data, stream)
     pilot = venter_pilot(split.s1)
-    ws = WindowStatistic.from_points(split.s2.values, 0.5)
-    cutoff = float(ws.at(pilot)) - dkw_count_slack(split.s2.n, 0.05)
-    pre = make_confidence_set(ws.level_set(cutoff))
+    starts, ends, _ = _window(split.s2.values, 0.5)
+    cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(split.s2.n, 0.05)
+    pre = make_confidence_set(_runs(starts, ends, cutoff))
     assert res_grid.h == 0.5
     assert res_grid.vacuous == (cutoff <= 0)
     assert res_grid.confidence_set == dilate(pre, 0.5)
@@ -238,7 +251,7 @@ def test_m2a_degenerate_grid_matches_single_dkw_set():
 
 def test_m2a_picks_minimal_width_smallest_h_tie():
     data = FBetaDensity(1.0).sample(RngStream(50, 0), 1000)
-    res = m2_adaptive_details(data, 0.05, split_stream=RngStream(51, 0))
+    res = run_method(data, 0.05, "m2a", split_stream=RngStream(51, 0))
     grid = default_bandwidth_grid(
         np.sort(data)  # not the true s2, only for grid shape checks
     )
@@ -251,9 +264,9 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
     true_grid = default_bandwidth_grid(split.s2.values)
     widths = []
     for h in true_grid:
-        ws = WindowStatistic.from_points(split.s2.values, h)
-        cutoff = float(ws.at(pilot)) - dkw_count_slack(split.s2.n, 0.05)
-        pre = make_confidence_set(ws.level_set(cutoff))
+        starts, ends, _ = _window(split.s2.values, h)
+        cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(split.s2.n, 0.05)
+        pre = make_confidence_set(_runs(starts, ends, cutoff))
         widths.append(dilate(pre, h).width)
     assert res.confidence_set.width == min(widths)
     assert res.h == true_grid[int(np.argmin(widths))]
@@ -265,8 +278,8 @@ def test_m2a_statistical_coverage_smoke():
     reps = 60
     for rep in range(reps):
         data = FBetaDensity(1.0).sample(RngStream(52, 2 * rep), 1000)
-        cs = m2_adaptive_details(
-            data, 0.05, split_stream=RngStream(52, 2 * rep + 1)
+        cs = run_method(
+            data, 0.05, "m2a", split_stream=RngStream(52, 2 * rep + 1)
         ).confidence_set
         covered += cs.contains(0.0)
     assert covered / reps >= 0.95 - 2 * math.sqrt(0.05 * 0.95 / reps)
@@ -276,23 +289,23 @@ def test_mest_option_validation():
     # two points are too few for a pilot: the options are checked first
     data = [0.0, 1.0]
     with pytest.raises(ValueError, match="alpha"):
-        m2_details(data, 1.5, 1.0)
+        run_method(data, 1.5, "m2", h=1.0)
     with pytest.raises(ValueError, match="positive"):
-        m2_details(data, 0.05, -1.0)
+        run_method(data, 0.05, "m2", h=-1.0)
     with pytest.raises(ValueError, match="finite"):
-        m2_details(data, 0.05, math.inf)
+        run_method(data, 0.05, "m2", h=math.inf)
     with pytest.raises(ValueError, match="nonempty"):
-        m2_adaptive_details(data, 0.05, ())
+        run_method(data, 0.05, "m2a", h_grid=())
     with pytest.raises(ValueError, match="ascending"):
-        m2_adaptive_details(data, 0.05, (0.5, 0.25))
+        run_method(data, 0.05, "m2a", h_grid=(0.5, 0.25))
     with pytest.raises(ValueError, match="positive"):
-        m2_adaptive_details(data, 0.05, (-0.5, 0.25))
+        run_method(data, 0.05, "m2a", h_grid=(-0.5, 0.25))
     with pytest.raises(ValueError, match="finite"):
-        m2_adaptive_details(data, 0.05, (0.25, math.inf))
+        run_method(data, 0.05, "m2a", h_grid=(0.25, math.inf))
     with pytest.raises(ValueError, match="max < inf"):
         geometric_grid(0.1, math.inf, 8)
     with pytest.raises(ValueError, match="alpha"):
-        m2_adaptive_details(data, 0.0)
+        run_method(data, 0.0, "m2a")
 
 
 def test_default_bandwidth_grid_requires_spread():

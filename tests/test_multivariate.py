@@ -7,11 +7,10 @@ from test_spacings import scalar_m1
 from modeset import (
     PointCloud,
     RngStream,
-    SortedSample,
     compute_confidence_set,
     contains_mode_candidate,
-    m1_confidence_interval,
     radial_transform,
+    run_method,
     sample_uniform,
     scan_region,
 )
@@ -93,9 +92,7 @@ def test_membership_unrolls_to_univariate_m1():
     data = RngStream(73, 0).generator().normal(size=256)
     cloud = PointCloud.from_points(data, gamma=1.0)
     theta = 0.2
-    direct = m1_confidence_interval(
-        SortedSample.from_data(np.abs(data - theta)), 0.05
-    ).contains(0.0)
+    direct = run_method(np.abs(data - theta), 0.05, "m1").confidence_set.contains(0.0)
     assert contains_mode_candidate(cloud, [theta], 0.05) == direct
 
 

@@ -6,8 +6,7 @@ from modeset import (
     FBetaDensity,
     MethodInfeasibleError,
     RngStream,
-    SortedSample,
-    m1_confidence_interval,
+    run_method,
 )
 from modeset.spacings import build_plan, lanke_inflation, m1_bounds
 
@@ -88,9 +87,8 @@ def test_m1_equal_spacing_traces_to_full_tail_extension():
     # are equal, so the surviving run spans everything and both tail
     # extensions attach, giving [0 - lam, 1 + lam] exactly.
     n = 129
-    sample = SortedSample.from_data(np.linspace(0.0, 1.0, n))
     plan = build_plan(n, 0.05)
-    cs = m1_confidence_interval(sample, 0.05)
+    cs = run_method(np.linspace(0.0, 1.0, n), 0.05, "m1").confidence_set
     assert len(cs.intervals) == 1
     lo, hi = cs.intervals[0]
     assert lo == pytest.approx(-plan.lam, rel=1e-12)
@@ -100,9 +98,8 @@ def test_m1_equal_spacing_traces_to_full_tail_extension():
 def test_m1_single_interval_within_bounds():
     for seed in range(20):
         data = FBetaDensity(1.0).sample(RngStream(21, seed), 500)
-        sample = SortedSample.from_data(data)
         plan = build_plan(500, 0.05)
-        cs = m1_confidence_interval(sample, 0.05)
+        cs = run_method(data, 0.05, "m1").confidence_set
         assert len(cs.intervals) == 1
         lo, hi = cs.intervals[0]
         span = data.max() - data.min()
@@ -115,7 +112,7 @@ def test_m1_handles_duplicate_values():
     # zero-width neighbours join; no division occurs
     rng = np.random.default_rng(3)
     data = np.concatenate([np.full(300, 0.5), rng.uniform(-1, 3, 700)])
-    cs = m1_confidence_interval(SortedSample.from_data(data), 0.05)
+    cs = run_method(data, 0.05, "m1").confidence_set
     assert len(cs.intervals) == 1
     assert cs.contains(0.5)
     assert cs.width < 0.5
@@ -129,8 +126,7 @@ def test_m1_alpha_nesting_observed():
     checks = 0
     for seed in range(10):
         data = FBetaDensity(1.0).sample(RngStream(31, seed), 1000)
-        sample = SortedSample.from_data(data)
-        sets = [m1_confidence_interval(sample, a).intervals[0] for a in alphas]
+        sets = [run_method(data, a, "m1").confidence_set.intervals[0] for a in alphas]
         for (lo_big_a, hi_big_a), (lo_small_a, hi_small_a) in zip(sets, sets[1:]):
             checks += 1
             if not (lo_small_a <= lo_big_a and hi_big_a <= hi_small_a):
@@ -141,7 +137,7 @@ def test_m1_alpha_nesting_observed():
 
 def test_m1_infeasible_message_names_size():
     with pytest.raises(MethodInfeasibleError, match="sample too small"):
-        m1_confidence_interval(SortedSample.from_data(np.arange(16.0)), 0.05)
+        run_method(np.arange(16.0), 0.05, "m1")
 
 
 def test_m1_coverage_beta2_smoke():
@@ -150,9 +146,7 @@ def test_m1_coverage_beta2_smoke():
     reps = 100
     for rep in range(reps):
         data = FBetaDensity(2.0).sample(RngStream(55, rep), 1000)
-        covered += m1_confidence_interval(
-            SortedSample.from_data(data), 0.05
-        ).contains(0.0)
+        covered += run_method(data, 0.05, "m1").confidence_set.contains(0.0)
     assert covered / reps >= 0.95 - 2 * (0.05 * 0.95 / reps) ** 0.5
 
 
@@ -208,7 +202,7 @@ def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
         for row, a, b in zip(rows, lo, hi):  # k = 1
             lo1, hi1 = m1_bounds(row[None, :], alpha)
             assert (lo1[0], hi1[0]) == (a, b)
-            cs = m1_confidence_interval(SortedSample.from_data(row), alpha)
+            cs = run_method(row, alpha, "m1").confidence_set
             assert cs.intervals == ((a, b),)
     # both tail inflations ran, whether or not each level's blocks are
     # exactly the halves of the coarser level's, and runs that stop short
