@@ -77,6 +77,16 @@ def test_ci_m3p_large_rho_returns_the_whole_line(tmp_path, capsys):
     assert capsys.readouterr().out == "lo,hi\n-inf,inf\n"
 
 
+def test_ci_m3p_overflowing_bracket_returns_the_whole_line(tmp_path, capsys):
+    # finite data near 1e300: widening the m3p bracket at rho 30 overflows
+    # before it clears the cutoff, which once left NaN endpoints and exit 2
+    values = np.random.default_rng(1).normal(size=200) * 1e300
+    path = _write_lines(tmp_path, "huge.txt", values)
+    assert main(["ci", "--method", "m3p", "--rho", "30", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["intervals"] == [[None, None]]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["mode2d", "--gamma", "inf", "--res", "4"], "gamma must be positive and finite"),
     (["mode2d", "--gamma", "2", "--box", "nan:1,0:1"], "box sides must be finite"),

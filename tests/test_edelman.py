@@ -11,6 +11,7 @@ from modeset import (
 )
 from modeset.core import split_sample, venter_pilot
 from modeset.edelman import (
+    _concentration_set,
     edelman_single_interval,
     fisher_combination_statistic,
     markov_ratio_statistic,
@@ -145,6 +146,78 @@ def test_m3prime_grid_oracle_equivalence_small_n():
         assert not np.any(want != got)
 
 
+def _literal_statistic(method, pts, pilot, thetas, rho=2.0):
+    # -2 sum log p_i for m3, the dampened-ratio mean for m3p, written out
+    ratio = np.abs((pts[None, :] - thetas[:, None]) / (pts - pilot)[None, :])
+    if method == "m3":
+        return -2.0 * np.log(2.0 / (1.0 + ratio)).sum(axis=1)
+    return (rho - 1.0) / (rho + 1.0) * (ratio ** (1.0 / rho)).mean(axis=1)
+
+
+@pytest.mark.parametrize("method", ["m3", "m3p"])
+def test_literal_oracle_at_n_in_the_hundreds(method):
+    rng = np.random.default_rng(90 if method == "m3" else 91)
+    for inst in range(3):
+        n = int(rng.integers(200, 601))
+        data = np.where(rng.random(n) < 0.7, rng.normal(0, 1, n), rng.normal(5, 0.4, n))
+        alpha = float(rng.uniform(0.05, 0.9))
+        stream = RngStream(92, inst)
+        cs = run_method(data, alpha, method, split_stream=stream).confidence_set
+        split = split_sample(data, stream)
+        pilot = venter_pilot(split.s1)
+        pts = split.s2.values
+        cutoff = qchisq(1 - alpha, 2 * pts.size) if method == "m3" else 1.0 / alpha
+        span = data.max() - data.min()
+        hull_lo, hull_hi = cs.hull()
+        w = hull_hi - hull_lo
+        ends = np.array(cs.intervals).ravel()
+        # a coarse grid around the set, and a fine one across every
+        # endpoint, kept 1e-9 of the data range clear of it
+        fine = (ends[:, None] + span * 1e-6 * np.linspace(-1.0, 1.0, 402)).ravel()
+        fine = fine[np.abs(fine[:, None] - ends[None, :]).min(axis=1) > 1e-9 * span]
+        grid = np.concatenate([
+            np.linspace(hull_lo - 0.4871234 * w, hull_hi + 0.5128766 * w, 20_001),
+            fine,
+        ])
+        want = _literal_statistic(method, pts, pilot, grid) < cutoff
+        got = np.array([cs.contains(t) for t in grid])
+        assert not np.any(want != got), (inst, n, alpha)
+
+
+def test_m3prime_excludes_a_narrow_excursion():
+    # Found by a seeded search (normal base, tight clusters, a pilot near
+    # 0, alpha 0.9, rho 2) for sets that a 4096-point scan grid got wrong:
+    # the statistic reaches 1/alpha on a piece about 4e-4 wide, where that
+    # grid's step over the bracket is at least 4.5e-3, so the grid kept
+    # [-1.2204471, 1.4795325] as one interval.
+    pts = np.array([
+        -1.6505386466606595, -1.2204322081854682, -0.5084124404153134,
+        -0.36994614149655514, -0.15914534586815512, -0.029567422579044402,
+        -0.0019199106717273208, 0.02134763741305343, 0.06197312801892848,
+        0.3573565176584669, 0.3827434231368509, 0.9879616230875433,
+        1.1002760614268612, 1.1565242079086742, 1.3436134120492937,
+        1.5998172616315662, 2.4550136130315776, 2.455459017821781,
+        2.4580733210890866, 2.4614119122521307, 2.46669398637533,
+        4.427537997915916, 4.427540635583463, 4.427551037127661,
+        4.42755575045498, 4.4275617835931085, 4.427566300521436,
+        4.4275668072742365, 4.427573806406469, 4.427577552348852,
+    ])
+    pilot = -0.0024407155460779905
+    alpha = 0.9
+    cs = _concentration_set(pts, pilot, alpha, 2.0)
+    assert len(cs.intervals) == 2
+    (lo, gap_lo), (gap_hi, hi) = cs.intervals
+    assert 3e-4 < gap_hi - gap_lo < 5e-4
+    inner = np.linspace(gap_lo, gap_hi, 1001)[1:-1]
+    assert np.all(_literal_statistic("m3p", pts, pilot, inner) >= 1.0 / alpha)
+    # the literal statistic agrees with the set around the whole hull
+    grid = np.linspace(lo - 1.0, hi + 1.0, 200_001)
+    grid = grid[np.abs(grid[:, None] - np.array([lo, gap_lo, gap_hi, hi])).min(axis=1) > 1e-9]
+    want = _literal_statistic("m3p", pts, pilot, grid) < 1.0 / alpha
+    got = np.array([cs.contains(t) for t in grid])
+    assert not np.any(want != got)
+
+
 def test_m3prime_rho_validation_and_small_rho_blowup():
     data = FBetaDensity(1.0).sample(RngStream(67, 0), 200)
     with pytest.raises(ValueError, match="rho must exceed 1"):
@@ -168,6 +241,16 @@ def test_m3prime_large_rho_gives_the_whole_line():
     assert whole.intervals == ((-math.inf, math.inf),)
     lo, hi = run_method(data, 0.05, "m3p", rho=30.0).confidence_set.hull()
     assert math.isfinite(lo) and math.isfinite(hi)
+
+
+def test_m3prime_overflowing_bracket_gives_the_whole_line():
+    # finite data near 1e300: the bracket end overflows to -inf at rho 30
+    # before the statistic clears the cutoff
+    data = np.random.default_rng(1).normal(size=200) * 1e300
+    whole = run_method(data, 0.05, "m3p", rho=30.0).confidence_set
+    lo, hi = run_method(data, 0.05, "m3").confidence_set.hull()
+    assert whole.intervals == ((-math.inf, math.inf),)
+    assert -1e301 < lo < hi < 1e301
 
 
 def test_m3_rejects_pilot_collision():

@@ -207,6 +207,17 @@ def test_scan_region_m2a_matches_per_cell_sets():
         assert grid.mask[i, j] == cs.contains(0.0)
 
 
+@pytest.mark.parametrize("method, alpha", [("m3", 0.05), ("m3p", 0.9)])
+def test_scan_region_m3_m3p_match_per_cell_sets(method, alpha):
+    cloud = PointCloud.from_points(disk_points(RngStream(83, 0), 300), gamma=2.0)
+    grid = scan_region(cloud, [(-6.0, 6.0), (-6.0, 6.0)], (8, 8), alpha, method)
+    for i, j in itertools.product(range(8), range(8)):
+        theta = [grid.centers(0)[i], grid.centers(1)[j]]
+        cs = compute_confidence_set(radial_transform(cloud, theta), alpha, method)
+        assert grid.mask[i, j] == cs.contains(0.0)
+    assert grid.mask.any() and not grid.mask.all()
+
+
 def test_scan_region_rejects_an_overflowing_transform():
     # finite points whose squared distances overflow to inf
     cloud = PointCloud.from_points(np.full((100, 2), 1e200), gamma=2.0)
