@@ -10,7 +10,7 @@ threshold never binds; large bandwidths bind sooner but pay 2h of dilation.
 import numpy as np
 
 from modeset import FBetaDensity, RngStream, dkw_count_slack, run_method
-from modeset.core import split_sample, venter_pilot
+from modeset.core import split_and_pilot
 from modeset.mest import default_bandwidth_grid
 
 ALPHA = 0.05
@@ -18,9 +18,9 @@ N = 2000
 
 data = FBetaDensity(beta=1.0).sample(RngStream(seed=11, stream_id=0), n=N)
 split_stream = RngStream(seed=11, stream_id=1)
-split = split_sample(data, split_stream)
-pilot = venter_pilot(split.s1)
-points = split.s2.values
+# the sorted evaluation half and the pilot from the other half, one row of each
+halves, pilots = split_and_pilot(data[None, :], split_stream, None)
+points, pilot = halves[0], float(pilots[0])
 slack = dkw_count_slack(points.size, ALPHA)
 print(f"pilot estimate {pilot:.4f}; evaluation half n={points.size}; "
       f"count slack {slack:.1f}\n")

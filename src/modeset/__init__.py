@@ -13,7 +13,6 @@ from .core import (
     MethodInfeasibleError,
     ModeResult,
     ModeSetError,
-    SortedSample,
     dilate,
     make_confidence_set,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ModeSetError",
     "PointCloud",
     "RngStream",
-    "SortedSample",
     "compute_confidence_set",
     "contains_mode_candidate",
     "coverage_report_csv",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import MethodInfeasibleError
 from .mest import geometric_grid
-from .methods import METHOD_CODES, compute_confidence_set
+from .methods import METHOD_CODES, SCAN_CODES, compute_confidence_set
 from .multivariate import PointCloud, scan_region
 from .numerics import RngStream
 from .sim import coverage_report_csv, replication_widths_csv, run_coverage_study
@@ -99,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     m2d.add_argument("--gamma", type=float, required=True)
     m2d.add_argument("--alpha", type=float, default=0.05)
     m2d.add_argument("--input", required=True, help="headerless CSV of points")
-    # no m2: it needs a bandwidth, and mode2d has no --h
-    m2d.add_argument("--method", choices=("m1", "m2a", "m3", "m3p"), default="m1")
+    m2d.add_argument("--method", choices=SCAN_CODES, default="m1")
     m2d.add_argument("--box", default="auto",
                      help="'auto' or lo:hi pairs, comma separated per dimension")
     m2d.add_argument("--res", type=int, default=64, help="cells per dimension")

@@ -1,5 +1,5 @@
-"""Shared data model: sorted samples, interval-union confidence sets,
-sample splitting, and the spacing-based pilot mode estimate."""
+"""Shared data model: interval-union confidence sets, sample splitting,
+and the spacing-based pilot mode estimate."""
 
 from __future__ import annotations
 
@@ -13,13 +13,12 @@ from .numerics import RngStream
 __all__ = [
     "ModeSetError",
     "MethodInfeasibleError",
-    "SortedSample",
     "ConfidenceSet",
     "ModeResult",
-    "SampleSplit",
     "make_confidence_set",
     "dilate",
-    "split_sample",
+    "sort_rows",
+    "split_and_pilot",
     "venter_pilot",
 ]
 
@@ -38,40 +37,25 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
-def run_edges(mask) -> np.ndarray:
-    """Start and stop indices of the runs of True in ``mask``, interleaved:
-    run k is ``mask[edges[2k]:edges[2k + 1]]``."""
-    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
-    return np.flatnonzero(padded[1:] != padded[:-1])
-
-
-def _as_finite_1d(data, name="data") -> np.ndarray:
+def _as_finite_1d(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise ValueError("data must be one-dimensional")
     if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
+        raise ValueError("data must be nonempty")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+        raise ValueError("data must contain only finite values")
     return arr
 
 
-@dataclass(frozen=True)
-class SortedSample:
-    """Validated ascending observation vector, the view used by every
-    interval construction."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_data(cls, data) -> "SortedSample":
-        values = np.sort(_as_finite_1d(data))
-        values.setflags(write=False)
-        return cls(values=values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
+def sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Every row of a (k, m) matrix, m >= 1, sorted ascending; raises
+    ``ValueError`` unless all its values are finite."""
+    values = np.sort(rows, axis=1)
+    # sorted, so -inf is first in its row and +inf or NaN last
+    if not np.all(np.isfinite(values[:, 0]) & np.isfinite(values[:, -1])):
+        raise ValueError("data must contain only finite values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -194,47 +178,31 @@ def dilate(cs: ConfidenceSet, h: float) -> ConfidenceSet:
     return make_confidence_set([(lo - h, hi + h) for lo, hi in cs.intervals])
 
 
-@dataclass(frozen=True)
-class SampleSplit:
-    """Disjoint partition of a sample into a pilot half and an evaluation half."""
+def split_and_pilot(
+    rows: np.ndarray, stream: RngStream, r: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split every row of a (k, m) matrix by one permutation from ``stream``:
+    the first step of every split-based method.
 
-    s1: SortedSample
-    s2: SortedSample
-
-
-def split_sample(data, stream: RngStream) -> SampleSplit:
-    """Random partition of ``data`` into two disjoint halves.
-
-    The evaluation half ``s2`` gets ``round(m / 2)`` of the m points
-    (half to even), the pilot half ``s1`` the rest.  The partition is a
-    deterministic function of ``stream``.
-    """
-    arr = _as_finite_1d(data)
-    m = arr.size
+    Returns the sorted evaluation halves, (k, round(m / 2)) with half to
+    even, and each row's :func:`venter_pilot` with window ``r`` from the
+    other half."""
+    m = rows.shape[1]
     if m < 2:
         raise ValueError("splitting requires at least 2 observations")
     n2 = round(m / 2)
     perm = stream.generator().permutation(m)
-    s2 = SortedSample.from_data(arr[perm[:n2]])
-    s1 = SortedSample.from_data(arr[perm[n2:]])
-    return SampleSplit(s1=s1, s2=s2)
-
-
-def split_and_pilot(data, stream: RngStream, r: int | None) -> tuple[np.ndarray, float]:
-    """The sorted evaluation half of a split and the pilot mode estimate
-    from the other half: the first step of every split-based method."""
-    split = split_sample(data, stream)
+    points = sort_rows(rows.take(perm[:n2], axis=1))
     try:
-        pilot = venter_pilot(split.s1, r)
+        pilots = venter_pilot(sort_rows(rows.take(perm[n2:], axis=1)), r)
     except MethodInfeasibleError as exc:
-        raise MethodInfeasibleError(
-            f"{exc} (pilot half of a {split.s1.n + split.s2.n}-point sample)"
-        ) from exc
-    return split.s2.values, pilot
+        raise MethodInfeasibleError(f"{exc} (pilot half of a {m}-point sample)") from exc
+    return points, pilots
 
 
-def venter_pilot(sample: SortedSample, r: int | None = None) -> float:
-    """Shortest-spacing mode estimate.
+def venter_pilot(values: np.ndarray, r: int | None = None) -> np.ndarray:
+    """Shortest-spacing mode estimate of every row of a (k, n) matrix of
+    ascending rows.
 
     Scans windows of 2r+1 consecutive order statistics and returns X_(K)
     where K minimizes X_(j+r) - X_(j-r) over j in [r+1, n-r], ties broken by
@@ -242,7 +210,7 @@ def venter_pilot(sample: SortedSample, r: int | None = None) -> float:
     range; a window of that width is consistent for the mode of any
     unimodal density.
     """
-    n = sample.n
+    n = values.shape[1]
     if r is None:
         if n < 3:
             raise MethodInfeasibleError(
@@ -255,7 +223,6 @@ def venter_pilot(sample: SortedSample, r: int | None = None) -> float:
         raise MethodInfeasibleError(
             f"pilot window r={r} needs n >= {2 * r + 1}, got n={n}"
         )
-    v = sample.values
-    gaps = v[2 * r:] - v[:-2 * r]
-    k = int(np.argmin(gaps))  # first minimum: smallest j
-    return float(v[r + k])
+    gaps = values[:, 2 * r:] - values[:, :-2 * r]
+    j = np.argmin(gaps, axis=1)  # first minimum: smallest j
+    return values[np.arange(values.shape[0]), r + j]

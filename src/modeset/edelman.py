@@ -267,6 +267,17 @@ def _extract_level_set(stat, bounds, cutoff: float, anchors: np.ndarray) -> Conf
     return make_confidence_set(zip(np.concatenate(starts), np.concatenate(stops)))
 
 
+def _cutoff(points: np.ndarray, pilot, alpha: float, rho: float | None) -> float:
+    """Cutoff of the m3 (``rho`` None) or m3p statistic over the points on
+    the last axis; raises when one coincides with its row's ``pilot``."""
+    if np.any(points == pilot):
+        raise MethodInfeasibleError(
+            "an evaluation point coincides with the pilot estimate; "
+            "the p-value ratios are undefined for non-continuous data"
+        )
+    return qchisq(1.0 - alpha, 2 * points.shape[-1]) if rho is None else 1.0 / alpha
+
+
 def _concentration_set(points: np.ndarray, pilot: float, alpha: float,
                        rho: float | None) -> ConfidenceSet:
     """The m3 set for ``rho=None``, else the m3p set at that ``rho``.
@@ -284,16 +295,24 @@ def _concentration_set(points: np.ndarray, pilot: float, alpha: float,
     integrability.  A large rho can give the whole line (see
     :func:`_extract_level_set`).
     """
-    if np.any(points == pilot):
-        raise MethodInfeasibleError(
-            "an evaluation point coincides with the pilot estimate; "
-            "the p-value ratios are undefined for non-continuous data"
-        )
+    cutoff = _cutoff(points, pilot, alpha, rho)
     if rho is None:
-        cutoff = qchisq(1.0 - alpha, 2 * points.size)
         stat = partial(fisher_combination_statistic, points, pilot)
     else:
-        cutoff = 1.0 / alpha
         stat = partial(markov_ratio_statistic, points, pilot, rho)
     bounds = partial(_stat_bounds, points, pilot, rho)
     return _extract_level_set(stat, bounds, cutoff, np.append(points, pilot))
+
+
+def _concentration_covers(points: np.ndarray, pilots: np.ndarray, x: float,
+                          alpha: float, rho: float | None) -> np.ndarray:
+    """Whether each row's m3 (``rho`` None) or m3p set contains ``x``, for
+    the (k, m) evaluation halves ``points`` and their ``pilots``: exactly
+    statistic(x) < cutoff.  The extracted set differs from this only within
+    its bisection tolerance, in a gap kept whole within rounding, or when
+    it is the whole line."""
+    pilots = pilots[:, None]
+    cutoff = _cutoff(points, pilots, alpha, rho)
+    f, scale, shift = _terms(points.shape[1], rho)
+    ratio = np.abs(points - x) / np.abs(points - pilots)
+    return scale * f(ratio).sum(axis=1) + shift < cutoff

@@ -16,19 +16,22 @@ import numpy as np
 from .core import (
     ConfidenceSet,
     ModeResult,
-    SortedSample,
+    _as_finite_1d,
     check_alpha,
     make_confidence_set,
+    sort_rows,
     split_and_pilot,
 )
-from .edelman import _concentration_set
+from .edelman import _concentration_covers, _concentration_set
 from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_count_slack
 from .numerics import RngStream
 from .spacings import m1_bounds
 
-__all__ = ["METHOD_CODES", "compute_confidence_set", "run_method"]
+__all__ = ["METHOD_CODES", "SCAN_CODES", "compute_confidence_set", "run_method"]
 
 METHOD_CODES = ("m1", "m2", "m2a", "m3", "m3p")
+SCAN_CODES = ("m1", "m2a", "m3", "m3p")  # the ones that need no option: not m2
+_SPLIT_STREAM = RngStream(0, 0)
 
 
 def run_method(
@@ -40,7 +43,7 @@ def run_method(
     h_grid: tuple[float, ...] | None = None,
     rho: float = 2.0,
     pilot_r: int | None = None,
-    split_stream: RngStream = RngStream(0, 0),
+    split_stream: RngStream = _SPLIT_STREAM,
 ) -> ModeResult:
     """Run one univariate mode confidence-set construction by code.
 
@@ -85,10 +88,12 @@ def run_method(
     elif method == "m3p" and not 1.0 < rho < math.inf:
         raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
 
+    data = _as_finite_1d(data)
     if method == "m1":
-        lo, hi = m1_bounds(SortedSample.from_data(data).values[None, :], alpha)
+        lo, hi = m1_bounds(np.sort(data)[None, :], alpha)
         return ModeResult(make_confidence_set([(float(lo[0]), float(hi[0]))]))
-    points, pilot = split_and_pilot(data, split_stream, pilot_r)
+    points, pilots = split_and_pilot(data[None, :], split_stream, pilot_r)
+    points, pilot = points[0], float(pilots[0])
     if method == "m2":
         return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
     if method == "m2a":
@@ -106,19 +111,20 @@ def compute_confidence_set(data, alpha: float, method: str, **options) -> Confid
 def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
     """Whether each row's set (of :func:`run_method` with its defaults) contains ``x``.
 
-    ``rows`` is a (k, n) matrix holding k samples of equal size n >= 1.
-    ``m1`` runs as one batch over all rows; every other method runs row
-    by row.
+    ``rows`` is a (k, n) matrix holding k samples of equal size n >= 1 and
+    ``method`` one of ``SCAN_CODES``.  Every method but ``m2a``, which
+    builds each row's set, tests all rows as one batch.
     """
     check_alpha(alpha)
-    if method != "m1":
-        return np.array(
-            [run_method(row, alpha, method).confidence_set.contains(x) for row in rows],
-            dtype=bool,
-        )
-    values = np.sort(np.asarray(rows, dtype=np.float64), axis=1)
-    # sorted, so -inf is first in its row and +inf or NaN last
-    if not np.all(np.isfinite(values[:, 0]) & np.isfinite(values[:, -1])):
-        raise ValueError("data must contain only finite values")
-    lo, hi = m1_bounds(values, alpha)
-    return (lo <= x) & (x <= hi)
+    if method not in SCAN_CODES:
+        raise ValueError(f"method {method!r} is not one of {SCAN_CODES}, which need no options")
+    rows = np.asarray(rows, dtype=np.float64)
+    if method == "m1":
+        lo, hi = m1_bounds(sort_rows(rows), alpha)
+        return (lo <= x) & (x <= hi)
+    points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
+    if method != "m2a":  # m3p at run_method's default rho
+        return _concentration_covers(points, pilots, x, alpha, 2.0 if method == "m3p" else None)
+    slack = dkw_count_slack(points.shape[1], alpha)
+    sets = [_sweep(p, float(c), default_bandwidth_grid(p), slack) for p, c in zip(points, pilots)]
+    return np.array([res.confidence_set.contains(x) for res in sets], dtype=bool)

@@ -95,8 +95,9 @@ def contains_mode_candidate(
 ) -> bool:
     """True when 0 lies in the univariate set built on the radial transform.
 
-    ``algorithm`` is a univariate method code (m1, m2a, m3 or m3p), run
-    with its defaults; m2 cannot run here, since it needs a bandwidth h.
+    ``algorithm`` is a univariate method code that runs with its defaults
+    (m1, m2a, m3 or m3p), or ``ValueError`` is raised; m2 cannot run here,
+    since it needs a bandwidth h.
     The spacing interval m1 is the default: it needs no sample split, and
     its left tail extension handles a mode sitting at the support boundary 0.
     """
@@ -140,7 +141,8 @@ def scan_region(
     ``box`` is a per-dimension sequence of finite (lo, hi); ``resolution``
     an int or per-dimension counts.  Restricted to d <= 3 and at most 1e7
     cells.  Cells are tested in index order, in chunks of 2**15 // n of
-    them (at least one); ``m1`` tests a whole chunk as one batch.
+    them (at least one); ``m1``, ``m3`` and ``m3p`` test a whole chunk as
+    one batch, and ``m2a`` builds each cell's set.
     """
     d = cloud.d
     if d > 3:

@@ -21,7 +21,7 @@ from modeset import (
     sample_uniform,
 )
 from modeset.cli import main as cli_main
-from modeset.core import split_sample, venter_pilot
+from modeset.core import split_and_pilot
 from modeset.mest import _sweep, hoeffding_count_slack
 from modeset.multivariate import PointCloud
 from modeset.numerics import qbeta, qchisq, reg_inc_beta
@@ -219,9 +219,8 @@ def test_criterion_07_exact_level_set_oracles():
                 alpha = 0.9
                 cs = run_method(data, alpha, "m3p", rho=2.0,
                                 split_stream=stream).confidence_set
-            split = split_sample(data, stream)
-            pilot = venter_pilot(split.s1)
-            pts = split.s2.values
+            points, pilots = split_and_pilot(data[None, :], stream, None)
+            pts, pilot = points[0], pilots[0]
             dn = np.abs(pts - pilot)
 
             def member_oracle(thetas):

@@ -279,6 +279,17 @@ def test_mode2d_does_not_offer_m2(tmp_path, capsys):
     assert "invalid choice: 'm2'" in capsys.readouterr().err
 
 
+def test_mode2d_m3_on_tied_points_exits_3(tmp_path, capsys):
+    # rounding repeats points, so some cell's transform ties with its pilot
+    pts = np.round(RngStream(95, 0).generator().normal(size=(300, 2)), 1)
+    path = _write_lines(tmp_path, "p.csv", [f"{x!r},{y!r}" for x, y in pts.tolist()])
+    mask_path = tmp_path / "mask.csv"
+    assert main(["mode2d", "--gamma", "2", "--method", "m3", "--input", str(path),
+                 "--box=-2:2,-2:2", "--res", "4", "--out", str(mask_path)]) == 3
+    assert "coincides" in capsys.readouterr().err
+    assert not mask_path.exists()
+
+
 def test_mode2d_auto_box_to_stdout(tmp_path, capsys):
     gen = RngStream(93, 0).generator()
     pts = gen.normal(size=(120, 2))

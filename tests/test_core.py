@@ -12,13 +12,12 @@ from modeset import (
     MethodInfeasibleError,
     ModeResult,
     RngStream,
-    SortedSample,
     compute_confidence_set,
     dilate,
     make_confidence_set,
     run_method,
 )
-from modeset.core import run_edges, split_sample, venter_pilot
+from modeset.core import sort_rows, split_and_pilot, venter_pilot
 
 
 def test_every_exported_name_resolves():
@@ -29,20 +28,25 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_sorted_sample_orders_and_preserves_input():
-    s = SortedSample.from_data([3.0, 1.0, 2.0])
-    assert np.array_equal(s.values, [1.0, 2.0, 3.0])
+def test_sort_rows_orders_each_row_and_preserves_input():
+    rows = np.array([[3.0, 1.0, 2.0], [0.0, -1.0, 5.0]])
+    assert np.array_equal(sort_rows(rows), [[1.0, 2.0, 3.0], [-1.0, 0.0, 5.0]])
+    assert np.array_equal(rows, [[3.0, 1.0, 2.0], [0.0, -1.0, 5.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sort_rows(np.array([[1.0, 2.0, 3.0], [1.0, bad, 3.0]]))
 
 
-def test_sorted_sample_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SortedSample.from_data([1.0, math.nan])
-    with pytest.raises(ValueError):
-        SortedSample.from_data([1.0, math.inf])
-    with pytest.raises(ValueError):
-        SortedSample.from_data([])
-    with pytest.raises(ValueError):
-        SortedSample.from_data([[1.0, 2.0]])
+def test_run_method_rejects_bad_input():
+    for method in ("m1", "m3"):
+        with pytest.raises(ValueError, match="finite"):
+            run_method([1.0, math.nan] * 50, 0.05, method)
+        with pytest.raises(ValueError, match="finite"):
+            run_method([1.0, math.inf] * 50, 0.05, method)
+        with pytest.raises(ValueError, match="nonempty"):
+            run_method([], 0.05, method)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run_method([[1.0, 2.0]] * 50, 0.05, method)
 
 
 def test_make_confidence_set_merges_touching():
@@ -128,72 +132,79 @@ def test_dilate_semigroup_and_width_bound():
         assert grown.width <= cs.width + 2 * a * len(cs.intervals) + 1e-12
 
 
-def test_run_edges():
-    # run k of True is mask[edges[2k]:edges[2k + 1]]
-    assert run_edges(np.zeros(0, dtype=bool)).tolist() == []
-    assert run_edges([False, False, False]).tolist() == []
-    assert run_edges([True, True, True]).tolist() == [0, 3]
-    mask = [True, False, True, True, False, False, True]
-    assert run_edges(mask).tolist() == [0, 1, 2, 4, 6, 7]
-
-
 def test_split_sample_sizes():
-    data = np.arange(10.0)
-    split = split_sample(data, RngStream(1, 0))
-    assert {split.s1.n, split.s2.n} == {5}
-    split11 = split_sample(np.arange(11.0), RngStream(1, 0))
-    assert sorted([split11.s1.n, split11.s2.n]) == [5, 6]
+    # round(m / 2) points go to the evaluation half, half to even
+    for m, size in ((10, 5), (11, 6), (13, 6)):
+        rows = np.arange(2.0 * m).reshape(2, m)
+        points, pilots = split_and_pilot(rows, RngStream(1, 0), None)
+        assert points.shape == (2, size) and pilots.shape == (2,)
 
 
 def test_split_sample_partition_and_determinism():
-    data = np.arange(20.0)
-    s_a = split_sample(data, RngStream(3, 5))
-    s_b = split_sample(data, RngStream(3, 5))
-    assert np.array_equal(s_a.s1.values, s_b.s1.values)
-    assert np.array_equal(s_a.s2.values, s_b.s2.values)
-    combined = np.sort(np.concatenate([s_a.s1.values, s_a.s2.values]))
-    assert np.array_equal(combined, data)
-    s_c = split_sample(data, RngStream(3, 6))
-    assert not np.array_equal(s_a.s2.values, s_c.s2.values)
+    data = np.arange(21.0)
+    # the evaluation half holds 10 points; r = 5 makes the pilot the
+    # median of the 11 others
+    points, pilots = split_and_pilot(data[None, :], RngStream(3, 5), 5)
+    assert np.array_equal(points[0], np.sort(points[0]))
+    assert np.unique(points).size == 10 and np.all(np.isin(points, data))
+    assert pilots[0] == np.median(np.setdiff1d(data, points[0]))
+    again = split_and_pilot(data[None, :], RngStream(3, 5), 5)
+    assert np.array_equal(points, again[0]) and np.array_equal(pilots, again[1])
+    other = split_and_pilot(data[None, :], RngStream(3, 6), 5)
+    assert not np.array_equal(points, other[0])
+
+
+def test_split_and_pilot_rows_match_one_row_calls():
+    # one permutation splits every row, so each row splits as it would alone
+    rows = np.random.default_rng(12).normal(size=(7, 40))
+    rows[3] = np.round(rows[3], 1)  # ties in a row
+    points, pilots = split_and_pilot(rows, RngStream(4, 0), None)
+    for row, pts, pilot in zip(rows, points, pilots):
+        one_pts, one_pilot = split_and_pilot(row[None, :], RngStream(4, 0), None)
+        assert np.array_equal(pts, one_pts[0]) and pilot == one_pilot[0]
 
 
 def test_split_sample_errors():
-    with pytest.raises(ValueError):
-        split_sample([1.0], RngStream(0, 0))
+    with pytest.raises(ValueError, match="at least 2"):
+        split_and_pilot(np.array([[1.0]]), RngStream(0, 0), None)
+    with pytest.raises(ValueError, match="finite"):
+        split_and_pilot(np.array([[1.0, 2.0, math.nan, 4.0]]), RngStream(0, 0), None)
+    with pytest.raises(MethodInfeasibleError, match="2-point sample"):
+        split_and_pilot(np.array([[1.0, 2.0]]), RngStream(0, 0), None)
 
 
 def test_venter_pilot_hand_enumeration():
     # windows over {0,1,2,3,10}, r=1: gaps 2, 2, 8 -> tie at j=2 -> X_(2) = 1
-    s = SortedSample.from_data([0.0, 1.0, 2.0, 3.0, 10.0])
-    assert venter_pilot(s, r=1) == 1.0
+    assert venter_pilot(np.array([[0.0, 1.0, 2.0, 3.0, 10.0]]), r=1)[0] == 1.0
 
 
 def test_venter_pilot_tie_rule_symmetric():
-    # all interior gaps equal: smallest j wins, giving X_(2) = -1
-    s = SortedSample.from_data([-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert venter_pilot(s, r=1) == -1.0
+    # all interior gaps equal: smallest j wins, giving X_(2) = -1; the
+    # rule holds row by row
+    rows = np.array([[-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 5.0, 6.0, 7.0, 8.0]])
+    assert venter_pilot(rows, r=1).tolist() == [-1.0, 6.0]
 
 
 def test_venter_pilot_forced_window_is_median():
-    s = SortedSample.from_data([5.0, -1.0, 2.0, 9.0, 4.0])
-    assert venter_pilot(s, r=2) == 4.0  # median of the sorted values
+    values = np.sort([5.0, -1.0, 2.0, 9.0, 4.0])[None, :]
+    assert venter_pilot(values, r=2)[0] == 4.0  # median of the sorted values
 
 
 def test_venter_pilot_errors():
-    s = SortedSample.from_data([1.0, 2.0, 3.0])
+    values = np.array([[1.0, 2.0, 3.0]])
     with pytest.raises(MethodInfeasibleError):
-        venter_pilot(s, r=2)
+        venter_pilot(values, r=2)
     with pytest.raises(ValueError):
-        venter_pilot(s, r=0)
+        venter_pilot(values, r=0)
     # a direct caller sees the sample's own size, with no split context added
     with pytest.raises(MethodInfeasibleError, match="at least 3 points, got 2$"):
-        venter_pilot(SortedSample.from_data([1.0, 2.0]))
+        venter_pilot(np.array([[1.0, 2.0]]))
 
 
 def test_run_method_reports_its_diagnostics():
     data = FBetaDensity(1.0).sample(RngStream(77, 0), 600)
     stream = RngStream(78, 0)
-    pilot = venter_pilot(split_sample(data, stream).s1)
+    pilot = split_and_pilot(data[None, :], stream, None)[1][0]
     options = dict(h=0.3, rho=2.0, split_stream=stream)
     for method in ("m1", "m2", "m2a", "m3", "m3p"):
         res = run_method(data, 0.05, method, **options)

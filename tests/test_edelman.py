@@ -9,7 +9,7 @@ from modeset import (
     RngStream,
     run_method,
 )
-from modeset.core import split_sample, venter_pilot
+from modeset.core import split_and_pilot
 from modeset.edelman import (
     _concentration_set,
     edelman_single_interval,
@@ -90,8 +90,7 @@ def test_m3_pilot_always_in_set():
         data = FBetaDensity(1.0).sample(RngStream(63, seed), 200)
         stream = RngStream(64, seed)
         cs = run_method(data, 0.05, "m3", split_stream=stream).confidence_set
-        split = split_sample(data, stream)
-        pilot = venter_pilot(split.s1)
+        pilot = split_and_pilot(data[None, :], stream, None)[1][0]
         assert cs.contains(pilot)
         assert not cs.is_empty
 
@@ -107,9 +106,8 @@ def test_m3_grid_oracle_equivalence_small_n():
         stream = RngStream(65, inst)
         alpha = 0.5
         cs = run_method(data, alpha, "m3", split_stream=stream).confidence_set
-        split = split_sample(data, stream)
-        pilot = venter_pilot(split.s1)
-        pts = split.s2.values
+        points, pilots = split_and_pilot(data[None, :], stream, None)
+        pts, pilot = points[0], pilots[0]
         cutoff = qchisq(1 - alpha, 2 * pts.size)
         hull_lo, hull_hi = cs.hull()
         w = hull_hi - hull_lo
@@ -131,9 +129,8 @@ def test_m3prime_grid_oracle_equivalence_small_n():
         stream = RngStream(66, inst)
         alpha, rho = 0.9, 2.0
         cs = run_method(data, alpha, "m3p", rho=rho, split_stream=stream).confidence_set
-        split = split_sample(data, stream)
-        pilot = venter_pilot(split.s1)
-        pts = split.s2.values
+        points, pilots = split_and_pilot(data[None, :], stream, None)
+        pts, pilot = points[0], pilots[0]
         hull_lo, hull_hi = cs.hull()
         w = hull_hi - hull_lo
         grid = np.linspace(hull_lo - 0.4871234 * w, hull_hi + 0.5128766 * w, 200_001)
@@ -163,9 +160,8 @@ def test_literal_oracle_at_n_in_the_hundreds(method):
         alpha = float(rng.uniform(0.05, 0.9))
         stream = RngStream(92, inst)
         cs = run_method(data, alpha, method, split_stream=stream).confidence_set
-        split = split_sample(data, stream)
-        pilot = venter_pilot(split.s1)
-        pts = split.s2.values
+        points, pilots = split_and_pilot(data[None, :], stream, None)
+        pts, pilot = points[0], pilots[0]
         cutoff = qchisq(1 - alpha, 2 * pts.size) if method == "m3" else 1.0 / alpha
         span = data.max() - data.min()
         hull_lo, hull_hi = cs.hull()

@@ -11,7 +11,7 @@ from modeset import (
     make_confidence_set,
     run_method,
 )
-from modeset.core import run_edges
+from modeset.core import split_and_pilot
 from modeset.mest import (
     _dilated_width,
     _level_runs,
@@ -132,6 +132,12 @@ def test_exact_sweep_matches_brute_force():
     assert multi >= 1
 
 
+def _run_edges(mask):
+    """Start and stop indices of the runs of True in ``mask``, interleaved."""
+    padded = np.concatenate(([False], mask, [False]))
+    return np.flatnonzero(padded[1:] != padded[:-1])
+
+
 def _reference_sweep(points, pilot, grid, slack):
     """The sweep over a knot table: for every h, the np.unique knots, their
     searchsorted counts, and the dilated set built and measured.  Returns
@@ -148,7 +154,7 @@ def _reference_sweep(points, pilot, grid, slack):
             ends, pilot, side="right"
         )
         cutoff = float(n_pilot) - slack
-        pre = make_confidence_set(knots[run_edges(counts[:-1] >= cutoff)].reshape(-1, 2))
+        pre = make_confidence_set(knots[_run_edges(counts[:-1] >= cutoff)].reshape(-1, 2))
         rows.append((h, cutoff, pre, dilate(pre, h)))
     return rows
 
@@ -237,12 +243,10 @@ def test_m2a_degenerate_grid_matches_single_dkw_set():
     stream = RngStream(49, 0)
     res_grid = run_method(data, 0.05, "m2a", h_grid=(0.5,), split_stream=stream)
     # manual single-h DKW construction
-    from modeset.core import split_sample, venter_pilot
-
-    split = split_sample(data, stream)
-    pilot = venter_pilot(split.s1)
-    starts, ends, _ = _window(split.s2.values, 0.5)
-    cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(split.s2.n, 0.05)
+    points, pilots = split_and_pilot(data[None, :], stream, None)
+    pts, pilot = points[0], pilots[0]
+    starts, ends, _ = _window(pts, 0.5)
+    cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
     pre = make_confidence_set(_runs(starts, ends, cutoff))
     assert res_grid.h == 0.5
     assert res_grid.vacuous == (cutoff <= 0)
@@ -257,15 +261,13 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
     )
     assert len(grid) == 64
     # the chosen width is minimal among a re-run over the same default grid
-    from modeset.core import split_sample, venter_pilot
-
-    split = split_sample(data, RngStream(51, 0))
-    pilot = venter_pilot(split.s1)
-    true_grid = default_bandwidth_grid(split.s2.values)
+    points, pilots = split_and_pilot(data[None, :], RngStream(51, 0), None)
+    pts, pilot = points[0], pilots[0]
+    true_grid = default_bandwidth_grid(pts)
     widths = []
     for h in true_grid:
-        starts, ends, _ = _window(split.s2.values, h)
-        cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(split.s2.n, 0.05)
+        starts, ends, _ = _window(pts, h)
+        cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
         pre = make_confidence_set(_runs(starts, ends, cutoff))
         widths.append(dilate(pre, h).width)
     assert res.confidence_set.width == min(widths)

@@ -5,6 +5,7 @@ import pytest
 from test_spacings import scalar_m1
 
 from modeset import (
+    MethodInfeasibleError,
     PointCloud,
     RngStream,
     compute_confidence_set,
@@ -225,3 +226,25 @@ def test_scan_region_rejects_an_overflowing_transform():
         scan_region(cloud, [(-1.0, 1.0), (-1.0, 1.0)], 2, 0.05)
     with pytest.raises(ValueError, match="finite"):
         contains_mode_candidate(cloud, [0.0, 0.0], 0.05)
+
+
+@pytest.mark.parametrize("method", ["m2", "m9"])
+def test_scan_rejects_methods_that_cannot_run_with_defaults(method):
+    cloud = PointCloud.from_points(disk_points(RngStream(84, 0), 100), gamma=2.0)
+    with pytest.raises(ValueError, match="m1', 'm2a', 'm3', 'm3p"):
+        scan_region(cloud, [(-1.0, 1.0), (-1.0, 1.0)], 2, 0.05, method)
+    with pytest.raises(ValueError, match="m1', 'm2a', 'm3', 'm3p"):
+        contains_mode_candidate(cloud, [0.0, 0.0], 0.05, method)
+
+
+def test_scan_region_m3_pilot_tie_in_some_cells_raises():
+    # rounded points repeat, so in some cells an evaluation point's
+    # transform equals the pilot's; the first cell is not one of them
+    pts = np.round(RngStream(95, 0).generator().normal(size=(300, 2)), 1)
+    cloud = PointCloud.from_points(pts, gamma=2.0)
+    box = [(-2.0, 2.0), (-2.0, 2.0)]
+    contains_mode_candidate(cloud, [-1.5, -1.5], 0.05, "m3")  # no tie: no error
+    with pytest.raises(MethodInfeasibleError, match="coincides"):
+        contains_mode_candidate(cloud, [-1.5, -0.5], 0.05, "m3")
+    with pytest.raises(MethodInfeasibleError, match="coincides"):
+        scan_region(cloud, box, 4, 0.05, "m3")
