@@ -9,9 +9,9 @@ threshold never binds; large bandwidths bind sooner but pay 2h of dilation.
 
 import numpy as np
 
-from modeset import FBetaDensity, RngStream, dkw_count_slack, run_method
+from modeset import FBetaDensity, RngStream, run_method
 from modeset.core import split_and_pilot
-from modeset.mest import default_bandwidth_grid
+from modeset.mest import default_bandwidth_grid, dkw_count_slack
 
 ALPHA = 0.05
 N = 2000

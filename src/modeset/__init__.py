@@ -16,7 +16,6 @@ from .core import (
     dilate,
     make_confidence_set,
 )
-from .mest import dkw_count_slack
 from .methods import compute_confidence_set, run_method
 from .multivariate import (
     MembershipGrid,
@@ -53,7 +52,6 @@ __all__ = [
     "contains_mode_candidate",
     "coverage_report_csv",
     "dilate",
-    "dkw_count_slack",
     "make_confidence_set",
     "radial_transform",
     "run_coverage_study",

@@ -51,9 +51,8 @@ from .core import (
 from .numerics import qchisq
 
 __all__ = [
+    "concentration_statistic",
     "edelman_single_interval",
-    "fisher_combination_statistic",
-    "markov_ratio_statistic",
 ]
 
 _LOG2 = math.log(2.0)
@@ -82,36 +81,27 @@ def _terms(size: int, rho: float | None):
     return (lambda r: np.power(r, 1.0 / rho)), (rho - 1.0) / (rho + 1.0) / size, 0.0
 
 
-def _ratio_sums(points: np.ndarray, pilot: float, thetas, f) -> np.ndarray:
-    """sum_i f(|X_i - theta| / |X_i - pilot|) for every theta."""
+def concentration_statistic(points: np.ndarray, pilot, thetas,
+                            rho: float | None = None) -> np.ndarray:
+    """The m3 statistic -2 * sum_i log p_i(theta) (``rho`` None) or the m3p
+    dampened-ratio mean at ``rho``, for every theta.
+
+    ``points`` are the evaluation-half observations, ``(m,)`` with a scalar
+    ``pilot`` or ``(k, m)`` with k pilots; the result has one value per
+    theta, in one row per sample for a matrix.  Requires every
+    |X_i - pilot| > 0.
+    """
+    f, scale, shift = _terms(points.shape[-1], rho)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    denom = np.abs(points - pilot)
-    out = np.empty(thetas.size, dtype=np.float64)
+    denom = np.abs(points - np.asarray(pilot)[..., None])[..., None, :]
+    points = points[..., None, :]
+    out = np.empty(points.shape[:-2] + thetas.shape, dtype=np.float64)
     # chunked so a long theta batch does not materialize a giant outer product
     chunk = max(1, 4_000_000 // max(points.size, 1))
     for i in range(0, thetas.size, chunk):
-        block = thetas[i:i + chunk, None]
-        ratio = np.abs(points[None, :] - block) / denom[None, :]
-        out[i:i + chunk] = f(ratio).sum(axis=1)
-    return out
-
-
-def fisher_combination_statistic(points: np.ndarray, pilot: float, thetas) -> np.ndarray:
-    """Combined p-value statistic -2 * sum_i log p_i(theta), vectorized in theta.
-
-    ``points`` are the evaluation-half observations; requires every
-    |X_i - pilot| > 0.
-    """
-    f, scale, shift = _terms(points.size, None)
-    return scale * _ratio_sums(points, pilot, thetas, f) + shift
-
-
-def markov_ratio_statistic(
-    points: np.ndarray, pilot: float, rho: float, thetas
-) -> np.ndarray:
-    """Dampened-ratio mean statistic of the dependence-robust set (m3p)."""
-    f, scale, shift = _terms(points.size, rho)
-    return scale * _ratio_sums(points, pilot, thetas, f) + shift
+        ratio = np.abs(points - thetas[i:i + chunk, None]) / denom
+        out[..., i:i + chunk] = f(ratio).sum(axis=-1)
+    return scale * out + shift
 
 
 def _stat_bounds(points: np.ndarray, pilot: float, rho: float | None,
@@ -129,7 +119,8 @@ def _stat_bounds(points: np.ndarray, pilot: float, rho: float | None,
     denom = np.abs(points - pilot)
     low = np.empty(a.size, dtype=np.float64)
     up = np.empty(a.size, dtype=np.float64)
-    # a quarter of _ratio_sums' chunk: each block holds about six temporaries
+    # a quarter of concentration_statistic's chunk: each block holds about
+    # six temporaries
     chunk = max(1, 1_000_000 // points.size)
     for i in range(0, a.size, chunk):
         to_a = points - a[i:i + chunk, None]
@@ -296,10 +287,7 @@ def _concentration_set(points: np.ndarray, pilot: float, alpha: float,
     :func:`_extract_level_set`).
     """
     cutoff = _cutoff(points, pilot, alpha, rho)
-    if rho is None:
-        stat = partial(fisher_combination_statistic, points, pilot)
-    else:
-        stat = partial(markov_ratio_statistic, points, pilot, rho)
+    stat = partial(concentration_statistic, points, pilot, rho=rho)
     bounds = partial(_stat_bounds, points, pilot, rho)
     return _extract_level_set(stat, bounds, cutoff, np.append(points, pilot))
 
@@ -311,8 +299,5 @@ def _concentration_covers(points: np.ndarray, pilots: np.ndarray, x: float,
     statistic(x) < cutoff.  The extracted set differs from this only within
     its bisection tolerance, in a gap kept whole within rounding, or when
     it is the whole line."""
-    pilots = pilots[:, None]
-    cutoff = _cutoff(points, pilots, alpha, rho)
-    f, scale, shift = _terms(points.shape[1], rho)
-    ratio = np.abs(points - x) / np.abs(points - pilots)
-    return scale * f(ratio).sum(axis=1) + shift < cutoff
+    cutoff = _cutoff(points, pilots[:, None], alpha, rho)
+    return concentration_statistic(points, pilots, x, rho)[:, 0] < cutoff

@@ -1,9 +1,9 @@
 """Special-function quantiles and reproducible random streams.
 
-Everything downstream funnels its distributional computations through the
-four operations here: the regularized incomplete beta function, its inverse
-(the Beta quantile), the chi-square quantile, and a counter-based uniform
-sampler whose streams can be addressed by id for parallel replication.
+Three operations: the Beta quantile, which gives the spacing plans their
+width tolerances; the chi-square quantile, which gives the m3 cutoff; and a
+counter-based uniform sampler whose streams can be addressed by id for
+parallel replication.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from scipy import special
 
 __all__ = [
     "RngStream",
-    "reg_inc_beta",
     "qbeta",
     "qchisq",
     "sample_uniform",
@@ -59,45 +58,19 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_shapes(a: float, b: float) -> None:
+def qbeta(p: float, a: float, b: float) -> float:
+    """Beta(a, b) quantile: the x with I_x(a, b) = p, where I is the
+    regularized incomplete beta function.
+
+    Endpoints map to the support limits: ``qbeta(0, ., .) == 0`` and
+    ``qbeta(1, ., .) == 1``.  The result satisfies ``|I_x(a, b) - p| <=
+    1e-10`` across the shape ranges used by the spacing plans; a miss
+    raises ``ArithmeticError``.
+    """
     if not (a > 0 and math.isfinite(a)):
         raise ValueError(f"shape a must be a positive finite real, got {a}")
     if not (b > 0 and math.isfinite(b)):
         raise ValueError(f"shape b must be a positive finite real, got {b}")
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Monotone nondecreasing in ``x``; equals the Beta(a, b) distribution
-    function at ``x``.
-
-    Parameters
-    ----------
-    x : float in [0, 1]
-    a, b : float
-        Positive shape parameters.
-
-    Returns
-    -------
-    float
-        I_x(a, b) in [0, 1].
-    """
-    _check_shapes(a, b)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return float(special.betainc(a, b, x))
-
-
-def qbeta(p: float, a: float, b: float) -> float:
-    """Beta(a, b) quantile: the x with I_x(a, b) = p.
-
-    Endpoints map to the support limits: ``qbeta(0, ., .) == 0`` and
-    ``qbeta(1, ., .) == 1``.  The result satisfies
-    ``|reg_inc_beta(x, a, b) - p| <= 1e-10`` across the shape ranges used by
-    the spacing plans; a miss raises ``ArithmeticError``.
-    """
-    _check_shapes(a, b)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:

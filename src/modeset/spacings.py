@@ -71,7 +71,20 @@ class SpacingsPlan:
 
 
 @lru_cache(maxsize=256)
-def _cached_plan(n: int, alpha: float) -> SpacingsPlan:
+def build_plan(n: int, alpha: float) -> SpacingsPlan:
+    """Derive every plan quantity for a sample size and confidence level.
+
+    Raises
+    ------
+    MethodInfeasibleError
+        When n is too small to form even one coarse block (b_max < 0).
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise MethodInfeasibleError(
+            f"sample too small for the spacing interval: n={n}"
+        )
+    check_alpha(alpha)
+    n, alpha = int(n), float(alpha)
     # ceil(log2(ln n)) steps up at n = 55, before floor(log2(n / 8)) does at
     # n = 64, which would leave no level at n = 55..63; the cap keeps one
     # level there (b_max = 0) and changes no other n >= 32.  The blocks and
@@ -85,14 +98,8 @@ def _cached_plan(n: int, alpha: float) -> SpacingsPlan:
         raise MethodInfeasibleError(
             f"sample too small for the spacing interval: n={n} gives no usable level"
         )
-    n_b = []
-    for b in range(b_max + 1):
-        count = (n - 1) // (1 << (b + s_n))
-        if count < 1:
-            raise MethodInfeasibleError(
-                f"sample too small for the spacing interval: level {b} has no block"
-            )
-        n_b.append(count)
+    # b <= b_max keeps 2**(b + s_n) <= n / 8, so every level has >= 7 blocks
+    n_b = [(n - 1) // (1 << (b + s_n)) for b in range(b_max + 1)]
     t_n = sum(1.0 / (b + 2) for b in range(b_max + 1))
     h_b = []
     for b in range(b_max + 1):
@@ -111,22 +118,6 @@ def _cached_plan(n: int, alpha: float) -> SpacingsPlan:
         h_b=tuple(h_b),
         lam=lam,
     )
-
-
-def build_plan(n: int, alpha: float) -> SpacingsPlan:
-    """Derive every plan quantity for a sample size and confidence level.
-
-    Raises
-    ------
-    MethodInfeasibleError
-        When n is too small to form even one coarse block (b_max < 0).
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise MethodInfeasibleError(
-            f"sample too small for the spacing interval: n={n}"
-        )
-    check_alpha(alpha)
-    return _cached_plan(int(n), float(alpha))
 
 
 def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:

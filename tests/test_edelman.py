@@ -12,9 +12,8 @@ from modeset import (
 from modeset.core import split_and_pilot
 from modeset.edelman import (
     _concentration_set,
+    concentration_statistic,
     edelman_single_interval,
-    fisher_combination_statistic,
-    markov_ratio_statistic,
 )
 from modeset.numerics import qchisq
 
@@ -63,16 +62,16 @@ def test_pvalue_range_and_pilot_unit():
 def test_combination_statistic_zero_at_pilot_negative_terms_allowed():
     points = np.array([0.4, 1.3, -0.2])
     pilot = 0.1
-    assert fisher_combination_statistic(points, pilot, pilot)[0] == pytest.approx(0.0)
+    assert concentration_statistic(points, pilot, pilot)[0] == pytest.approx(0.0)
     # a point equal to theta contributes p = 2, a negative log term (uncapped)
-    single = fisher_combination_statistic(np.array([0.7]), pilot, 0.7)[0]
+    single = concentration_statistic(np.array([0.7]), pilot, 0.7)[0]
     assert single == pytest.approx(-2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_markov_statistic_hand_value():
     # points {1, 2}, pilot 0, rho 3 at theta = 0:
     # (1/2)(1/2)[|1|^{1/3}/1 + |2|^{1/3}/2^{1/3}] = 0.5
-    val = markov_ratio_statistic(np.array([1.0, 2.0]), 0.0, 3.0, 0.0)[0]
+    val = concentration_statistic(np.array([1.0, 2.0]), 0.0, 0.0, 3.0)[0]
     assert val == pytest.approx(0.5, abs=1e-12)
     assert val < 1.0 / 0.5
 
@@ -81,8 +80,22 @@ def test_markov_statistic_one_at_pilot():
     points = np.array([0.5, 1.5, 2.5])
     # ratio is exactly 1 at the pilot, so the statistic equals the prefactor
     for rho in (1.5, 2.0, 4.0):
-        val = markov_ratio_statistic(points, 0.0, rho, 0.0)[0]
+        val = concentration_statistic(points, 0.0, 0.0, rho)[0]
         assert val == pytest.approx((rho - 1.0) / (rho + 1.0), abs=1e-12)
+
+
+def test_statistic_rows_match_one_row_calls_bit_for_bit():
+    # 4500 thetas on 3 x 2000 points run in chunks of 666 (matrix) and
+    # 2000 (one row) thetas: the chunking must not change any value
+    rng = np.random.default_rng(73)
+    points = rng.standard_normal((3, 2000))
+    pilots = np.array([0.05, -0.1, 0.2])
+    thetas = np.linspace(-4.0, 4.0, 4500)
+    for rho in (None, 2.0, 3.5):
+        rows = concentration_statistic(points, pilots, thetas, rho)
+        assert rows.shape == (3, 4500)
+        for row, pilot, got in zip(points, pilots, rows):
+            assert np.array_equal(got, concentration_statistic(row, pilot, thetas, rho))
 
 
 def test_m3_pilot_always_in_set():

@@ -7,7 +7,6 @@ from modeset import (
     FBetaDensity,
     RngStream,
     dilate,
-    dkw_count_slack,
     make_confidence_set,
     run_method,
 )
@@ -18,6 +17,7 @@ from modeset.mest import (
     _sweep,
     _window_count,
     default_bandwidth_grid,
+    dkw_count_slack,
     geometric_grid,
     hoeffding_count_slack,
 )

@@ -67,6 +67,19 @@ def test_plan_small_sample_errors():
         build_plan(1000, 1.5)
 
 
+def test_plan_levels_hold_at_least_seven_blocks():
+    # b <= b_max keeps 2**(b + s_n) <= n / 8, so no level can run out of blocks
+    for n in [*range(32, 2101), 8000, 10**4, 10**5, 10**6]:
+        assert min(build_plan(n, 0.05).n_b) >= 7, n
+
+
+def test_plan_numpy_scalars_share_the_python_plan():
+    build_plan.cache_clear()
+    plan = build_plan(np.int64(1000), np.float64(0.05))
+    assert all(type(v) is int for v in (plan.s_n, plan.b_max, *plan.n_b))
+    assert build_plan(1000, 0.05) is plan
+
+
 def test_plan_width_tolerances_at_least_one():
     for n in (64, 129, 1000, 4096):
         plan = build_plan(n, 0.05)
