@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,21 +32,31 @@ EXIT_INFEASIBLE = 3
 
 
 def _read_floats(path: str) -> np.ndarray:
-    """One float per line; blank lines and extra whitespace tolerated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
+    """Whitespace-separated ASCII decimal numbers; blank lines tolerated."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if not text or text.isspace():  # fromstring reads blanks as [-1.0]
         raise ValueError(f"input file {path} contains no numbers")
-    try:
-        return np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"input file {path} has a non-numeric entry: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns and truncates
+        try:
+            return np.fromstring(text, dtype=np.float64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            for token in text.split():  # name the first token numpy rejects
+                try:
+                    np.fromstring(token, dtype=np.float64, sep=" ")
+                except (ValueError, DeprecationWarning):
+                    break
+    raise ValueError(f"input file {path} has a non-numeric entry: could not convert "
+                     f"string to float: {token.decode('utf-8', 'backslashreplace')!r}")
 
 
 def _read_points(path: str) -> np.ndarray:
     """Headerless CSV of coordinates, one point per row."""
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except Exception as exc:
         raise ValueError(f"could not parse {path} as headerless CSV: {exc}") from None
     if arr.size == 0:
@@ -71,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci = sub.add_parser("ci", help="confidence set from a file of numbers")
     ci.add_argument("--method", choices=METHOD_CODES, default="m1")
     ci.add_argument("--alpha", type=float, default=0.05)
-    ci.add_argument("--input", required=True, help="text file, one number per line")
+    ci.add_argument("--input", required=True, help="text file of whitespace-separated numbers")
     ci.add_argument("--h", type=float, default=None, help="bandwidth for m2")
     ci.add_argument("--h-grid-min", type=float, default=None)
     ci.add_argument("--h-grid-max", type=float, default=None)
@@ -192,8 +203,7 @@ def _parse_box(text: str, points: np.ndarray):
         parts = token.split(":")
         if len(parts) != 2:
             raise ValueError(f"box side {token!r} is not of the form lo:hi")
-        lo, hi = float(parts[0]), float(parts[1])
-        sides.append((lo, hi))
+        sides.append((float(parts[0]), float(parts[1])))
     return sides
 
 

@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modeset
 from modeset import (FBetaDensity, PointCloud, RngStream, compute_confidence_set,
                      sample_uniform, scan_region)
-from modeset.cli import main
+from modeset.cli import _read_floats, main
 
 
 @pytest.fixture
@@ -198,6 +202,81 @@ def test_ci_non_numeric_input_exits_2(tmp_path, capsys):
     assert main(["ci", "--method", "m1", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [b"", b"   \t \t", b"\n\n\r\n\n"])
+def test_ci_empty_or_blank_input_exits_2(tmp_path, capsys, text):
+    # numpy's text parser reads a blank file as [-1.0]; the reader must not
+    path = tmp_path / "blank.txt"
+    path.write_bytes(text)
+    assert main(["ci", "--method", "m1", "--input", str(path)]) == 2
+    assert "contains no numbers" in capsys.readouterr().err
+
+
+def test_read_floats_matches_float_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(131)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+    values = np.concatenate([edge, bits[np.isfinite(bits)]])
+    formats = [lambda v: "%.17g" % v, repr, lambda v: "%.6g" % v, lambda v: "%.20e" % v]
+    tokens = [formats[i % 4](v) for i, v in enumerate(values.tolist())]
+    gaps = rng.choice([" ", "\t", "\n", "\r\n", "\n\n", " \t\r\n"], size=len(tokens))
+    text = "\n" + "".join(t + g for t, g in zip(tokens, gaps))
+    path = tmp_path / "floats.txt"
+    path.write_bytes(text.encode("ascii"))
+    expected = np.array([float(t) for t in text.split()])
+    got = _read_floats(str(path))
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("body, token", [
+    (b"1.5.5", "'1.5.5'"),
+    (b"1,2", "'1,2'"),
+    (b"2.0abc", "'2.0abc'"),
+    (b"1.0 # c", "'#'"),
+    (b"0x10", "'0x10'"),
+    (b"\x00", r"'\x00'"),
+    (b"\xef\xbb\xbf1.0", r"'\ufeff1.0'"),
+    (b"\xff", r"'\\xff'"),
+    # float() took these; numpy's parser does not
+    (b"1_000", "'1_000'"),
+    ("1\u00a02".encode(), r"'1\xa02'"),
+])
+def test_ci_malformed_input_names_the_first_bad_token(tmp_path, capsys, body, token):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0.5\n-1.25\n" + body + b"\n7\nnot-this-one\n")
+    assert main(["ci", "--method", "m1", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"modeset ci: input file {path} has a non-numeric entry: "
+                   f"could not convert string to float: {token}\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_ci_non_finite_input_exits_2(tmp_path, capsys, token):
+    path = _write_lines(tmp_path, "x.txt", [0.5] * 100 + [token])
+    assert main(["ci", "--method", "m1", "--input", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_read_floats_rejects_the_truncated_array_of_older_numpy(tmp_path, monkeypatch):
+    # numpy < 2 warns on unmatched data and returns the numbers before it
+    fromstring = np.fromstring
+
+    def warn_and_truncate(text, dtype, sep):
+        try:
+            return fromstring(text, dtype=dtype, sep=sep)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end due to "
+                          "unmatched data", DeprecationWarning)
+            return fromstring(text[:text.find(b"x")], dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", warn_and_truncate)
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1.0\n2.0\nx\n3.0\n")
+    with pytest.raises(ValueError, match="non-numeric entry: .*'x'"):
+        _read_floats(str(path))
+
+
 def test_simulate_deterministic_bytes(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -325,6 +404,19 @@ def test_mode2d_too_few_points_exits_3(tmp_path, capsys):
     assert "sample too small" in capsys.readouterr().err
     path = _write_lines(tmp_path, "p.csv", lines)
     assert main(["mode2d", "--gamma", "2", "--input", str(path), "--res", "2"]) == 0
+
+
+def test_mode2d_empty_file_writes_one_line_to_stderr(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "modeset", "mode2d", "--gamma", "2", "--input", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert proc.stderr == f"modeset mode2d: input file {path} contains no points\n"
 
 
 def test_module_entry_point_help():
