@@ -11,6 +11,7 @@ given sample.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
@@ -18,8 +19,8 @@ import warnings
 import numpy as np
 
 from .core import MethodInfeasibleError
-from .mest import geometric_grid
-from .methods import METHOD_CODES, SCAN_CODES, compute_confidence_set
+from .mest import DEFAULT_GRID_SIZE, geometric_grid
+from .methods import METHOD_CODES, METHOD_OPTIONS, SCAN_CODES, compute_confidence_set
 from .multivariate import PointCloud, scan_region
 from .numerics import RngStream
 from .sim import coverage_report_csv, replication_widths_csv, run_coverage_study
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--h-grid-min", type=float, default=None)
     ci.add_argument("--h-grid-max", type=float, default=None)
     ci.add_argument("--h-grid-size", type=int, default=None,
-                    help="bandwidths in the m2a grid (default 64)")
+                    help=f"bandwidths in the m2a grid (default {DEFAULT_GRID_SIZE})")
     ci.add_argument("--rho", type=float, default=None,
                     help="damping exponent for m3p (default 2)")
     ci.add_argument("--pilot-r", type=int, default=None)
@@ -119,22 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags of ``ci`` that only some methods take, by argparse destination
-_METHOD_FLAGS = {
-    "h": ("m2",),
-    "h_grid_min": ("m2a",),
-    "h_grid_max": ("m2a",),
-    "h_grid_size": ("m2a",),
-    "rho": ("m3p",),
-    "pilot_r": ("m2", "m2a", "m3", "m3p"),
-    "split_seed": ("m2", "m2a", "m3", "m3p"),
-}
+# the run_method option that each method-specific flag of ``ci`` sets, by argparse destination
+_FLAG_OPTIONS = {"h": "h", "h_grid_min": "h_grid", "h_grid_max": "h_grid", "h_grid_size": "h_grid",
+                 "rho": "rho", "pilot_r": "pilot_r", "split_seed": "split_stream"}
 
 
 def _run_ci(args) -> int:
-    for dest, methods in _METHOD_FLAGS.items():
-        if getattr(args, dest) is not None and args.method not in methods:
+    for dest, option in _FLAG_OPTIONS.items():
+        if getattr(args, dest) is not None and option not in METHOD_OPTIONS[args.method]:
             flag = "--" + dest.replace("_", "-")
+            methods = [m for m, taken in METHOD_OPTIONS.items() if option in taken]
             named = ("method " if len(methods) == 1 else "methods ") + ", ".join(methods)
             raise ValueError(f"{flag} applies only to {named}, not {args.method}")
     data = _read_floats(args.input)
@@ -142,18 +137,13 @@ def _run_ci(args) -> int:
     if (args.h_grid_min, args.h_grid_max, args.h_grid_size) != (None, None, None):
         if args.h_grid_min is None or args.h_grid_max is None:
             raise ValueError("--h-grid-min and --h-grid-max must be given together")
-        size = 64 if args.h_grid_size is None else args.h_grid_size
+        size = DEFAULT_GRID_SIZE if args.h_grid_size is None else args.h_grid_size
         h_grid = geometric_grid(args.h_grid_min, args.h_grid_max, size)
-    cs = compute_confidence_set(
-        data,
-        args.alpha,
-        args.method,
-        h=args.h,
-        h_grid=h_grid,
-        **({} if args.rho is None else {"rho": args.rho}),
-        pilot_r=args.pilot_r,
-        split_stream=RngStream(args.split_seed or 0, 0),
-    )
+    split_stream = None if args.split_seed is None else RngStream(args.split_seed, 0)
+    options = {"h": args.h, "h_grid": h_grid, "rho": args.rho, "pilot_r": args.pilot_r,
+               "split_stream": split_stream}
+    cs = compute_confidence_set(data, args.alpha, args.method,
+                                **{k: v for k, v in options.items() if v is not None})
     if args.format == "json":
         payload = json.dumps(cs.to_json_dict(alpha=args.alpha, method=args.method),
                              allow_nan=False)
@@ -212,11 +202,10 @@ def _run_mode2d(args) -> int:
     cloud = PointCloud.from_points(points, args.gamma)
     box = _parse_box(args.box, cloud.points)
     grid = scan_region(cloud, box, args.res, args.alpha, args.method)
-    header = ",".join(f"x{i}" for i in range(cloud.d)) + ",in_set"
-    lines = [header]
-    for row in grid.rows():
-        *coords, member = row
-        lines.append(",".join(repr(c) for c in coords) + f",{int(member)}")
+    axes = [[repr(c) for c in grid.centers(i).tolist()] for i in range(cloud.d)]
+    cells = zip(itertools.product(*axes), grid.mask.ravel().tolist())
+    lines = [",".join(f"x{i}" for i in range(cloud.d)) + ",in_set"]
+    lines += [",".join(coords) + (",1" if member else ",0") for coords, member in cells]
     payload = "\n".join(lines) + "\n"
     summary = json.dumps(
         {

@@ -32,6 +32,8 @@ __all__ = [
     "hoeffding_count_slack",
 ]
 
+DEFAULT_GRID_SIZE = 64  # bandwidths in an m2a grid
+
 
 def hoeffding_count_slack(n: int, alpha: float) -> float:
     """Count slack sqrt(6n) * (sqrt(log(1/alpha)) + 2) for the fixed-h set."""
@@ -121,7 +123,7 @@ def geometric_grid(lo: float, hi: float, size: int) -> tuple[float, ...]:
     return tuple(float(h) for h in np.unique(np.geomspace(lo, hi, size)))
 
 
-def default_bandwidth_grid(points, size: int = 64) -> tuple[float, ...]:
+def default_bandwidth_grid(points, size: int = DEFAULT_GRID_SIZE) -> tuple[float, ...]:
     """Geometric bandwidth grid from half the finest point gap to the range."""
     pts = np.sort(np.asarray(points, dtype=np.float64))
     span = float(pts[-1] - pts[0])

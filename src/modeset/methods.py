@@ -27,10 +27,20 @@ from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_cou
 from .numerics import RngStream
 from .spacings import m1_bounds
 
-__all__ = ["METHOD_CODES", "SCAN_CODES", "compute_confidence_set", "run_method"]
+__all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method"]
 
-METHOD_CODES = ("m1", "m2", "m2a", "m3", "m3p")
-SCAN_CODES = ("m1", "m2a", "m3", "m3p")  # the ones that need no option: not m2
+# the keyword options of run_method that each method takes; it ignores the rest
+METHOD_OPTIONS = {
+    "m1": (),
+    "m2": ("h", "pilot_r", "split_stream"),
+    "m2a": ("h_grid", "pilot_r", "split_stream"),
+    "m3": ("pilot_r", "split_stream"),
+    "m3p": ("rho", "pilot_r", "split_stream"),
+}
+METHOD_CODES = tuple(METHOD_OPTIONS)
+# the methods that run with defaults alone: every option but h has one
+SCAN_CODES = tuple(m for m, options in METHOD_OPTIONS.items() if "h" not in options)
+_RHO = 2.0  # m3p's default damping exponent, also the one covers uses
 _SPLIT_STREAM = RngStream(0, 0)
 
 
@@ -41,7 +51,7 @@ def run_method(
     *,
     h: float | None = None,
     h_grid: tuple[float, ...] | None = None,
-    rho: float = 2.0,
+    rho: float = _RHO,
     pilot_r: int | None = None,
     split_stream: RngStream = _SPLIT_STREAM,
 ) -> ModeResult:
@@ -66,18 +76,20 @@ def run_method(
     takes its pilot from one half, with window ``pilot_r``, and reports it
     in ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and
     ``vacuous``.  Alpha and the named method's own option are checked
-    before the sample; options a method does not use are ignored.
+    before the sample; options a method does not take (``METHOD_OPTIONS``)
+    are ignored.
     """
     # checked first, so a bad alpha is reported before any sample-size check
     check_alpha(alpha)
-    if method not in METHOD_CODES:
+    if method not in METHOD_OPTIONS:
         raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
-    if method == "m2":
+    taken = METHOD_OPTIONS[method]
+    if "h" in taken:
         if h is None:
-            raise ValueError("method m2 requires a fixed bandwidth h (--h)")
+            raise ValueError(f"method {method} requires a fixed bandwidth h (--h)")
         if not 0 < h < math.inf:
             raise ValueError(f"bandwidth h must be positive and finite, got {h}")
-    elif method == "m2a" and h_grid is not None:
+    elif "h_grid" in taken and h_grid is not None:
         h_grid = tuple(float(v) for v in h_grid)
         if len(h_grid) == 0:
             raise ValueError("h_grid must be nonempty")
@@ -85,7 +97,7 @@ def run_method(
             raise ValueError("h_grid entries must be positive and finite")
         if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
             raise ValueError("h_grid must be strictly ascending")
-    elif method == "m3p" and not 1.0 < rho < math.inf:
+    elif "rho" in taken and not 1.0 < rho < math.inf:
         raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
 
     data = _as_finite_1d(data)
@@ -123,8 +135,8 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
         lo, hi = m1_bounds(sort_rows(rows), alpha)
         return (lo <= x) & (x <= hi)
     points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
-    if method != "m2a":  # m3p at run_method's default rho
-        return _concentration_covers(points, pilots, x, alpha, 2.0 if method == "m3p" else None)
+    if method != "m2a":
+        return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)
     slack = dkw_count_slack(points.shape[1], alpha)
     sets = [_sweep(p, float(c), default_bandwidth_grid(p), slack) for p, c in zip(points, pilots)]
     return np.array([res.confidence_set.contains(x) for res in sets], dtype=bool)

@@ -12,7 +12,6 @@ representation of the region.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +94,14 @@ def contains_mode_candidate(
 ) -> bool:
     """True when 0 lies in the univariate set built on the radial transform.
 
-    ``algorithm`` is a univariate method code that runs with its defaults
-    (m1, m2a, m3 or m3p), or ``ValueError`` is raised; m2 cannot run here,
-    since it needs a bandwidth h.
+    ``theta`` is one candidate of shape (d,); ``algorithm`` is one of
+    ``methods.SCAN_CODES``, the method codes that run with their defaults,
+    or ``ValueError`` is raised.
     The spacing interval m1 is the default: it needs no sample split, and
     its left tail extension handles a mode sitting at the support boundary 0.
     """
+    if np.shape(theta) != (cloud.d,):
+        raise ValueError(f"candidate theta must have shape ({cloud.d},), got {np.shape(theta)}")
     transformed = radial_transform(cloud, theta)
     return bool(covers(transformed[None, :], 0.0, alpha, algorithm)[0])
 
@@ -120,13 +121,6 @@ class MembershipGrid:
 
     def centers(self, axis: int) -> np.ndarray:
         return _cell_centers(*self.box[axis], self.resolution[axis])
-
-    def rows(self):
-        """Yield (center coordinates..., in_set) per cell in index order."""
-        axes = [self.centers(i).tolist() for i in range(len(self.resolution))]
-        for idx in itertools.product(*(range(k) for k in self.resolution)):
-            coords = tuple(axes[i][j] for i, j in enumerate(idx))
-            yield coords + (bool(self.mask[idx]),)
 
 
 def scan_region(

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import modeset
 from modeset import (FBetaDensity, PointCloud, RngStream, compute_confidence_set,
                      sample_uniform, scan_region)
 from modeset.cli import _read_floats, main
+from modeset.mest import geometric_grid
+from modeset.methods import METHOD_CODES, METHOD_OPTIONS, run_method
 
 
 @pytest.fixture
@@ -157,6 +160,48 @@ def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, fl
     assert main(["ci", "--method", method, flag, value, "--input", str(data_1000)]) == 2
     err = capsys.readouterr().err
     assert flag in err and method in err
+
+
+_GRID = ["--h-grid-min", "0.05", "--h-grid-max", "1.0"]
+# each method-specific flag of ci: the arguments that give it a valid
+# value, the run_method option it sets and that option's value
+_CI_FLAGS = {
+    "--h": (["--h", "0.25"], "h", 0.25),
+    "--h-grid-min": (_GRID, "h_grid", geometric_grid(0.05, 1.0, 64)),
+    "--h-grid-max": (_GRID, "h_grid", geometric_grid(0.05, 1.0, 64)),
+    "--h-grid-size": (_GRID + ["--h-grid-size", "16"], "h_grid", geometric_grid(0.05, 1.0, 16)),
+    "--rho": (["--rho", "2.5"], "rho", 2.5),
+    "--pilot-r": (["--pilot-r", "10"], "pilot_r", 10),
+    "--split-seed": (["--split-seed", "7"], "split_stream", RngStream(7, 0)),
+}
+
+
+def test_every_option_of_the_method_table_is_a_ci_flag_and_a_run_method_keyword():
+    keywords = {name for name, p in inspect.signature(run_method).parameters.items()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    named = {option for options in METHOD_OPTIONS.values() for option in options}
+    assert named <= keywords
+    assert named == {option for _, option, _ in _CI_FLAGS.values()}
+
+
+@pytest.mark.parametrize("method", METHOD_CODES)
+@pytest.mark.parametrize("flag", _CI_FLAGS)
+def test_ci_takes_exactly_the_flags_of_the_method_table(data_1000, capsys, method, flag):
+    argv, option, value = _CI_FLAGS[flag]
+    if option not in METHOD_OPTIONS[method]:
+        given = argv[argv.index(flag):argv.index(flag) + 2]
+        assert main(["ci", "--method", method, *given, "--input", str(data_1000)]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and method in captured.err
+        assert not captured.out
+        return
+    options = {option: value}
+    if "h" in METHOD_OPTIONS[method] and option != "h":  # h has no default: always give it
+        argv, options = argv + ["--h", "0.25"], {**options, "h": 0.25}
+    assert main(["ci", "--method", method, *argv, "--input", str(data_1000)]) == 0
+    ref = compute_confidence_set(np.loadtxt(data_1000), 0.05, method, **options)
+    expected = json.loads(json.dumps(ref.to_json_dict(alpha=0.05, method=method)))
+    assert json.loads(capsys.readouterr().out) == expected
 
 
 def test_ci_pilot_r(data_1000, capsys):
@@ -420,9 +465,10 @@ def test_mode2d_empty_file_writes_one_line_to_stderr(tmp_path):
 
 
 def test_module_entry_point_help():
+    env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "modeset", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "ci" in proc.stdout and "simulate" in proc.stdout

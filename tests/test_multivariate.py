@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -109,9 +110,8 @@ def test_scan_region_center_cell_detected():
     cloud = PointCloud.from_points(disk_points(RngStream(75, 0), 1000), gamma=2.0)
     grid = scan_region(cloud, [(-1.1, 1.1), (-1.1, 1.1)], 9, 0.05)
     assert grid.mask[4, 4]  # cell containing the true center
-    rows = list(grid.rows())
-    assert len(rows) == 81
-    assert rows[4 * 9 + 4][2]  # same cell through the row iterator
+    assert grid.mask.shape == (9, 9)
+    assert grid.mask.ravel()[4 * 9 + 4]  # same cell in the row-major order mode2d prints
 
 
 def test_scan_region_empty_mask_reported():
@@ -235,6 +235,16 @@ def test_scan_rejects_methods_that_cannot_run_with_defaults(method):
         scan_region(cloud, [(-1.0, 1.0), (-1.0, 1.0)], 2, 0.05, method)
     with pytest.raises(ValueError, match="m1', 'm2a', 'm3', 'm3p"):
         contains_mode_candidate(cloud, [0.0, 0.0], 0.05, method)
+
+
+@pytest.mark.parametrize("method", ["m1", "m2a", "m3"])
+@pytest.mark.parametrize("theta", [[[0.0, 0.0]], [0.0], [0.0, 0.0, 0.0], 0.0])
+def test_membership_rejects_anything_but_one_candidate(theta, method):
+    # a batch of one, or the wrong dimension, is named by its shape before
+    # any method runs
+    cloud = PointCloud.from_points(disk_points(RngStream(85, 0), 100), gamma=2.0)
+    with pytest.raises(ValueError, match=r"shape \(2,\), got " + re.escape(str(np.shape(theta)))):
+        contains_mode_candidate(cloud, theta, 0.05, method)
 
 
 def test_scan_region_m3_pilot_tie_in_some_cells_raises():
