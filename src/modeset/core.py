@@ -17,6 +17,7 @@ __all__ = [
     "ModeResult",
     "make_confidence_set",
     "dilate",
+    "join_runs",
     "sort_rows",
     "split_and_pilot",
     "venter_pilot",
@@ -63,8 +64,8 @@ class ConfidenceSet:
     """Finite union of disjoint closed intervals on the extended real line.
 
     Construct through :func:`make_confidence_set`, which canonicalizes
-    arbitrary interval collections.  Intervals are sorted, pairwise
-    disjoint, and closed; membership is exact at endpoints.
+    arbitrary interval collections, or :meth:`from_runs`.  Intervals are
+    sorted, pairwise disjoint, and closed; membership is exact at endpoints.
     """
 
     intervals: tuple[tuple[float, float], ...] = field(default=())
@@ -81,6 +82,11 @@ class ConfidenceSet:
                 raise ValueError("intervals must be disjoint and ascending")
             prev_hi = hi
             first = False
+
+    @classmethod
+    def from_runs(cls, lo: np.ndarray, hi: np.ndarray) -> ConfidenceSet:
+        """The set of the disjoint ascending intervals [lo_i, hi_i], as from :func:`join_runs`."""
+        return cls(tuple(zip(lo.tolist(), hi.tolist())))
 
     @property
     def is_empty(self) -> bool:
@@ -167,15 +173,30 @@ def make_confidence_set(raw) -> ConfidenceSet:
     return ConfidenceSet(tuple((lo, hi) for lo, hi in merged))
 
 
+def join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the maximal runs of the intervals [lo_i, hi_i], whose
+    end arrays both ascend: an interval joins the run before it unless it
+    starts past that run's end, so touching intervals join."""
+    if lo.size == 0:
+        return lo, hi
+    cut = np.flatnonzero(lo[1:] > hi[:-1])
+    return lo[np.concatenate(([0], cut + 1))], hi[np.concatenate((cut, [-1]))]
+
+
 def dilate(cs: ConfidenceSet, h: float) -> ConfidenceSet:
     """Minkowski dilation: every point within distance ``h`` of the set.
 
-    Each interval [lo, hi] becomes [lo - h, hi + h]; gaps narrower than 2h
-    close up during canonicalization.
+    Each interval [lo, hi] becomes [lo - h, hi + h]; the shifted ends still
+    ascend, so :func:`join_runs` closes the gaps narrower than 2h.
     """
     if not h >= 0:
         raise ValueError(f"dilation radius must be nonnegative, got {h}")
-    return make_confidence_set([(lo - h, hi + h) for lo, hi in cs.intervals])
+    ends = np.array(cs.intervals, dtype=np.float64).reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with Python floats
+        lo, hi = ends[:, 0] - h, ends[:, 1] + h
+    if np.isnan(lo).any() or np.isnan(hi).any():  # inf - inf, which a join would drop
+        raise ValueError("interval endpoints must not be NaN")
+    return ConfidenceSet.from_runs(*join_runs(lo, hi))
 
 
 def split_and_pilot(

@@ -45,31 +45,14 @@ import numpy as np
 from .core import (
     ConfidenceSet,
     MethodInfeasibleError,
-    check_alpha,
     make_confidence_set,
 )
 from .numerics import qchisq
 
-__all__ = [
-    "concentration_statistic",
-    "edelman_single_interval",
-]
+__all__ = ["concentration_statistic"]
 
 _LOG2 = math.log(2.0)
 _EPS = float(np.finfo(np.float64).eps)
-
-
-def edelman_single_interval(x: float, a: float, alpha: float) -> ConfidenceSet:
-    """Mode interval from one observation ``x`` and one anchor ``a``.
-
-    Returns [x - (2/alpha - 1)|x - a|, x + (2/alpha + 1)|x - a|]; the
-    asymmetric +/-1 coefficients are part of the inequality.
-    """
-    check_alpha(alpha)
-    gap = abs(x - a)
-    lo = x - (2.0 / alpha - 1.0) * gap
-    hi = x + (2.0 / alpha + 1.0) * gap
-    return make_confidence_set([(lo, hi)])
 
 
 def _terms(size: int, rho: float | None):

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import ConfidenceSet, MethodInfeasibleError, ModeResult
+from .core import ConfidenceSet, MethodInfeasibleError, ModeResult, join_runs
 
 __all__ = [
     "default_bandwidth_grid",
@@ -58,68 +58,53 @@ def _window_count(starts: np.ndarray, ends: np.ndarray, theta) -> np.ndarray | i
 
 def _level_runs(starts: np.ndarray, ends: np.ndarray,
                 cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (lo, hi) of the runs of N(theta) >= cutoff, ascending.
+    """Endpoints (lo, hi) of pieces whose union is the set N(theta) >= cutoff.
 
     ``starts`` and ``ends`` are X_i - h and X_i + h over the sorted points.
     The points a window catches form a contiguous block, so for K =
     ceil(cutoff) >= 1, N(theta) >= K exactly when s_{j+K-1} <= theta < e_j
-    for some j.  Both endpoint sequences ascend: dropping the empty pieces
-    and joining each piece to the previous one unless a gap separates them
-    gives the maximal runs.  Every count is >= 0, so a cutoff <= 0 gives
-    the knot hull [s_0, e_{n-1}].
+    for some j: the nonempty such pieces, whose end arrays both ascend, as
+    :func:`join_runs` takes them.  Every count is >= 0, so a cutoff <= 0
+    gives the knot hull [s_0, e_{n-1}].
     """
     if cutoff <= 0.0:
         return starts[:1], ends[-1:]
     k = math.ceil(cutoff)
     lo, hi = starts[k - 1:], ends[:max(ends.size - k + 1, 0)]
     keep = lo < hi
-    return _join_runs(lo[keep], hi[keep])
-
-
-def _join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # lo and hi ascend; a run ends wherever the next piece starts past it
-    if lo.size == 0:
-        return lo, hi
-    cut = np.flatnonzero(lo[1:] > hi[:-1])
-    return lo[np.concatenate(([0], cut + 1))], hi[np.concatenate((cut, [-1]))]
-
-
-def _dilated_width(lo: np.ndarray, hi: np.ndarray, h: float) -> float:
-    """``dilate(make_confidence_set(runs), h).width`` from the run arrays,
-    summed left to right as ``ConfidenceSet.width`` sums it."""
-    lo, hi = _join_runs(lo - h, hi + h)
-    return float(np.cumsum(hi - lo)[-1]) if lo.size else 0.0
+    return lo[keep], hi[keep]
 
 
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
     """The narrowest dilated level set over the bandwidth ``grid`` for the
     sorted evaluation ``points``, with its bandwidth and diagnostics.
 
-    The strict comparison sends ties to the smallest h, and only the
-    winner's sets are built, from the run arrays that ranked it.  A cutoff
-    <= 0 excludes nothing: the set is then the dilated knot hull and
-    ``vacuous`` is set.
+    Each bandwidth's pieces, shifted by h, are joined once: rounding is
+    monotone, so no gap closed by the shift reopens, and the runs are those
+    of the dilated level set.  Their width is summed left to right, as
+    ``ConfidenceSet.width`` sums it, and ties go to the smallest h.  A
+    cutoff <= 0 excludes nothing: the set is then the dilated knot hull.
     """
     best = None
     for h in grid:
         starts, ends = points - h, points + h
         cutoff = float(_window_count(starts, ends, pilot)) - slack
-        runs = _level_runs(starts, ends, cutoff)
-        width = _dilated_width(*runs, h)
+        lo, hi = _level_runs(starts, ends, cutoff)
+        dlo, dhi = join_runs(lo - h, hi + h)
+        width = float(np.cumsum(dhi - dlo)[-1]) if dlo.size else 0.0
         if best is None or width < best[0]:
-            best = (width, h, cutoff, runs)
-    _, h, cutoff, (lo, hi) = best
-    dlo, dhi = _join_runs(lo - h, hi + h)
-    pre = ConfidenceSet(tuple(zip(lo.tolist(), hi.tolist())))
-    dilated = ConfidenceSet(tuple(zip(dlo.tolist(), dhi.tolist())))
-    return ModeResult(dilated, vacuous=cutoff <= 0.0, pilot=pilot, h=h,
-                      pre_dilation=pre)
+            best = (width, h, cutoff, lo, hi, dlo, dhi)
+    _, h, cutoff, lo, hi, dlo, dhi = best
+    return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=cutoff <= 0.0, pilot=pilot,
+                      h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 
 
 def geometric_grid(lo: float, hi: float, size: int) -> tuple[float, ...]:
     """``size`` geometrically spaced bandwidths from ``lo`` to ``hi``, deduplicated."""
     if not 0 < lo <= hi < math.inf:
         raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {lo}, {hi}")
+    if size < 1:
+        raise ValueError(f"bandwidth grid size must be at least 1, got {size}")
     return tuple(float(h) for h in np.unique(np.geomspace(lo, hi, size)))
 
 

@@ -18,7 +18,6 @@ from .core import (
     ModeResult,
     _as_finite_1d,
     check_alpha,
-    make_confidence_set,
     sort_rows,
     split_and_pilot,
 )
@@ -86,7 +85,7 @@ def run_method(
     taken = METHOD_OPTIONS[method]
     if "h" in taken:
         if h is None:
-            raise ValueError(f"method {method} requires a fixed bandwidth h (--h)")
+            raise ValueError(f"method {method} requires a fixed bandwidth h")
         if not 0 < h < math.inf:
             raise ValueError(f"bandwidth h must be positive and finite, got {h}")
     elif "h_grid" in taken and h_grid is not None:
@@ -102,8 +101,7 @@ def run_method(
 
     data = _as_finite_1d(data)
     if method == "m1":
-        lo, hi = m1_bounds(np.sort(data)[None, :], alpha)
-        return ModeResult(make_confidence_set([(float(lo[0]), float(hi[0]))]))
+        return ModeResult(ConfidenceSet.from_runs(*m1_bounds(np.sort(data)[None, :], alpha)))
     points, pilots = split_and_pilot(data[None, :], split_stream, pilot_r)
     points, pilot = points[0], float(pilots[0])
     if method == "m2":

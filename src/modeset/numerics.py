@@ -48,9 +48,9 @@ class RngStream:
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= _UINT64_MAX:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+                raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

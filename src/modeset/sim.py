@@ -237,6 +237,7 @@ def run_coverage_study(
     beta_values = [float(beta) for beta in beta_values]
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
+    RngStream(int(base_seed))  # raises on a seed outside the unsigned 64-bit range
     cells = [(method, n) for method in methods for n in n_values]
     jobs = [
         (cells, beta, float(alpha), int(base_seed), rep)

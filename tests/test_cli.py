@@ -119,7 +119,21 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv, message):
 def test_ci_m2_requires_bandwidth(data_1000, capsys):
     code = main(["ci", "--method", "m2", "--input", str(data_1000)])
     assert code == 2
-    assert "--h" in capsys.readouterr().err
+    assert capsys.readouterr().err == "modeset ci: method m2 requires a fixed bandwidth h\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "m2", "--h", "0.3", "--split-seed", "-1"],
+     "seed must fit in an unsigned 64-bit integer, got -1"),
+    (["--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "1", "--h-grid-size", "-1"],
+     "bandwidth grid size must be at least 1, got -1"),
+    (["--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "1", "--h-grid-size", "0"],
+     "bandwidth grid size must be at least 1, got 0"),
+])
+def test_ci_option_errors_name_the_value(data_1000, capsys, argv, message):
+    assert main(["ci", "--input", str(data_1000)] + argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"modeset ci: {message}\n")
 
 
 def test_ci_m2_and_m2a_and_m3_run(data_1000, capsys):

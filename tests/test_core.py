@@ -132,6 +132,28 @@ def test_dilate_semigroup_and_width_bound():
         assert grown.width <= cs.width + 2 * a * len(cs.intervals) + 1e-12
 
 
+def test_dilate_matches_the_sorted_merge_of_shifted_pairs():
+    # the oracle: dilate as the sort-and-merge of every shifted pair,
+    # compared by repr, so the sign of a zero counts too
+    ends = [-math.inf, -1e308, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 1e308, math.inf]
+    rng = np.random.default_rng(15)
+    raised = 0
+    for _ in range(3000):
+        pairs = np.sort(rng.choice(ends, size=(rng.integers(0, 5), 2)), axis=1)
+        cs = make_confidence_set(pairs.tolist())
+        for h in (0.0, -0.0, 1e-300, 0.5, 1e308, math.inf):
+            try:
+                want = repr(make_confidence_set([(lo - h, hi + h) for lo, hi in cs.intervals]))
+            except ValueError as exc:
+                assert str(exc) == "interval endpoints must not be NaN"
+                with pytest.raises(ValueError, match="^interval endpoints must not be NaN$"):
+                    dilate(cs, h)
+                raised += 1
+                continue
+            assert repr(dilate(cs, h)) == want, (cs, h)
+    assert raised >= 50
+
+
 def test_split_sample_sizes():
     # round(m / 2) points go to the evaluation half, half to even
     for m, size in ((10, 5), (11, 6), (13, 6)):

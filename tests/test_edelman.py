@@ -13,28 +13,8 @@ from modeset.core import split_and_pilot
 from modeset.edelman import (
     _concentration_set,
     concentration_statistic,
-    edelman_single_interval,
 )
 from modeset.numerics import qchisq
-
-
-def test_single_interval_degenerate_at_anchor():
-    cs = edelman_single_interval(2.0, 2.0, 0.3)
-    assert cs.intervals == ((2.0, 2.0),)
-    assert cs.width == 0.0
-
-
-def test_single_interval_printed_coefficients():
-    # x=1, a=0, alpha=0.5: coefficients 2/alpha -/+ 1 give [1-3, 1+5]
-    cs = edelman_single_interval(1.0, 0.0, 0.5)
-    assert cs.intervals == ((-2.0, 6.0),)
-
-
-def test_single_interval_alpha_validation():
-    with pytest.raises(ValueError):
-        edelman_single_interval(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        edelman_single_interval(1.0, 0.0, 1.0)
 
 
 def test_single_interval_monte_carlo_coverage():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from modeset import (
+    ConfidenceSet,
     FBetaDensity,
     RngStream,
     dilate,
     make_confidence_set,
     run_method,
 )
-from modeset.core import split_and_pilot
+from modeset.core import join_runs, split_and_pilot
 from modeset.mest import (
-    _dilated_width,
     _level_runs,
     _sweep,
     _window_count,
@@ -38,8 +38,8 @@ def _window(points, h):
 
 
 def _runs(starts, ends, cutoff):
-    """The runs of N(theta) >= cutoff as a list of (lo, hi) pairs."""
-    lo, hi = _level_runs(starts, ends, cutoff)
+    """The maximal runs of N(theta) >= cutoff as a list of (lo, hi) pairs."""
+    lo, hi = join_runs(*_level_runs(starts, ends, cutoff))
     return list(zip(lo.tolist(), hi.tolist()))
 
 
@@ -182,10 +182,15 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
     for pts, pilot, grid, slack in _sweep_cases():
         rows = _reference_sweep(pts, pilot, grid, slack)
         for h, cutoff, pre, cs in rows:
-            # every bandwidth's maximal runs, and the width it is ranked by
+            # every bandwidth's maximal runs; its pieces shifted by h and
+            # joined, as the sweep ranks them, are the dilated runs, and
+            # their left-to-right sum is the dilated set's width
             starts, ends = pts - h, pts + h
             assert _runs(starts, ends, cutoff) == list(pre.intervals)
-            assert _dilated_width(*_level_runs(starts, ends, cutoff), h) == cs.width
+            lo, hi = _level_runs(starts, ends, cutoff)
+            dlo, dhi = join_runs(lo - h, hi + h)
+            assert repr(ConfidenceSet.from_runs(dlo, dhi)) == repr(cs)
+            assert float(np.cumsum(dhi - dlo)[-1]) == cs.width
         widths = [cs.width for *_, cs in rows]
         h, cutoff, pre, cs = rows[widths.index(min(widths))]
         res = _sweep(pts, pilot, grid, slack)
@@ -234,7 +239,7 @@ def test_m2_alpha_monotone_inclusion():
 
 def test_m2_requires_bandwidth():
     data = FBetaDensity(1.0).sample(RngStream(47, 0), 100)
-    with pytest.raises(ValueError, match="bandwidth"):
+    with pytest.raises(ValueError, match="^method m2 requires a fixed bandwidth h$"):
         run_method(data, 0.05, "m2")
 
 

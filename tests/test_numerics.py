@@ -104,7 +104,14 @@ def test_sample_uniform_open_interval_and_mean():
 
 
 def test_rng_stream_validation():
-    with pytest.raises(ValueError):
+    # each message names the offending value
+    with pytest.raises(ValueError) as exc:
         RngStream(-1, 0)
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "seed must fit in an unsigned 64-bit integer, got -1"
+    with pytest.raises(ValueError) as exc:
         RngStream(0, 2**64)
+    assert str(exc.value) == (
+        "stream_id must fit in an unsigned 64-bit integer, got 18446744073709551616")
+    with pytest.raises(ValueError) as exc:
+        RngStream(1.5, 0)
+    assert str(exc.value) == "seed must be an integer, got 1.5"

@@ -225,6 +225,15 @@ def test_study_propagates_errors_that_are_not_method_errors(monkeypatch):
         run_coverage_study(["m1"], [200], [1.0], replications=2, base_seed=3)
 
 
+def test_study_checks_the_seed_before_starting_workers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool built before the seed was checked")
+
+    monkeypatch.setattr("modeset.sim.ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer, got -1$"):
+        run_coverage_study(["m1"], [200], [1.0], replications=2, base_seed=-1, workers=2)
+
+
 def test_replication_widths_emission():
     reports = run_coverage_study(["m1"], [200], [1.0], alpha=0.05,
                                  replications=6, base_seed=11)
