@@ -75,26 +75,50 @@ def _level_runs(starts: np.ndarray, ends: np.ndarray,
     return lo[keep], hi[keep]
 
 
+def _pilot_counts(points: np.ndarray, pilot: float, hs: np.ndarray) -> np.ndarray:
+    """N(pilot) for every bandwidth in ``hs``, equal to :func:`_window_count`'s.
+
+    Rounding is monotone, so the count of X_i + s <= pilot (s = -h for the
+    starts, +h for the ends) is the j with X_{j-1} + s <= pilot < X_j + s.
+    The guess j = #(X_i <= pilot - s) stands where the true shifted values
+    pass that test and is recounted from X + s where they do not.
+    """
+    m = points.size
+    counts = []
+    for shift in (-hs, hs):
+        j = np.searchsorted(points, pilot - shift, side="right")
+        bad = (j > 0) & (points[np.maximum(j - 1, 0)] + shift > pilot)
+        bad |= (j < m) & (points[np.minimum(j, m - 1)] + shift <= pilot)
+        for i in np.flatnonzero(bad):
+            j[i] = np.searchsorted(points + shift[i], pilot, side="right")
+        counts.append(j)
+    return counts[0] - counts[1]
+
+
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
     """The narrowest dilated level set over the bandwidth ``grid`` for the
     sorted evaluation ``points``, with its bandwidth and diagnostics.
 
-    Each bandwidth's pieces, shifted by h, are joined once: rounding is
-    monotone, so no gap closed by the shift reopens, and the runs are those
-    of the dilated level set.  Their width is summed left to right, as
-    ``ConfidenceSet.width`` sums it, and ties go to the smallest h.  A
-    cutoff <= 0 excludes nothing: the set is then the dilated knot hull.
+    One vectorized count gives every bandwidth's cutoff.  A cutoff <= 0
+    excludes nothing: the set is the dilated knot hull, whose width is
+    closed-form.  Only the other bandwidths build their pieces, shifted by
+    h and joined once (rounding is monotone, so no gap closed by the shift
+    reopens), and sum the runs' widths left to right, as
+    ``ConfidenceSet.width`` does.  Ties go to the smallest h, and only the
+    winner's sets are built.
     """
-    best = None
-    for h in grid:
-        starts, ends = points - h, points + h
-        cutoff = float(_window_count(starts, ends, pilot)) - slack
-        lo, hi = _level_runs(starts, ends, cutoff)
+    hs = np.asarray(grid, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a huge h gives infinite ends, as with Python floats
+        cutoffs = _pilot_counts(points, pilot, hs) - slack
+        widths = ((points[-1] + hs) + hs) - ((points[0] - hs) - hs)
+        for i in np.flatnonzero(cutoffs > 0.0):
+            lo, hi = _level_runs(points - hs[i], points + hs[i], float(cutoffs[i]))
+            dlo, dhi = join_runs(lo - hs[i], hi + hs[i])
+            widths[i] = np.cumsum(dhi - dlo)[-1]
+        best = int(np.argmin(widths))
+        h, cutoff = grid[best], float(cutoffs[best])
+        lo, hi = _level_runs(points - h, points + h, cutoff)
         dlo, dhi = join_runs(lo - h, hi + h)
-        width = float(np.cumsum(dhi - dlo)[-1]) if dlo.size else 0.0
-        if best is None or width < best[0]:
-            best = (width, h, cutoff, lo, hi, dlo, dhi)
-    _, h, cutoff, lo, hi, dlo, dhi = best
     return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=cutoff <= 0.0, pilot=pilot,
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 

@@ -478,6 +478,24 @@ def test_mode2d_empty_file_writes_one_line_to_stderr(tmp_path):
     assert proc.stderr == f"modeset mode2d: input file {path} contains no points\n"
 
 
+@pytest.mark.parametrize("flags, intervals", [
+    (["--method", "m2", "--h", "1e308"], [[None, None]]),
+    (["--method", "m2a", "--h-grid-min", "1", "--h-grid-max", "1e308", "--h-grid-size", "2"],
+     [[-1.0, 12.0]]),
+])
+def test_ci_huge_bandwidth_writes_nothing_to_stderr(tmp_path, flags, intervals):
+    # a subprocess, so that numpy's overflow warnings would reach stderr
+    path = _write_lines(tmp_path, "ten.txt", range(1, 11))
+    env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "modeset", "ci", *flags, "--input", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["intervals"] == intervals
+
+
 def test_module_entry_point_help():
     env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
     proc = subprocess.run(

@@ -14,6 +14,7 @@ from modeset import (
 from modeset.core import join_runs, split_and_pilot
 from modeset.mest import (
     _level_runs,
+    _pilot_counts,
     _sweep,
     _window_count,
     default_bandwidth_grid,
@@ -171,10 +172,16 @@ def _sweep_cases():
         for pts in map(np.sort, samples):
             pilot = float(pts[n // 2])
             yield pts, pilot, (0.5,), hoeffding_count_slack(n, 0.3)  # m2
-            if pts[-1] > pts[0]:  # m2a's default grid
-                yield pts, pilot, default_bandwidth_grid(pts), dkw_count_slack(n, 0.05)
+            if pts[-1] > pts[0]:  # m2a's default grid, with the pilot also at either end
+                for at in (pilot, float(pts[0]), float(pts[-1])):
+                    yield pts, at, default_bandwidth_grid(pts), dkw_count_slack(n, 0.05)
             # a quarter-step grid on which integer data tie in width
-            yield pts, pilot, (0.25, 0.5, 0.75, 1.0, 1.25, 1.5), 0.1 * n
+            quarters = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+            yield pts, pilot, quarters, 0.1 * n
+            # no count reaches the slack: every bandwidth is vacuous
+            yield pts, pilot, quarters, n + 1.0
+            # only the last bandwidth, which catches every point, clears it
+            yield pts, pilot, (1e-3, 1e-2, 2.0 * (pts[-1] - pts[0]) + 1.0), n - 0.5
 
 
 def test_sweep_matches_knot_table_sweep_bit_for_bit():
@@ -202,6 +209,41 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
     # the cases reach the vacuous hull, multi-interval level sets, and
     # bandwidths tied at the minimal width
     assert vacuous >= 5 and multi >= 5 and tied >= 3
+
+
+def test_pilot_counts_match_window_count_h_by_h():
+    # on a 0.1 lattice with decimal bandwidths, X_i -/+ h often lands one
+    # rounding away from pilot, where the guess #(X_i <= pilot +/- h) is
+    # off; each such guess must be recounted to match _window_count
+    gen = np.random.default_rng(707)
+    hs = np.array([0.1, 0.2, 0.3, 0.7, 1.1])
+    wrong = 0
+    for _ in range(100):
+        n = int(gen.integers(3, 300))
+        pts = np.sort(np.round(gen.normal(size=n), 1))
+        for pilot in (pts[n // 2], pts[0], pts[-1], np.round(gen.normal(), 1)):
+            pilot = float(pilot)
+            want = [_window_count(pts - h, pts + h, pilot) for h in hs]
+            assert _pilot_counts(pts, pilot, hs).tolist() == want
+            for h in hs:
+                wrong += np.searchsorted(pts, pilot + h, "right") != np.searchsorted(
+                    pts - h, pilot, "right")
+                wrong += np.searchsorted(pts, pilot - h, "right") != np.searchsorted(
+                    pts + h, pilot, "right")
+    assert wrong >= 100  # of 4000 guesses
+
+
+@pytest.mark.parametrize("method, options", [("m2", {"h": 1e308}),
+                                             ("m2a", {"h_grid": (1.0, 1e308)})])
+def test_m2_huge_bandwidth_overflows_silently(method, options):
+    # shifting by h = 1e308 overflows to infinite ends without a warning,
+    # which this suite turns into an error
+    res = run_method(np.arange(1.0, 11.0), 0.05, method, **options)
+    assert res.vacuous
+    if method == "m2":
+        assert res.confidence_set.intervals == ((-math.inf, math.inf),)
+    else:  # the finite h = 1 hull is narrower
+        assert (res.h, res.confidence_set.intervals) == (1.0, ((-1.0, 12.0),))
 
 
 def test_m2_pilot_always_covered_and_nonempty():
