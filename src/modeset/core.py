@@ -63,9 +63,10 @@ def sort_rows(rows: np.ndarray) -> np.ndarray:
 class ConfidenceSet:
     """Finite union of disjoint closed intervals on the extended real line.
 
-    Construct through :func:`make_confidence_set`, which canonicalizes
-    arbitrary interval collections, or :meth:`from_runs`.  Intervals are
-    sorted, pairwise disjoint, and closed; membership is exact at endpoints.
+    Construct through :meth:`from_runs`, which takes the runs of
+    :func:`join_runs`, or :func:`make_confidence_set`, which sorts any
+    interval collection into such runs.  Intervals are sorted, pairwise
+    disjoint, and closed; membership is exact at endpoints.
     """
 
     intervals: tuple[tuple[float, float], ...] = field(default=())
@@ -149,28 +150,20 @@ class ModeResult:
 
 
 def make_confidence_set(raw) -> ConfidenceSet:
-    """Canonicalize a collection of (lo, hi) pairs into a ConfidenceSet.
-
-    Overlapping or touching intervals are merged, the result is sorted,
-    and the operation is idempotent.  Raises on lo > hi or NaN.
-    """
-    cleaned = []
-    for lo, hi in raw:
-        lo = float(lo)
-        hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if lo > hi:
-            raise ValueError(f"interval [{lo}, {hi}] has lo > hi")
-        cleaned.append((lo, hi))
-    cleaned.sort()
-    merged: list[list[float]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return ConfidenceSet(tuple((lo, hi) for lo, hi in merged))
+    """The union of (lo, hi) pairs, as a list, a ``zip`` or a (k, 2) array:
+    sorted as tuples, then :func:`join_runs` of the starts and the running
+    maximum ends, so overlapping, nested and touching intervals merge; a
+    run ends at its first end to reach its maximum, fixing a zero's sign.
+    Anything but pairs, or a pair with NaN or lo > hi, raises ``ValueError``."""
+    ends = np.array(list(raw) or np.empty((0, 2)), dtype=np.float64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError(f"intervals must be (lo, hi) pairs, got shape {ends.shape}")
+    bad = ends[~(ends[:, 0] <= ends[:, 1])]  # NaN or lo > hi
+    ConfidenceSet(tuple(map(tuple, bad[:1].tolist())))  # its checks name the first
+    lo, hi = ends[np.lexsort((ends[:, 1], ends[:, 0]))].T
+    top = np.maximum.accumulate(hi)
+    starts, tops = join_runs(lo, top)
+    return ConfidenceSet.from_runs(starts, hi[np.searchsorted(top, tops)])
 
 
 def join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,17 +179,14 @@ def join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dilate(cs: ConfidenceSet, h: float) -> ConfidenceSet:
     """Minkowski dilation: every point within distance ``h`` of the set.
 
-    Each interval [lo, hi] becomes [lo - h, hi + h]; the shifted ends still
-    ascend, so :func:`join_runs` closes the gaps narrower than 2h.
+    Each interval [lo, hi] becomes [lo - h, hi + h], and
+    :func:`make_confidence_set` joins them, closing the gaps narrower than
+    2h; an infinite end shifted by an infinite ``h`` raises as NaN.
     """
     if not h >= 0:
         raise ValueError(f"dilation radius must be nonnegative, got {h}")
-    ends = np.array(cs.intervals, dtype=np.float64).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as with Python floats
-        lo, hi = ends[:, 0] - h, ends[:, 1] + h
-    if np.isnan(lo).any() or np.isnan(hi).any():  # inf - inf, which a join would drop
-        raise ValueError("interval endpoints must not be NaN")
-    return ConfidenceSet.from_runs(*join_runs(lo, hi))
+        return make_confidence_set(np.array(cs.intervals).reshape(-1, 2) + [-h, h])
 
 
 def split_and_pilot(

@@ -238,7 +238,7 @@ def _extract_level_set(stat, bounds, cutoff: float, anchors: np.ndarray) -> Conf
     cut = _bisect(stat, cutoff, b_lo, b_hi, in_lo, 1e-12 * max(span, 1e-300))
     starts.append(np.where(in_lo, b_lo, cut))
     stops.append(np.where(in_lo, cut, b_hi))
-    return make_confidence_set(zip(np.concatenate(starts), np.concatenate(stops)))
+    return make_confidence_set(np.column_stack((np.concatenate(starts), np.concatenate(stops))))
 
 
 def _cutoff(points: np.ndarray, pilot, alpha: float, rho: float | None) -> float:

@@ -116,28 +116,27 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
             dlo, dhi = join_runs(lo - hs[i], hi + hs[i])
             widths[i] = np.cumsum(dhi - dlo)[-1]
         best = int(np.argmin(widths))
-        h, cutoff = grid[best], float(cutoffs[best])
+        h, cutoff = float(hs[best]), float(cutoffs[best])
         lo, hi = _level_runs(points - h, points + h, cutoff)
         dlo, dhi = join_runs(lo - h, hi + h)
     return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=cutoff <= 0.0, pilot=pilot,
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 
 
-def geometric_grid(lo: float, hi: float, size: int) -> tuple[float, ...]:
-    """``size`` geometrically spaced bandwidths from ``lo`` to ``hi``, deduplicated."""
+def geometric_grid(lo: float, hi: float, size: int) -> np.ndarray:
+    """``size`` geometric bandwidths from ``lo`` to ``hi`` as an ascending float64 array."""
     if not 0 < lo <= hi < math.inf:
         raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {lo}, {hi}")
     if size < 1:
         raise ValueError(f"bandwidth grid size must be at least 1, got {size}")
-    return tuple(float(h) for h in np.unique(np.geomspace(lo, hi, size)))
+    return np.unique(np.geomspace(lo, hi, size))
 
 
-def default_bandwidth_grid(points, size: int = DEFAULT_GRID_SIZE) -> tuple[float, ...]:
-    """Geometric bandwidth grid from half the finest point gap to the range."""
-    pts = np.sort(np.asarray(points, dtype=np.float64))
+def default_bandwidth_grid(points, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """:func:`geometric_grid` from half the finest gap of ascending ``points`` to their range."""
+    pts = np.asarray(points, dtype=np.float64)
     span = float(pts[-1] - pts[0])
     if span <= 0:
         raise MethodInfeasibleError("bandwidth grid needs a sample with positive range")
     gaps = np.diff(pts)
-    positive = gaps[gaps > 0]
-    return geometric_grid(float(positive.min()) / 2.0, span, size)
+    return geometric_grid(float(gaps[gaps > 0].min()) / 2.0, span, size)

@@ -49,7 +49,7 @@ def run_method(
     method: str,
     *,
     h: float | None = None,
-    h_grid: tuple[float, ...] | None = None,
+    h_grid=None,
     rho: float = _RHO,
     pilot_r: int | None = None,
     split_stream: RngStream = _SPLIT_STREAM,
@@ -59,12 +59,12 @@ def run_method(
     - ``m1``: the spacing interval, always one closed interval within
       [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics.
     - ``m2``: the fixed-bandwidth window-count set; ``h`` is required.
-    - ``m2a``: the width-minimizing window-count set over ``h_grid``,
-      whose bandwidths are positive, finite and strictly ascending; it
-      defaults to a geometric grid from the evaluation half's resolution
-      to its range.  Every candidate uses the DKW slack, which holds
-      simultaneously over all h, so minimizing the dilated width over the
-      grid keeps the coverage guarantee; ties go to the smallest h.
+    - ``m2a``: the width-minimizing window-count set over ``h_grid``, a
+      nonempty 1-D sequence of strictly ascending, positive, finite
+      bandwidths, by default a geometric grid from the evaluation half's
+      resolution to its range.  Every candidate uses the DKW slack, which
+      holds simultaneously over all h, so minimizing the dilated width
+      over the grid keeps the coverage guarantee; ties go to the smallest h.
     - ``m3``: the combined p-value set.  It is bounded and contains the
       pilot, but its width does not shrink with the sample size.
     - ``m3p``: the dampened-ratio set, valid under arbitrary dependence
@@ -89,12 +89,12 @@ def run_method(
         if not 0 < h < math.inf:
             raise ValueError(f"bandwidth h must be positive and finite, got {h}")
     elif "h_grid" in taken and h_grid is not None:
-        h_grid = tuple(float(v) for v in h_grid)
-        if len(h_grid) == 0:
-            raise ValueError("h_grid must be nonempty")
-        if not all(0 < v < math.inf for v in h_grid):
+        h_grid = np.asarray(h_grid, dtype=np.float64)
+        if h_grid.ndim != 1 or h_grid.size == 0:
+            raise ValueError(f"h_grid must be a nonempty 1-D sequence, got shape {h_grid.shape}")
+        if not np.all((0 < h_grid) & (h_grid < math.inf)):
             raise ValueError("h_grid entries must be positive and finite")
-        if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
+        if np.any(np.diff(h_grid) <= 0):
             raise ValueError("h_grid must be strictly ascending")
     elif "rho" in taken and not 1.0 < rho < math.inf:
         raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
@@ -105,7 +105,7 @@ def run_method(
     points, pilots = split_and_pilot(data[None, :], split_stream, pilot_r)
     points, pilot = points[0], float(pilots[0])
     if method == "m2":
-        return _sweep(points, pilot, (h,), hoeffding_count_slack(points.size, alpha))
+        return _sweep(points, pilot, np.array([h]), hoeffding_count_slack(points.size, alpha))
     if method == "m2a":
         grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
         return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))

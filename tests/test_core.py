@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,58 @@ def test_run_method_rejects_bad_input():
             run_method([], 0.05, method)
         with pytest.raises(ValueError, match="one-dimensional"):
             run_method([[1.0, 2.0]] * 50, 0.05, method)
+
+
+def _merge_oracle(raw) -> ConfidenceSet:
+    """The reference for make_confidence_set, a plain Python list merge:
+    the tuple-sorted pairs, each merged into the interval before it unless
+    it starts past that interval's end."""
+    cleaned = []
+    for lo, hi in raw:
+        lo, hi = float(lo), float(hi)
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("interval endpoints must not be NaN")
+        if lo > hi:
+            raise ValueError(f"interval [{lo}, {hi}] has lo > hi")
+        cleaned.append((lo, hi))
+    cleaned.sort()
+    merged = []
+    for lo, hi in cleaned:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return ConfidenceSet(tuple((lo, hi) for lo, hi in merged))
+
+
+def test_make_confidence_set_matches_the_merge_oracle():
+    # touching, nested and duplicate pairs, unbounded ends and both signs
+    # of zero, compared by repr so the sign of a zero counts too; the
+    # pairs arrive as a list, a zip and a (k, 2) array
+    ends = [-math.inf, -1e308, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 1e308, math.inf]
+    rng = np.random.default_rng(18)
+    for _ in range(3000):
+        pairs = np.sort(rng.choice(ends, size=(rng.integers(0, 7), 2)), axis=1)
+        want = repr(_merge_oracle(pairs.tolist()))
+        assert repr(make_confidence_set(pairs.tolist())) == want, pairs
+        assert repr(make_confidence_set(zip(pairs[:, 0], pairs[:, 1]))) == want, pairs
+        assert repr(make_confidence_set(pairs)) == want, pairs
+    assert repr(make_confidence_set([])) == repr(_merge_oracle([])) == repr(ConfidenceSet())
+
+
+def test_make_confidence_set_names_the_first_bad_pair():
+    for raw, message in (([(0.0, 1.0), (2.0, 1.0), (math.nan, 0.0)], "[2.0, 1.0] has lo > hi"),
+                         ([(0.0, 1.0), (0.0, math.nan), (2.0, 1.0)], "must not be NaN")):
+        for merge in (make_confidence_set, _merge_oracle):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                merge(raw)
+
+
+@pytest.mark.parametrize("raw", [[1.0, 2.0], [(1.0, 2.0, 3.0)], np.array([1.0, 2.0]),
+                                 np.zeros((2, 3)), np.zeros((1, 2, 2)), [(1.0, 2.0), (3.0,)]])
+def test_make_confidence_set_rejects_anything_but_pairs(raw):
+    with pytest.raises(ValueError):
+        make_confidence_set(raw)
 
 
 def test_make_confidence_set_merges_touching():
@@ -133,7 +186,7 @@ def test_dilate_semigroup_and_width_bound():
 
 
 def test_dilate_matches_the_sorted_merge_of_shifted_pairs():
-    # the oracle: dilate as the sort-and-merge of every shifted pair,
+    # the oracle: dilate as the list merge of every shifted pair,
     # compared by repr, so the sign of a zero counts too
     ends = [-math.inf, -1e308, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 1e308, math.inf]
     rng = np.random.default_rng(15)
@@ -143,7 +196,7 @@ def test_dilate_matches_the_sorted_merge_of_shifted_pairs():
         cs = make_confidence_set(pairs.tolist())
         for h in (0.0, -0.0, 1e-300, 0.5, 1e308, math.inf):
             try:
-                want = repr(make_confidence_set([(lo - h, hi + h) for lo, hi in cs.intervals]))
+                want = repr(_merge_oracle([(lo - h, hi + h) for lo, hi in cs.intervals]))
             except ValueError as exc:
                 assert str(exc) == "interval endpoints must not be NaN"
                 with pytest.raises(ValueError, match="^interval endpoints must not be NaN$"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,6 +356,14 @@ def test_mest_option_validation():
         geometric_grid(0.1, math.inf, 8)
     with pytest.raises(ValueError, match="alpha"):
         run_method(data, 0.0, "m2a")
+
+
+@pytest.mark.parametrize("h_grid", [np.array([[0.1, 0.2]]), [[0.1], [0.2]], np.array(0.3)])
+def test_m2a_rejects_a_grid_that_is_not_one_dimensional(h_grid):
+    # checked before the sample, as every option is, and named by its shape
+    message = f"h_grid must be a nonempty 1-D sequence, got shape {np.shape(h_grid)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_method([0.0, 1.0], 0.05, "m2a", h_grid=h_grid)
 
 
 def test_default_bandwidth_grid_requires_spread():
