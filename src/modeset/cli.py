@@ -183,17 +183,17 @@ def _run_simulate(args) -> int:
 
 def _parse_box(text: str, points: np.ndarray):
     if text == "auto":
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
+        lo, hi = points.min(axis=0), points.max(axis=0)
         pad = 0.1 * (hi - lo)
         pad[pad == 0] = 1.0
         return [(float(a - p), float(b + p)) for a, b, p in zip(lo, hi, pad)]
     sides = []
     for token in text.split(","):
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"box side {token!r} is not of the form lo:hi")
-        sides.append((float(parts[0]), float(parts[1])))
+        try:
+            lo, hi = map(float, token.split(":"))
+        except ValueError:
+            raise ValueError(f"box side {token!r} is not of the form lo:hi") from None
+        sides.append((lo, hi))
     return sides
 
 

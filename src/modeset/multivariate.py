@@ -12,6 +12,7 @@ representation of the region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
 _MAX_CELLS = 10_000_000
 # cells per scan chunk times the sample size stays within this many
 # float64 values, which bounds every (cells, n) temporary of a chunk
-_CHUNK_VALUES = 2**15
+_CHUNK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,19 @@ def radial_transform(cloud: PointCloud, theta) -> np.ndarray:
             f"candidate points must have shape (d,) or (k, d) with d = {cloud.d}, "
             f"got {theta.shape}"
         )
-    # one coordinate at a time: no (k, n, d) temporary.  An overflow gives
-    # inf, which the methods' finite-data check reports
+    # left to right, one coordinate at a time; an overflow gives inf, which `covers` rejects
     squares = 0.0
     with np.errstate(over="ignore"):
         for j in range(cloud.d):
             squares = squares + np.square(cloud.points[:, j] - theta[..., j, None])
-        return np.sqrt(squares) ** cloud.gamma
+        return _radii_power(squares, cloud.gamma)
+
+
+def _radii_power(squares: np.ndarray, gamma: float) -> np.ndarray:
+    """``sqrt(squares) ** gamma``, in place: the last step of every radial transform."""
+    np.sqrt(squares, out=squares)
+    squares **= gamma
+    return squares
 
 
 def contains_mode_candidate(
@@ -102,8 +109,7 @@ def contains_mode_candidate(
     """
     if np.shape(theta) != (cloud.d,):
         raise ValueError(f"candidate theta must have shape ({cloud.d},), got {np.shape(theta)}")
-    transformed = radial_transform(cloud, theta)
-    return bool(covers(transformed[None, :], 0.0, alpha, algorithm)[0])
+    return bool(covers(radial_transform(cloud, theta)[None, :], 0.0, alpha, algorithm)[0])
 
 
 def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
@@ -134,9 +140,10 @@ def scan_region(
 
     ``box`` is a per-dimension sequence of finite (lo, hi); ``resolution``
     an int or per-dimension counts.  Restricted to d <= 3 and at most 1e7
-    cells.  Cells are tested in index order, in chunks of 2**15 // n of
-    them (at least one); ``m1``, ``m3`` and ``m3p`` test a whole chunk as
-    one batch, and ``m2a`` builds each cell's set.
+    cells.  Cells are tested block by block along the last axis (index order
+    when one block spans it), in chunks of 2**16 // n (at least one) that
+    share each block's squared distances; ``m1``, ``m3`` and ``m3p`` test a
+    whole chunk as one batch, and ``m2a`` builds each cell's set.
     """
     d = cloud.d
     if d > 3:
@@ -148,23 +155,31 @@ def scan_region(
         raise ValueError(f"box sides must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box sides must have positive length")
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * d
-    else:
-        resolution = tuple(int(k) for k in resolution)
+    resolution = (int(resolution),) * d if np.isscalar(resolution) else tuple(map(int, resolution))
     if len(resolution) != d or any(k < 1 for k in resolution):
         raise ValueError("resolution must give a positive count per dimension")
-    cells = int(np.prod(resolution))
+    cells = math.prod(resolution)
     if cells > _MAX_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds the {_MAX_CELLS} cell limit")
     axes = [_cell_centers(lo, hi, k) for (lo, hi), k in zip(box, resolution)]
-    mask = np.empty(cells, dtype=bool)
-    chunk = max(1, _CHUNK_VALUES // cloud.n)
-    for start in range(0, cells, chunk):
-        idx = np.unravel_index(np.arange(start, min(start + chunk, cells)), resolution)
-        thetas = np.column_stack([axis[i] for axis, i in zip(axes, idx)])
-        transformed = radial_transform(cloud, thetas)
-        mask[start : start + chunk] = covers(transformed, 0.0, alpha, algorithm)
+    rows, width, n = math.prod(resolution[:-1]), resolution[-1], cloud.n
+    mask = np.empty((rows, width), dtype=bool)
+    chunk = max(1, _CHUNK_VALUES // n)  # cells: a block of the last axis by a group of rows
+    block, group = min(width, chunk), max(1, chunk // width)
+    buffer = np.empty((group, block, n))  # reused: fresh chunks churn the allocator
+    for b in range(0, width, block):
+        with np.errstate(over="ignore"):
+            last = np.square(cloud.points[:, -1] - axes[-1][b : b + block, None])
+        for r in range(0, rows, group):
+            idx = np.unravel_index(np.arange(r, min(r + group, rows)), resolution[:-1] or (1,))
+            with np.errstate(over="ignore"):
+                squares = np.zeros((idx[0].size, 1, n))  # summed left to right from 0.0
+                for j in range(d - 1):
+                    squares += np.square(cloud.points[:, j] - axes[j][idx[j], None, None])
+                squares = np.add(squares, last, out=buffer[: len(squares), : len(last)])
+                transformed = _radii_power(squares.reshape(-1, n), cloud.gamma)
+            hits = covers(transformed, 0.0, alpha, algorithm)
+            mask[r : r + group, b : b + block] = hits.reshape(len(squares), -1)
     mask = mask.reshape(resolution)
     mask.setflags(write=False)
     return MembershipGrid(box=box, resolution=resolution, mask=mask)

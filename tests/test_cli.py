@@ -447,6 +447,27 @@ def test_mode2d_bad_box_exits_2(tmp_path, capsys):
                  "--box", "nonsense", "--res", "2"]) == 2
 
 
+@pytest.mark.parametrize("box, side", [("a:b,0:1", "a:b"), ("0:1,0:2x", "0:2x"),
+                                       ("0:1,3", "3"), ("0:1,1:2:3", "1:2:3")])
+def test_mode2d_bad_box_side_is_named(tmp_path, capsys, box, side):
+    path = _write_lines(tmp_path, "p.csv", ["0.0,0.0", "1.0,1.0"])
+    assert main(["mode2d", "--gamma", "2", "--input", str(path), "--box", box]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"modeset mode2d: box side {side!r} is not of the form lo:hi\n"
+    assert not captured.out
+
+
+def test_mode2d_res_beyond_the_cell_limit_exits_2(tmp_path, capsys):
+    # (2**32)**2 cells, which a 64-bit product wraps to 0
+    pts = RngStream(97, 0).generator().normal(size=(100, 2)).tolist()
+    path = _write_lines(tmp_path, "p.csv", [f"{x!r},{y!r}" for x, y in pts])
+    assert main(["mode2d", "--gamma", "2", "--input", str(path), "--res", str(2**32)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"modeset mode2d: grid of {2**64} cells exceeds "
+                            "the 10000000 cell limit\n")
+    assert not captured.out
+
+
 def test_mode2d_overflowing_transform_exits_2(tmp_path, capsys):
     path = _write_lines(tmp_path, "p.csv", ["1e200,1e200"] * 100)
     assert main(["mode2d", "--gamma", "2", "--input", str(path),

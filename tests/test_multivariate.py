@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from modeset import (
     sample_uniform,
     scan_region,
 )
+from modeset.multivariate import _CHUNK_VALUES
 
 
 def disk_points(stream, n, center=(0.0, 0.0), radius=1.0):
@@ -185,7 +187,8 @@ def _cell_oracle(cloud, grid, alpha):
 
 @pytest.mark.parametrize(
     "n, resolution",
-    # chunks of 2**15 // n cells: 163, 109 and 218 cells, none dividing the grid
+    # chunks of 2**16 // n cells: 327, 218 and 436, so (400,) splits into
+    # blocks of 327 and 73 centres and each of the others fits one chunk
     [(200, (400,)), (300, (37, 5)), (150, (9, 7, 5))],
 )
 def test_scan_region_matches_per_cell_oracle(n, resolution):
@@ -197,6 +200,53 @@ def test_scan_region_matches_per_cell_oracle(n, resolution):
     want = _cell_oracle(cloud, grid, 0.05)
     assert np.array_equal(grid.mask, want)
     assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize(
+    "n, resolution, gamma, half",
+    [
+        # 65-cell chunks: the last axis splits into blocks of 65, 65 and 20
+        # centres, or of 65 and 5 under each of nine leading rows
+        (1000, (3, 150), 2.0, 3.0),
+        (1000, (3, 3, 70), 0.7, 0.05),
+        # 109-cell chunks of five-cell rows: groups of 21 rows, then 16
+        (600, (37, 5), 3.3, 6.0),
+        (600, (37, 5), 0.7, 0.05),
+    ],
+)
+def test_scan_region_blocks_and_row_groups_match_per_cell_oracle(n, resolution, gamma, half):
+    d = len(resolution)
+    gen = RngStream(86, d).generator()
+    # gamma-unimodal about 0: U**(1/gamma) times a standard normal point
+    pts = gen.uniform(size=(n, 1)) ** (1.0 / gamma) * gen.normal(size=(n, d))
+    cloud = PointCloud.from_points(pts, gamma)
+    grid = scan_region(cloud, [(-half, half)] * d, resolution, 0.05)
+    want = _cell_oracle(cloud, grid, 0.05)
+    assert np.array_equal(grid.mask, want)
+    assert want.any() and not want.all()
+
+
+def test_scan_region_memory_stays_within_a_few_chunks():
+    # no array but the reused chunk buffer outlives its block, and none holds
+    # more than a chunk of 2**16 values, so the peak does not grow with the resolution
+    gen = RngStream(87, 0).generator()
+    for d, resolution in ((1, (5000,)), (2, (4, 3000))):
+        cloud = PointCloud.from_points(gen.normal(size=(1000, d)), gamma=2.0)
+        tracemalloc.start()
+        try:
+            grid = scan_region(cloud, [(-3.0, 3.0)] * d, resolution, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = grid.mask.nbytes + 8 * sum(resolution)  # the mask and the axes' centres
+        assert peak < 8 * 8 * _CHUNK_VALUES + kept
+
+
+def test_scan_region_cell_limit_is_exact():
+    # 2**22 * 2**21 * 2**21 = 2**64 cells, which a 64-bit product wraps to 0
+    cloud = PointCloud.from_points(RngStream(88, 0).generator().normal(size=(50, 3)), 2.0)
+    with pytest.raises(ValueError, match=f"grid of {2**64} cells exceeds the 10000000 cell"):
+        scan_region(cloud, [(-1.0, 1.0)] * 3, (2**22, 2**21, 2**21), 0.05)
 
 
 def test_scan_region_m2a_matches_per_cell_sets():
