@@ -10,12 +10,14 @@ raises ``MethodInfeasibleError``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from .core import (
     ConfidenceSet,
     ModeResult,
+    ModeSetError,
     _as_finite_1d,
     check_alpha,
     sort_rows,
@@ -26,7 +28,8 @@ from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_cou
 from .numerics import RngStream
 from .spacings import m1_bounds
 
-__all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method"]
+__all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method",
+           "run_methods"]
 
 # the keyword options of run_method that each method takes; it ignores the rest
 METHOD_OPTIONS = {
@@ -43,17 +46,73 @@ _RHO = 2.0  # m3p's default damping exponent, also the one covers uses
 _SPLIT_STREAM = RngStream(0, 0)
 
 
-def run_method(
-    data,
-    alpha: float,
-    method: str,
-    *,
-    h: float | None = None,
-    h_grid=None,
-    rho: float = _RHO,
-    pilot_r: int | None = None,
-    split_stream: RngStream = _SPLIT_STREAM,
-) -> ModeResult:
+def run_methods(rows, alpha: float, methods, *, h: float | None = None, h_grid=None,
+                rho: float = _RHO, pilot_r: int | None = None,
+                split_stream: RngStream | Sequence[RngStream] = _SPLIT_STREAM,
+                ) -> list[list[ModeResult | ModeSetError]]:
+    """Row i's result of ``methods[j]``, or the ``ModeSetError`` it raised,
+    as ``out[i][j]`` for the rows of the (k, m) matrix ``rows``.
+
+    The options are :func:`run_method`'s, checked with alpha before any
+    method runs; ``split_stream`` is one stream for all rows or one per
+    row.  ``m1`` runs all rows as one batch and the split methods share
+    one split, so each row's results are :func:`run_method`'s on that row.
+    """
+    check_alpha(alpha)
+    for method in methods:
+        if method not in METHOD_OPTIONS:
+            raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
+        taken = METHOD_OPTIONS[method]
+        if "h" in taken:
+            if h is None:
+                raise ValueError(f"method {method} requires a fixed bandwidth h")
+            if not 0 < h < math.inf:
+                raise ValueError(f"bandwidth h must be positive and finite, got {h}")
+        elif "h_grid" in taken and h_grid is not None:
+            h_grid = np.asarray(h_grid, dtype=np.float64)
+            if h_grid.ndim != 1 or h_grid.size == 0:
+                raise ValueError(
+                    f"h_grid must be a nonempty 1-D sequence, got shape {h_grid.shape}")
+            if not np.all((0 < h_grid) & (h_grid < math.inf)):
+                raise ValueError("h_grid entries must be positive and finite")
+            if np.any(np.diff(h_grid) <= 0):
+                raise ValueError("h_grid must be strictly ascending")
+        elif "rho" in taken and not 1.0 < rho < math.inf:
+            raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
+    rows, columns, split = np.asarray(rows, dtype=np.float64), [], None
+    for method in methods:
+        try:
+            if method == "m1":
+                lo, hi = m1_bounds(sort_rows(rows), alpha)
+                column = [ModeResult(ConfidenceSet.from_runs(*ends))
+                          for ends in zip(lo[:, None], hi[:, None])]
+            else:
+                split = split or split_and_pilot(rows, split_stream, pilot_r)
+                column = [_split_result(method, p, float(c), alpha, h, h_grid, rho)
+                          for p, c in zip(*split)]
+        except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
+            column = [exc] * len(rows)
+        columns.append(column)
+    return [[column[i] for column in columns] for i in range(len(rows))]
+
+
+def _split_result(method, points, pilot, alpha, h, h_grid, rho) -> ModeResult | ModeSetError:
+    """A split method's result on one sorted evaluation half, or its ``ModeSetError``."""
+    try:
+        if method == "m2":
+            return _sweep(points, pilot, np.array([h]), hoeffding_count_slack(points.size, alpha))
+        if method == "m2a":
+            grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
+            return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))
+        cs = _concentration_set(points, pilot, alpha, rho if method == "m3p" else None)
+        return ModeResult(cs, pilot=pilot)
+    except ModeSetError as exc:
+        return exc
+
+
+def run_method(data, alpha: float, method: str, *, h: float | None = None, h_grid=None,
+               rho: float = _RHO, pilot_r: int | None = None,
+               split_stream: RngStream = _SPLIT_STREAM) -> ModeResult:
     """Run one univariate mode confidence-set construction by code.
 
     - ``m1``: the spacing interval, always one closed interval within
@@ -74,43 +133,20 @@ def run_method(
     Every method but ``m1`` splits the sample with ``split_stream`` and
     takes its pilot from one half, with window ``pilot_r``, and reports it
     in ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and
-    ``vacuous``.  Alpha and the named method's own option are checked
-    before the sample; options a method does not take (``METHOD_OPTIONS``)
-    are ignored.
+    ``vacuous``.  The data must be a nonempty 1-D finite sequence; then
+    alpha and the named method's own option are checked before the method
+    runs.  Options a method does not take (``METHOD_OPTIONS``) are
+    ignored.  This is the one-row case of :func:`run_methods`.
     """
-    # checked first, so a bad alpha is reported before any sample-size check
-    check_alpha(alpha)
-    if method not in METHOD_OPTIONS:
-        raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
-    taken = METHOD_OPTIONS[method]
-    if "h" in taken:
-        if h is None:
-            raise ValueError(f"method {method} requires a fixed bandwidth h")
-        if not 0 < h < math.inf:
-            raise ValueError(f"bandwidth h must be positive and finite, got {h}")
-    elif "h_grid" in taken and h_grid is not None:
-        h_grid = np.asarray(h_grid, dtype=np.float64)
-        if h_grid.ndim != 1 or h_grid.size == 0:
-            raise ValueError(f"h_grid must be a nonempty 1-D sequence, got shape {h_grid.shape}")
-        if not np.all((0 < h_grid) & (h_grid < math.inf)):
-            raise ValueError("h_grid entries must be positive and finite")
-        if np.any(np.diff(h_grid) <= 0):
-            raise ValueError("h_grid must be strictly ascending")
-    elif "rho" in taken and not 1.0 < rho < math.inf:
-        raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
+    return _unwrap(run_methods(_as_finite_1d(data)[None, :], alpha, [method], h=h, h_grid=h_grid,
+                               rho=rho, pilot_r=pilot_r, split_stream=split_stream)[0][0])
 
-    data = _as_finite_1d(data)
-    if method == "m1":
-        return ModeResult(ConfidenceSet.from_runs(*m1_bounds(np.sort(data)[None, :], alpha)))
-    points, pilots = split_and_pilot(data[None, :], split_stream, pilot_r)
-    points, pilot = points[0], float(pilots[0])
-    if method == "m2":
-        return _sweep(points, pilot, np.array([h]), hoeffding_count_slack(points.size, alpha))
-    if method == "m2a":
-        grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
-        return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))
-    cs = _concentration_set(points, pilot, alpha, rho if method == "m3p" else None)
-    return ModeResult(cs, pilot=pilot)
+
+def _unwrap(result: ModeResult | ModeSetError) -> ModeResult:
+    """A row's result of :func:`run_methods`, raising the error it holds."""
+    if isinstance(result, ModeSetError):
+        raise result
+    return result
 
 
 def compute_confidence_set(data, alpha: float, method: str, **options) -> ConfidenceSet:
@@ -132,9 +168,8 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
     if method == "m1":
         lo, hi = m1_bounds(sort_rows(rows), alpha)
         return (lo <= x) & (x <= hi)
+    if method == "m2a":
+        sets = [_unwrap(row[0]).confidence_set for row in run_methods(rows, alpha, ["m2a"])]
+        return np.array([cs.contains(x) for cs in sets], dtype=bool)
     points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
-    if method != "m2a":
-        return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)
-    slack = dkw_count_slack(points.shape[1], alpha)
-    sets = [_sweep(p, float(c), default_bandwidth_grid(p), slack) for p, c in zip(points, pilots)]
-    return np.array([res.confidence_set.contains(x) for res in sets], dtype=bool)
+    return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_count
 from .methods import covers
 
 __all__ = [
@@ -155,9 +156,10 @@ def scan_region(
         raise ValueError(f"box sides must be finite, got {box}")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box sides must have positive length")
-    resolution = (int(resolution),) * d if np.isscalar(resolution) else tuple(map(int, resolution))
-    if len(resolution) != d or any(k < 1 for k in resolution):
-        raise ValueError("resolution must give a positive count per dimension")
+    counts = (resolution,) * d if np.isscalar(resolution) else tuple(resolution)
+    if len(counts) != d or not all(is_count(k) and k >= 1 for k in counts):
+        raise ValueError(f"resolution needs a positive integer per dimension, got {resolution!r}")
+    resolution = tuple(map(int, counts))
     cells = math.prod(resolution)
     if cells > _MAX_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds the {_MAX_CELLS} cell limit")

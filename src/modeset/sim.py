@@ -19,6 +19,7 @@ run in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModeSetError, check_alpha
-from .methods import METHOD_CODES, run_method
+from .core import ModeSetError, check_alpha, is_count
+from .methods import METHOD_CODES, run_methods
 from .numerics import RngStream, sample_uniform
 
 __all__ = [
@@ -122,9 +123,11 @@ class CoverageReport:
 
     ``coverage`` counts replications whose set contains the true mode 0,
     divided by all replications (errored replications count as misses).
-    ``wall_time_s`` is the summed time of this cell's method calls, in
-    whichever process ran them; it excludes sampling the shared data and
-    is measured, so it stays out of the deterministic CSV payload.
+    ``wall_time_s`` sums, over blocks of replications, the time of the
+    call that ran every method at this cell's (n, beta), in whichever
+    process ran it: the methods share one split, so all methods' cells at
+    one (n, beta) report the same time.  It excludes sampling the shared
+    data and is measured, so it stays out of the deterministic CSV payload.
     """
 
     method: str
@@ -142,54 +145,38 @@ class CoverageReport:
     widths: tuple[float, ...] = field(compare=False)
 
 
-def _data_stream(base_seed: int, rep: int) -> RngStream:
-    return RngStream(base_seed, 2 * rep)
+_BLOCK_VALUES = 2**18  # cap on a block's replications times the largest n
 
 
-def _split_stream(base_seed: int, rep: int) -> RngStream:
-    return RngStream(base_seed, 2 * rep + 1)
-
-
-def _run_replication(cells, beta, alpha, base_seed, rep):
-    """Replication ``rep`` of every ``(method, n)`` cell at one beta.
-
-    The data are drawn once, at the largest n, and each cell runs on the
-    length-n prefix of that draw.  Returns one (covered, width, vacuous,
-    errored, method seconds) tuple per cell, in the order of ``cells``.
+def _run_block(methods, n_values, beta, alpha, base_seed, reps):
+    """Replications ``reps`` (a range) of every (method, n) cell at one beta:
+    the data are drawn once, at the largest n, and each n runs every method
+    as one :func:`run_methods` call on the length-n prefixes.  Returns, per
+    n, that call's seconds and, per method, one (covered, width, vacuous,
+    errored) tuple per replication.
     """
-    full = FBetaDensity(beta).sample(
-        _data_stream(base_seed, rep), max(n for _, n in cells)
-    )
+    density = FBetaDensity(beta)
+    full = np.stack([density.sample(RngStream(base_seed, 2 * rep), max(n_values)) for rep in reps])
     full.setflags(write=False)  # shared by every cell: no method may write to it
-    split_stream = _split_stream(base_seed, rep)
-    results = []
-    for method, n in cells:
+    by_n = []
+    for n in n_values:
         start = time.perf_counter()
-        try:
-            res = run_method(
-                full[:n], alpha, method, h=study_bandwidth(n, beta),
-                split_stream=split_stream,
-            )
-        except ModeSetError:
-            # a replication whose data defeats the method (too small, pilot
-            # collision) counts as an error; it must not kill the study
-            outcome = (False, math.nan, False, True)
-        else:
-            cs = res.confidence_set
-            outcome = (cs.contains(0.0), cs.width, res.vacuous, False)
-        results.append(outcome + (time.perf_counter() - start,))
-    return results
+        results = run_methods(full[:, :n], alpha, methods, h=study_bandwidth(n, beta),
+                              split_stream=[RngStream(base_seed, 2 * rep + 1) for rep in reps])
+        seconds = time.perf_counter() - start
+        # data a method cannot handle (too small, pilot collision) is an error, not a crash
+        by_n.append((seconds, [
+            [(False, math.nan, False, True) if isinstance(res, ModeSetError) else
+             (res.confidence_set.contains(0.0), res.confidence_set.width, res.vacuous, False)
+             for res in column]
+            for column in zip(*results)
+        ]))
+    return by_n
 
 
-def run_coverage_study(
-    methods,
-    n_values,
-    beta_values,
-    alpha: float = 0.05,
-    replications: int = 1000,
-    base_seed: int = 0,
-    workers: int = 1,
-) -> list[CoverageReport]:
+def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
+                       replications: int = 1000, base_seed: int = 0,
+                       workers: int = 1) -> list[CoverageReport]:
     """Coverage and width study over a (method, n, beta) grid.
 
     Replication ``r`` draws its data from stream ``2r`` of ``base_seed``
@@ -197,16 +184,17 @@ def run_coverage_study(
     length-n prefix of that draw and splits it with stream ``2r + 1``.
     Cells thus share datasets (common random numbers across methods and,
     by prefix, across sample sizes) and the whole study is reproducible
-    bit for bit.  ``workers`` > 1 spreads the (beta, replication) jobs over
-    one process pool for the whole study without changing any result.
-    Arguments are validated before any replication runs; a replication
-    that raises ``ModeSetError`` counts as an error, while any other
-    exception propagates.
+    bit for bit.  Jobs of one beta and a block of replications hold at
+    most 2**18 drawn values; ``workers`` > 1 spreads them, in blocks of at
+    most ``replications / workers``, over one process pool for the whole
+    study without changing any result.  Arguments are validated before any
+    replication runs; a replication that raises ``ModeSetError`` counts as
+    an error, while any other exception propagates.
     """
-    if replications < 1:
-        raise ValueError("replications must be positive")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    for name, count in (("replications", replications), ("workers", workers)):
+        if not is_count(count) or count < 1:
+            raise ValueError(f"{name} must be at least 1 and an integer, got {count!r}")
+    replications, workers = int(replications), int(workers)
     check_alpha(alpha)
     methods = list(methods)
     if not methods:
@@ -214,55 +202,38 @@ def run_coverage_study(
     unknown = [m for m in methods if m not in METHOD_CODES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHOD_CODES}")
+    n_values = list(n_values)
+    if not n_values or not all(is_count(n) and n >= 2 for n in n_values):
+        raise ValueError(f"sample sizes must be integers of at least 2, got {n_values}")
     n_values = [int(n) for n in n_values]
-    if any(n < 2 for n in n_values):
-        raise ValueError(f"sample sizes must be at least 2, got {n_values}")
     beta_values = [float(beta) for beta in beta_values]
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
     RngStream(int(base_seed))  # raises on a seed outside the unsigned 64-bit range
-    cells = [(method, n) for method in methods for n in n_values]
-    jobs = [
-        (cells, beta, float(alpha), int(base_seed), rep)
-        for beta in beta_values
-        for rep in range(replications)
-    ]
+    block = max(1, min(_BLOCK_VALUES // max(n_values), -(-replications // workers)))
+    blocks = [range(r, min(r + block, replications)) for r in range(0, replications, block)]
+    jobs = [(methods, n_values, beta, float(alpha), int(base_seed), reps)
+            for beta in beta_values for reps in blocks]
     if workers > 1:
-        chunksize = -(-len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            by_job = list(pool.map(_run_replication, *zip(*jobs), chunksize=chunksize))
+            by_job = list(pool.map(_run_block, *zip(*jobs)))
     else:
-        by_job = [_run_replication(*job) for job in jobs]
+        by_job = [_run_block(*job) for job in jobs]
     reports: list[CoverageReport] = []
-    for c, (method, n) in enumerate(cells):
-        for b, beta in enumerate(beta_values):
-            covered, per_rep, vacuous, errored, seconds = zip(
-                *(by_job[b * replications + rep][c] for rep in range(replications))
-            )  # per_rep holds NaN where errored
-            widths = np.array(
-                [w for w, err in zip(per_rep, errored) if not err], dtype=np.float64
-            )
-            if widths.size:
-                q10, q50, q90 = (float(q) for q in np.quantile(widths, [0.1, 0.5, 0.9]))
-            else:
-                q10 = q50 = q90 = math.nan
-            reports.append(
-                CoverageReport(
-                    method=method,
-                    n=n,
-                    beta=beta,
-                    alpha=float(alpha),
-                    replications=replications,
-                    coverage=sum(covered) / replications,
-                    width_q10=q10,
-                    width_q50=q50,
-                    width_q90=q90,
-                    vacuous=sum(vacuous),
-                    errors=sum(errored),
-                    wall_time_s=sum(seconds),
-                    widths=per_rep,
-                )
-            )
+    cells = itertools.product(enumerate(methods), enumerate(n_values), enumerate(beta_values))
+    for (m, method), (i, n), (b, beta) in cells:
+        cell = [job[i] for job in by_job[b * len(blocks):(b + 1) * len(blocks)]]
+        outcomes = [outcome for _, by_method in cell for outcome in by_method[m]]
+        covered, per_rep, vacuous, errored = zip(*outcomes)  # per_rep holds NaN where errored
+        widths = np.array([w for w, err in zip(per_rep, errored) if not err], dtype=np.float64)
+        q10, q50, q90 = (np.quantile(widths, [0.1, 0.5, 0.9]).tolist() if widths.size
+                         else (math.nan,) * 3)
+        reports.append(CoverageReport(
+            method=method, n=n, beta=beta, alpha=float(alpha), replications=replications,
+            coverage=sum(covered) / replications, width_q10=q10, width_q50=q50, width_q90=q90,
+            vacuous=sum(vacuous), errors=sum(errored),
+            wall_time_s=sum(seconds for seconds, _ in cell), widths=per_rep,
+        ))
     return reports
 
 

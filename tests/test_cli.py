@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -543,10 +544,27 @@ def test_simulate_workers_flag_matches_serial(tmp_path, capsys):
     assert len(outputs["1"][0].decode().strip().split("\n")) == 1 + 3 * 2 * 2
 
 
+# sha256 of the study CSV and of its --emit-widths file for the study below;
+# a change to any set, split, draw or number format of the study moves them
+_STUDY_DIGESTS = ("e8c09c9ffd84726c0149d3f9096e79879785c0adfc7b6faf19e0bde87774a136",
+                  "578667f487bf6b8faac4ef37620bf903d39a50470cf378d82b84fd1f54959820")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_bytes_are_pinned(tmp_path, capsys, workers):
+    out, widths = tmp_path / "report.csv", tmp_path / "widths.csv"
+    assert main(["simulate", "--methods", "m1,m2,m2a,m3,m3p", "--n", "300,120", "--beta", "1,4",
+                 "--reps", "8", "--seed", "5", "--workers", workers,
+                 "--out", str(out), "--emit-widths", str(widths)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, widths))
+    assert digests == _STUDY_DIGESTS
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_simulate_rejects_workers_below_one(capsys, monkeypatch, workers):
     # the count is checked before any replication runs
-    monkeypatch.setattr("modeset.sim._run_replication", None)
+    monkeypatch.setattr("modeset.sim._run_block", None)
     assert main(["simulate", "--methods", "m1", "--n", "200", "--beta", "1",
                  "--reps", "2", "--workers", workers]) == 2
     assert "workers must be at least 1" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from modeset import (
     FBetaDensity,
     MethodInfeasibleError,
     ModeResult,
+    ModeSetError,
     RngStream,
     compute_confidence_set,
     dilate,
@@ -19,6 +20,7 @@ from modeset import (
     run_method,
 )
 from modeset.core import sort_rows, split_and_pilot, venter_pilot
+from modeset.methods import METHOD_CODES, run_methods
 
 
 def test_every_exported_name_resolves():
@@ -237,6 +239,53 @@ def test_split_and_pilot_rows_match_one_row_calls():
     for row, pts, pilot in zip(rows, points, pilots):
         one_pts, one_pilot = split_and_pilot(row[None, :], RngStream(4, 0), None)
         assert np.array_equal(pts, one_pts[0]) and pilot == one_pilot[0]
+
+
+def test_split_and_pilot_per_row_streams_match_one_row_calls():
+    # k streams split row i by stream i's permutation, as that row alone would be
+    rows = np.random.default_rng(13).normal(size=(4, 31))
+    streams = [RngStream(6, i) for i in range(4)]
+    points, pilots = split_and_pilot(rows, streams, None)
+    for row, stream, pts, pilot in zip(rows, streams, points, pilots):
+        one_pts, one_pilot = split_and_pilot(row[None, :], stream, None)
+        assert np.array_equal(pts, one_pts[0]) and pilot == one_pilot[0]
+    message = "^need one split stream or one per row, got 3 for 4 rows$"
+    with pytest.raises(ValueError, match=message):
+        split_and_pilot(rows, streams[:3], None)
+
+
+def test_run_methods_rows_match_run_method_calls():
+    # one dispatch over k rows equals k run_method calls, result for result;
+    # a row's ModeSetError is returned in its place and spares the other rows
+    k, m = 5, 240
+    rows = np.random.default_rng(14).normal(size=(k, m))
+    streams = [RngStream(15, i) for i in range(k)]
+    rows[1, streams[1].generator().permutation(m)[: m // 2]] = 0.5  # constant evaluation half
+    tie = streams[3].generator().permutation(m)[0]  # a point of row 3's evaluation half
+    rows[3, tie] = split_and_pilot(rows[3:4], streams[3], None)[1][0]  # the pilot is unchanged
+    options = dict(h=0.3, rho=1.5)
+    for split in (streams, RngStream(16, 0)):
+        results = run_methods(rows, 0.05, METHOD_CODES, split_stream=split, **options)
+        assert len(results) == k
+        for i, row in enumerate(rows):
+            stream = split[i] if isinstance(split, list) else split
+            for method, res in zip(METHOD_CODES, results[i]):
+                try:
+                    want = run_method(row, 0.05, method, split_stream=stream, **options)
+                except ModeSetError as exc:
+                    assert type(res) is type(exc) and str(res) == str(exc), (i, method)
+                else:
+                    assert repr(res) == repr(want), (i, method)
+    by_method = dict(zip(METHOD_CODES, zip(*run_methods(rows, 0.05, METHOD_CODES,
+                                                         split_stream=streams, **options))))
+    assert str(by_method["m2a"][1]) == "bandwidth grid needs a sample with positive range"
+    assert isinstance(by_method["m2a"][1], MethodInfeasibleError)
+    for method in ("m3", "m3p"):
+        assert isinstance(by_method[method][3], MethodInfeasibleError)
+        assert str(by_method[method][3]).startswith("an evaluation point coincides with the pilot")
+    failed = {(1, "m2a"), (3, "m3"), (3, "m3p")}
+    assert all(isinstance(by_method[method][i], ModeResult) == ((i, method) not in failed)
+               for method in METHOD_CODES for i in range(k))
 
 
 def test_split_sample_errors():

@@ -143,6 +143,16 @@ def test_scan_region_guards():
             scan_region(cloud2, [side, (0.0, 1.0)], 4, 0.05)
 
 
+@pytest.mark.parametrize("resolution", [2.7, (3.9, 1.5), True, (4, True), (4, "4"), (4, 0)])
+def test_scan_region_rejects_counts_that_are_not_positive_integers(resolution):
+    cloud = PointCloud.from_points(disk_points(RngStream(77, 0), 100), gamma=2.0)
+    message = f"resolution needs a positive integer per dimension, got {resolution!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scan_region(cloud, [(-1, 1), (-1, 1)], resolution, 0.05)
+    grid = scan_region(cloud, [(-1, 1), (-1, 1)], (np.int64(3), np.int32(2)), 0.05)
+    assert grid.resolution == (3, 2) and all(type(k) is int for k in grid.resolution)
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud.from_points([[1.0, np.nan]], gamma=2.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from scipy import integrate
 from modeset import (
     ModeSetError,
     RngStream,
-    compute_confidence_set,
     coverage_report_csv,
     run_coverage_study,
+    run_method,
     sample_uniform,
     study_bandwidth,
 )
 from modeset.core import venter_pilot
+from modeset.methods import METHOD_CODES
 from modeset.sim import FBetaDensity, replication_widths_csv
 
 from fbeta_ppf import ppf
@@ -236,7 +238,7 @@ def test_study_propagates_errors_that_are_not_method_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("bug")
 
-    monkeypatch.setattr("modeset.sim.run_method", broken)
+    monkeypatch.setattr("modeset.sim.run_methods", broken)
     with pytest.raises(ValueError, match="bug"):
         run_coverage_study(["m1"], [200], [1.0], replications=2, base_seed=3)
 
@@ -280,24 +282,68 @@ def test_study_default_grid_smoke():
     assert all(r.coverage == 1.0 for r in reports)  # conservative methods
 
 
-@pytest.mark.parametrize("method", ["m1", "m2", "m2a", "m3", "m3p"])
-def test_study_replications_match_direct_dispatch(method):
-    # the study runs each method exactly as compute_confidence_set does,
-    # on replication r's data stream 2r and split stream 2r + 1
-    seed, n_values, betas, reps = 17, [24, 120], [0.5, 2.0], 3
-    reports = run_coverage_study([method], n_values, betas, alpha=0.1,
+@pytest.fixture(scope="module")
+def five_method_study():
+    """One study of all five methods, so each replication's split is shared by four."""
+    seed, reps = 17, 3
+    reports = run_coverage_study(METHOD_CODES, [24, 120, 1000], [0.5, 2.0], alpha=0.1,
                                  replications=reps, base_seed=seed)
-    assert [(r.n, r.beta) for r in reports] == [(n, b) for n in n_values for b in betas]
-    for r in reports:
-        assert len(r.widths) == reps
-        for rep, width in enumerate(r.widths):
+    return seed, reps, reports
+
+
+@pytest.mark.parametrize("method", METHOD_CODES)
+def test_study_replications_match_direct_dispatch(five_method_study, method):
+    # every cell is run_method's result on replication r's data stream 2r
+    # and split stream 2r + 1: coverage, vacuous and errors as well as widths
+    seed, reps, reports = five_method_study
+    cells = [r for r in reports if r.method == method]
+    assert [(r.n, r.beta) for r in cells] == [(n, b) for n in (24, 120, 1000) for b in (0.5, 2.0)]
+    for r in cells:
+        covered = vacuous = errors = 0
+        widths = []
+        for rep in range(reps):
             data = FBetaDensity(r.beta).sample(RngStream(seed, 2 * rep), r.n)
             try:
-                cs = compute_confidence_set(
-                    data, 0.1, method, h=study_bandwidth(r.n, r.beta),
-                    split_stream=RngStream(seed, 2 * rep + 1),
-                )
+                res = run_method(data, 0.1, method, h=study_bandwidth(r.n, r.beta),
+                                 split_stream=RngStream(seed, 2 * rep + 1))
             except ModeSetError:
-                assert math.isnan(width)
+                errors += 1
+                widths.append(math.nan)
             else:
-                assert width == cs.width
+                covered += res.confidence_set.contains(0.0)
+                vacuous += res.vacuous
+                widths.append(res.confidence_set.width)
+        assert (r.coverage, r.vacuous, r.errors) == (covered / reps, vacuous, errors)
+        assert np.array_equal(r.widths, widths, equal_nan=True)
+
+
+def test_study_blocks_of_replications_do_not_change_results(monkeypatch):
+    # replications run in blocks bounded by drawn values; any blocking gives the same bytes
+    args = dict(methods=["m1", "m2", "m2a", "m3"], n_values=[150, 300], beta_values=[1.0, 4.0],
+                replications=5, base_seed=21)
+    whole = run_coverage_study(**args)
+    monkeypatch.setattr("modeset.sim._BLOCK_VALUES", 2 * 300)  # blocks of 2, 2 and 1
+    blocked = run_coverage_study(**args)
+    assert coverage_report_csv(blocked) == coverage_report_csv(whole)
+    assert replication_widths_csv(blocked) == replication_widths_csv(whole)
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(n_values=[200.7]), "sample sizes must be integers of at least 2, got [200.7]"),
+    (dict(n_values=[]), "sample sizes must be integers of at least 2, got []"),
+    (dict(replications=True), "replications must be at least 1 and an integer, got True"),
+    (dict(replications=2.5), "replications must be at least 1 and an integer, got 2.5"),
+    (dict(workers=1.5), "workers must be at least 1 and an integer, got 1.5"),
+])
+def test_study_rejects_counts_that_are_not_integers(options, message):
+    args = dict(methods=["m1"], n_values=[200], beta_values=[1.0], replications=2, base_seed=3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_coverage_study(**{**args, **options})
+
+
+def test_study_accepts_numpy_integer_counts():
+    args = dict(methods=["m1"], beta_values=[1.0], base_seed=3)
+    plain = run_coverage_study(n_values=[200], replications=2, workers=1, **args)
+    numpy = run_coverage_study(n_values=[np.int64(200)], replications=np.int32(2),
+                               workers=np.int64(1), **args)
+    assert coverage_report_csv(numpy) == coverage_report_csv(plain)
