@@ -10,8 +10,6 @@ raises ``MethodInfeasibleError``.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
 import numpy as np
 
 from .core import (
@@ -46,18 +44,8 @@ _RHO = 2.0  # m3p's default damping exponent, also the one covers uses
 _SPLIT_STREAM = RngStream(0, 0)
 
 
-def run_methods(rows, alpha: float, methods, *, h: float | None = None, h_grid=None,
-                rho: float = _RHO, pilot_r: int | None = None,
-                split_stream: RngStream | Sequence[RngStream] = _SPLIT_STREAM,
-                ) -> list[list[ModeResult | ModeSetError]]:
-    """Row i's result of ``methods[j]``, or the ``ModeSetError`` it raised,
-    as ``out[i][j]`` for the rows of the (k, m) matrix ``rows``.
-
-    The options are :func:`run_method`'s, checked with alpha before any
-    method runs; ``split_stream`` is one stream for all rows or one per
-    row.  ``m1`` runs all rows as one batch and the split methods share
-    one split, so each row's results are :func:`run_method`'s on that row.
-    """
+def _check_options(alpha, methods, h, h_grid, rho):
+    """Check alpha, then each method's code and own option; returns ``h_grid`` as an array."""
     check_alpha(alpha)
     for method in methods:
         if method not in METHOD_OPTIONS:
@@ -79,7 +67,13 @@ def run_methods(rows, alpha: float, methods, *, h: float | None = None, h_grid=N
                 raise ValueError("h_grid must be strictly ascending")
         elif "rho" in taken and not 1.0 < rho < math.inf:
             raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
-    rows, columns, split = np.asarray(rows, dtype=np.float64), [], None
+    return h_grid
+
+
+def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r=None,
+                    split_stream=_SPLIT_STREAM):
+    """Yield each method's column of :func:`run_methods`, its options already checked."""
+    split = None
     for method in methods:
         try:
             if method == "m1":
@@ -92,7 +86,21 @@ def run_methods(rows, alpha: float, methods, *, h: float | None = None, h_grid=N
                           for p, c in zip(*split)]
         except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
             column = [exc] * len(rows)
-        columns.append(column)
+        yield column
+
+
+def run_methods(rows, alpha: float, methods, *, h: float | None = None, h_grid=None,
+                rho: float = _RHO, pilot_r: int | None = None, split_stream=_SPLIT_STREAM):
+    """``out[i][j]``: row i of the (k, m) matrix ``rows`` run by ``methods[j]``,
+    a ``ModeResult`` or the ``ModeSetError`` that row raised.
+
+    The options are :func:`run_method`'s, checked with alpha before any
+    method runs; ``split_stream`` is one stream for all rows or one per
+    row.  ``m1`` runs all rows as one batch and the split methods share
+    one split, so each row's results are :func:`run_method`'s on that row.
+    """
+    h_grid, rows = _check_options(alpha, methods, h, h_grid, rho), np.asarray(rows, dtype=float)
+    columns = list(_method_columns(rows, alpha, methods, h, h_grid, rho, pilot_r, split_stream))
     return [[column[i] for column in columns] for i in range(len(rows))]
 
 
@@ -133,17 +141,14 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
     Every method but ``m1`` splits the sample with ``split_stream`` and
     takes its pilot from one half, with window ``pilot_r``, and reports it
     in ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and
-    ``vacuous``.  The data must be a nonempty 1-D finite sequence; then
-    alpha and the named method's own option are checked before the method
-    runs.  Options a method does not take (``METHOD_OPTIONS``) are
-    ignored.  This is the one-row case of :func:`run_methods`.
+    ``vacuous``.  Alpha and the named method's own option are checked
+    before the sample; options a method does not take (``METHOD_OPTIONS``)
+    are ignored.  This is the one-row case of :func:`run_methods`.
     """
-    return _unwrap(run_methods(_as_finite_1d(data)[None, :], alpha, [method], h=h, h_grid=h_grid,
-                               rho=rho, pilot_r=pilot_r, split_stream=split_stream)[0][0])
-
-
-def _unwrap(result: ModeResult | ModeSetError) -> ModeResult:
-    """A row's result of :func:`run_methods`, raising the error it holds."""
+    # checked first, so a bad alpha is reported before any sample-size check
+    h_grid = _check_options(alpha, [method], h, h_grid, rho)
+    [result], = _method_columns(_as_finite_1d(data)[None, :], alpha, [method], h, h_grid, rho,
+                                pilot_r, split_stream)
     if isinstance(result, ModeSetError):
         raise result
     return result
@@ -168,8 +173,9 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
     if method == "m1":
         lo, hi = m1_bounds(sort_rows(rows), alpha)
         return (lo <= x) & (x <= hi)
-    if method == "m2a":
-        sets = [_unwrap(row[0]).confidence_set for row in run_methods(rows, alpha, ["m2a"])]
-        return np.array([cs.contains(x) for cs in sets], dtype=bool)
     points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
-    return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)
+    if method != "m2a":
+        return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)
+    slack = dkw_count_slack(points.shape[1], alpha)
+    sets = [_sweep(p, float(c), default_bandwidth_grid(p), slack) for p, c in zip(points, pilots)]
+    return np.array([res.confidence_set.contains(x) for res in sets], dtype=bool)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModeSetError, check_alpha, is_count
-from .methods import METHOD_CODES, run_methods
+from .methods import METHOD_CODES, _method_columns
 from .numerics import RngStream, sample_uniform
 
 __all__ = [
@@ -123,11 +123,11 @@ class CoverageReport:
 
     ``coverage`` counts replications whose set contains the true mode 0,
     divided by all replications (errored replications count as misses).
-    ``wall_time_s`` sums, over blocks of replications, the time of the
-    call that ran every method at this cell's (n, beta), in whichever
-    process ran it: the methods share one split, so all methods' cells at
-    one (n, beta) report the same time.  It excludes sampling the shared
-    data and is measured, so it stays out of the deterministic CSV payload.
+    ``wall_time_s`` sums this cell's method time over blocks of
+    replications, in whichever process ran each; the split methods share a
+    split per (n, replication), timed with the first of them in ``methods``.
+    It excludes sampling the shared data and is measured, so it stays out
+    of the deterministic CSV payload.
     """
 
     method: str
@@ -145,32 +145,29 @@ class CoverageReport:
     widths: tuple[float, ...] = field(compare=False)
 
 
-_BLOCK_VALUES = 2**18  # cap on a block's replications times the largest n
+_BLOCK_VALUES = 2**15  # cap on a block's replications times the largest n
 
 
 def _run_block(methods, n_values, beta, alpha, base_seed, reps):
-    """Replications ``reps`` (a range) of every (method, n) cell at one beta:
-    the data are drawn once, at the largest n, and each n runs every method
-    as one :func:`run_methods` call on the length-n prefixes.  Returns, per
-    n, that call's seconds and, per method, one (covered, width, vacuous,
-    errored) tuple per replication.
-    """
+    """Per n and method at one beta, the method's seconds and a (covered, width,
+    vacuous, errored) tuple for each replication in the range ``reps``, drawn
+    once at the largest n and dispatched once per n on the length-n prefixes."""
     density = FBetaDensity(beta)
     full = np.stack([density.sample(RngStream(base_seed, 2 * rep), max(n_values)) for rep in reps])
     full.setflags(write=False)  # shared by every cell: no method may write to it
     by_n = []
     for n in n_values:
-        start = time.perf_counter()
-        results = run_methods(full[:, :n], alpha, methods, h=study_bandwidth(n, beta),
-                              split_stream=[RngStream(base_seed, 2 * rep + 1) for rep in reps])
-        seconds = time.perf_counter() - start
-        # data a method cannot handle (too small, pilot collision) is an error, not a crash
-        by_n.append((seconds, [
-            [(False, math.nan, False, True) if isinstance(res, ModeSetError) else
-             (res.confidence_set.contains(0.0), res.confidence_set.width, res.vacuous, False)
-             for res in column]
-            for column in zip(*results)
-        ]))
+        columns = _method_columns(full[:, :n], alpha, methods, h=study_bandwidth(n, beta),
+                                  split_stream=[RngStream(base_seed, 2 * rep + 1) for rep in reps])
+        by_method, start = [], time.perf_counter()
+        for column in columns:  # the shared split is timed with the first split method
+            # data a method cannot handle (too small, pilot collision) is an error, not a crash
+            outcomes = [(False, math.nan, False, True) if isinstance(res, ModeSetError) else
+                        (res.confidence_set.contains(0.0), res.confidence_set.width, res.vacuous,
+                         False) for res in column]
+            by_method.append((time.perf_counter() - start, outcomes))
+            start = time.perf_counter()
+        by_n.append(by_method)
     return by_n
 
 
@@ -184,12 +181,11 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
     length-n prefix of that draw and splits it with stream ``2r + 1``.
     Cells thus share datasets (common random numbers across methods and,
     by prefix, across sample sizes) and the whole study is reproducible
-    bit for bit.  Jobs of one beta and a block of replications hold at
-    most 2**18 drawn values; ``workers`` > 1 spreads them, in blocks of at
-    most ``replications / workers``, over one process pool for the whole
-    study without changing any result.  Arguments are validated before any
-    replication runs; a replication that raises ``ModeSetError`` counts as
-    an error, while any other exception propagates.
+    bit for bit.  A job runs one beta on a block of replications (at most
+    2**15 drawn values, and replications / workers); ``workers`` > 1 spreads
+    the jobs over one process pool without changing any result.  Arguments
+    are validated first; a replication that raises ``ModeSetError`` counts
+    as an error, while any other exception propagates.
     """
     for name, count in (("replications", replications), ("workers", workers)):
         if not is_count(count) or count < 1:
@@ -222,8 +218,8 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
     reports: list[CoverageReport] = []
     cells = itertools.product(enumerate(methods), enumerate(n_values), enumerate(beta_values))
     for (m, method), (i, n), (b, beta) in cells:
-        cell = [job[i] for job in by_job[b * len(blocks):(b + 1) * len(blocks)]]
-        outcomes = [outcome for _, by_method in cell for outcome in by_method[m]]
+        cell = [job[i][m] for job in by_job[b * len(blocks):(b + 1) * len(blocks)]]
+        outcomes = [outcome for _, block in cell for outcome in block]
         covered, per_rep, vacuous, errored = zip(*outcomes)  # per_rep holds NaN where errored
         widths = np.array([w for w, err in zip(per_rep, errored) if not err], dtype=np.float64)
         q10, q50, q90 = (np.quantile(widths, [0.1, 0.5, 0.9]).tolist() if widths.size

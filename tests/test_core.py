@@ -52,6 +52,16 @@ def test_run_method_rejects_bad_input():
             run_method([[1.0, 2.0]] * 50, 0.05, method)
 
 
+def test_run_method_checks_alpha_and_options_before_the_sample():
+    nan_data = [1.0, math.nan] * 50
+    with pytest.raises(ValueError, match="alpha must lie strictly in"):
+        run_method(nan_data, 1.5, "m1")
+    with pytest.raises(ValueError, match="requires a fixed bandwidth h"):
+        run_method(nan_data, 0.05, "m2")
+    with pytest.raises(ValueError, match="rho must exceed 1"):
+        run_method(nan_data, 0.05, "m3p", rho=0.5)
+
+
 def _merge_oracle(raw) -> ConfidenceSet:
     """The reference for make_confidence_set, a plain Python list merge:
     the tuple-sorted pairs, each merged into the interval before it unless

@@ -238,7 +238,7 @@ def test_study_propagates_errors_that_are_not_method_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("bug")
 
-    monkeypatch.setattr("modeset.sim.run_methods", broken)
+    monkeypatch.setattr("modeset.sim._method_columns", broken)
     with pytest.raises(ValueError, match="bug"):
         run_coverage_study(["m1"], [200], [1.0], replications=2, base_seed=3)
 
@@ -326,6 +326,27 @@ def test_study_blocks_of_replications_do_not_change_results(monkeypatch):
     blocked = run_coverage_study(**args)
     assert coverage_report_csv(blocked) == coverage_report_csv(whole)
     assert replication_widths_csv(blocked) == replication_widths_csv(whole)
+
+
+def test_study_times_each_method_on_its_own(monkeypatch):
+    # a cell's time is its own method's column of each dispatch, summed over blocks
+    import modeset.sim as sim
+    clock, real = [0.0], sim._method_columns
+    cost = {"m1": 1.0, "m2": 10.0, "m3": 100.0}
+
+    def costed(rows, alpha, methods, **options):
+        for method, column in zip(methods, real(rows, alpha, methods, **options)):
+            clock[0] += cost[method]
+            yield column
+
+    monkeypatch.setattr("modeset.sim._method_columns", costed)
+    monkeypatch.setattr("modeset.sim.time", type("Clock", (), {"perf_counter": lambda: clock[0]}))
+    monkeypatch.setattr("modeset.sim._BLOCK_VALUES", 300)  # three blocks of one replication
+    reports = run_coverage_study(["m1", "m2", "m3"], [200, 300], [1.0], replications=3,
+                                 base_seed=4)
+    assert [(r.method, r.n, r.wall_time_s) for r in reports] == [
+        ("m1", 200, 3.0), ("m1", 300, 3.0), ("m2", 200, 30.0), ("m2", 300, 30.0),
+        ("m3", 200, 300.0), ("m3", 300, 300.0)]
 
 
 @pytest.mark.parametrize("options, message", [
