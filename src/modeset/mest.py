@@ -45,17 +45,6 @@ def dkw_count_slack(n: int, alpha: float) -> float:
     return 2.0 * math.sqrt(2.0 * n * math.log(2.0 / alpha))
 
 
-def _window_count(starts: np.ndarray, ends: np.ndarray, theta) -> np.ndarray | int:
-    """N(theta) from the sorted X_i - h and X_i + h: the windows holding theta.
-
-    N(theta) counts the points with theta - h < X_i <= theta + h: the
-    indicator of point i is 1 exactly on [X_i - h, X_i + h).
-    """
-    return np.searchsorted(starts, theta, side="right") - np.searchsorted(
-        ends, theta, side="right"
-    )
-
-
 def _level_runs(starts: np.ndarray, ends: np.ndarray,
                 cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (lo, hi) of pieces whose union is the set N(theta) >= cutoff.
@@ -76,7 +65,7 @@ def _level_runs(starts: np.ndarray, ends: np.ndarray,
 
 
 def _pilot_counts(points: np.ndarray, pilot: float, hs: np.ndarray) -> np.ndarray:
-    """N(pilot) for every bandwidth in ``hs``, equal to :func:`_window_count`'s.
+    """N(pilot) for every bandwidth in ``hs``: the windows [X_i - h, X_i + h) holding it.
 
     Rounding is monotone, so the count of X_i + s <= pilot (s = -h for the
     starts, +h for the ends) is the j with X_{j-1} + s <= pilot < X_j + s.
@@ -96,47 +85,69 @@ def _pilot_counts(points: np.ndarray, pilot: float, hs: np.ndarray) -> np.ndarra
 
 
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
-    """The narrowest dilated level set over the bandwidth ``grid`` for the
-    sorted evaluation ``points``, with its bandwidth and diagnostics.
+    """The narrowest dilated level set over the ascending bandwidth ``grid``
+    for the sorted evaluation ``points``, with its bandwidth and diagnostics.
 
     One vectorized count gives every bandwidth's cutoff.  A cutoff <= 0
     excludes nothing: the set is the dilated knot hull, whose width is
-    closed-form.  Only the other bandwidths build their pieces, shifted by
-    h and joined once (rounding is monotone, so no gap closed by the shift
-    reopens), and sum the runs' widths left to right, as
-    ``ConfidenceSet.width`` does.  Ties go to the smallest h, and only the
-    winner's sets are built.
+    closed-form.  The other bandwidths, in ascending h, build their pieces,
+    shifted by h and joined once (rounding is monotone, so no gap closed by
+    the shift reopens), and sum the runs' widths left to right, as
+    ``ConfidenceSet.width`` does.  The set holds the pilot, and the sum's
+    terms are nonnegative, so a width is at least its floor
+    (pilot + h) - (pilot - h), which grows with h.  Ties go to the smallest
+    h, so the walk stops once a floor reaches a width at a smaller h or
+    exceeds one at a larger h: the winner is bit for bit the one every
+    width would pick, and its runs are kept unless it is vacuous.
     """
     hs = np.asarray(grid, dtype=np.float64)
     with np.errstate(over="ignore"):  # a huge h gives infinite ends, as with Python floats
         cutoffs = _pilot_counts(points, pilot, hs) - slack
-        widths = ((points[-1] + hs) + hs) - ((points[0] - hs) - hs)
+        hulls = ((points[-1] + hs) + hs) - ((points[0] - hs) - hs)
+        widths = np.where(cutoffs > 0.0, math.inf, hulls)
+        floors, kept = (pilot + hs) - (pilot - hs), (None,)
         for i in np.flatnonzero(cutoffs > 0.0):
+            prior = widths[:i].min(initial=math.inf)
+            if floors[i] >= prior or floors[i] > widths[i:].min():
+                break
             lo, hi = _level_runs(points - hs[i], points + hs[i], float(cutoffs[i]))
             dlo, dhi = join_runs(lo - hs[i], hi + hs[i])
             widths[i] = np.cumsum(dhi - dlo)[-1]
+            kept = (i, lo, hi, dlo, dhi) if widths[i] < prior else kept
         best = int(np.argmin(widths))
         h, cutoff = float(hs[best]), float(cutoffs[best])
-        lo, hi = _level_runs(points - h, points + h, cutoff)
-        dlo, dhi = join_runs(lo - h, hi + h)
+        if kept[0] != best:  # a vacuous winner, or every width infinite
+            lo, hi = _level_runs(points - h, points + h, cutoff)
+            kept = best, lo, hi, *join_runs(lo - h, hi + h)
+        _, lo, hi, dlo, dhi = kept
     return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=cutoff <= 0.0, pilot=pilot,
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 
 
-def geometric_grid(lo: float, hi: float, size: int) -> np.ndarray:
-    """``size`` geometric bandwidths from ``lo`` to ``hi`` as an ascending float64 array."""
-    if not 0 < lo <= hi < math.inf:
-        raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {lo}, {hi}")
+def geometric_grid(lo, hi, size: int):
+    """``size`` geometric bandwidths from ``lo`` to ``hi`` as an ascending float64 array, or
+    for 1-D arrays of bounds, the list of their grids, each the scalar call's bit for bit."""
+    for a, b in zip(np.atleast_1d(lo), np.atleast_1d(hi)):
+        if not 0 < a <= b < math.inf:
+            raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {a}, {b}")
     if size < 1:
         raise ValueError(f"bandwidth grid size must be at least 1, got {size}")
-    return np.unique(np.geomspace(lo, hi, size))
+    grids = [grid if np.all(grid[1:] > grid[:-1]) else np.unique(grid)  # rounding can repeat
+             for grid in np.atleast_2d(np.geomspace(lo, hi, size, axis=-1))]
+    return grids if np.ndim(lo) else grids[0]
 
 
-def default_bandwidth_grid(points, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """:func:`geometric_grid` from half the finest gap of ascending ``points`` to their range."""
-    pts = np.asarray(points, dtype=np.float64)
-    span = float(pts[-1] - pts[0])
-    if span <= 0:
-        raise MethodInfeasibleError("bandwidth grid needs a sample with positive range")
-    gaps = np.diff(pts)
-    return geometric_grid(float(gaps[gaps > 0].min()) / 2.0, span, size)
+def default_bandwidth_grid(points, size: int = DEFAULT_GRID_SIZE):
+    """:func:`geometric_grid` from half the finest gap of ascending ``points`` to their range;
+    for a (k, m) matrix of such rows, the list of their grids from one call, holding a
+    ``MethodInfeasibleError`` for a row with zero range, which a one-row call raises."""
+    rows = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    spans, gaps = rows[:, -1] - rows[:, 0], np.diff(rows, axis=1)
+    fine = np.where(gaps > 0, gaps, math.inf).min(axis=1, initial=math.inf) / 2.0
+    grids = iter(geometric_grid(fine[spans > 0], spans[spans > 0], size))
+    out = [next(grids) if span > 0 else
+           MethodInfeasibleError("bandwidth grid needs a sample with positive range")
+           for span in spans]
+    if np.ndim(points) == 1 and isinstance(out[0], MethodInfeasibleError):
+        raise out[0]
+    return out if np.ndim(points) > 1 else out[0]

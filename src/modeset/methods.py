@@ -82,8 +82,11 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
                           for ends in zip(lo[:, None], hi[:, None])]
             else:
                 split = split or split_and_pilot(rows, split_stream, pilot_r)
-                column = [_split_result(method, p, float(c), alpha, h, h_grid, rho)
-                          for p, c in zip(*split)]
+                grids = (default_bandwidth_grid(split[0]) if method == "m2a" and h_grid is None
+                         else [h_grid] * len(rows))
+                column = [grid if isinstance(grid, ModeSetError) else
+                          _split_result(method, p, float(c), alpha, h, grid, rho)
+                          for p, c, grid in zip(*split, grids)]
         except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
             column = [exc] * len(rows)
         yield column
@@ -110,8 +113,7 @@ def _split_result(method, points, pilot, alpha, h, h_grid, rho) -> ModeResult | 
         if method == "m2":
             return _sweep(points, pilot, np.array([h]), hoeffding_count_slack(points.size, alpha))
         if method == "m2a":
-            grid = h_grid if h_grid is not None else default_bandwidth_grid(points)
-            return _sweep(points, pilot, grid, dkw_count_slack(points.size, alpha))
+            return _sweep(points, pilot, h_grid, dkw_count_slack(points.size, alpha))
         cs = _concentration_set(points, pilot, alpha, rho if method == "m3p" else None)
         return ModeResult(cs, pilot=pilot)
     except ModeSetError as exc:
@@ -173,9 +175,11 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
     if method == "m1":
         lo, hi = m1_bounds(sort_rows(rows), alpha)
         return (lo <= x) & (x <= hi)
+    if method == "m2a":
+        [results] = _method_columns(rows, alpha, [method])
+        for res in results:
+            if isinstance(res, ModeSetError):
+                raise res
+        return np.array([res.confidence_set.contains(x) for res in results], dtype=bool)
     points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
-    if method != "m2a":
-        return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)
-    slack = dkw_count_slack(points.shape[1], alpha)
-    sets = [_sweep(p, float(c), default_bandwidth_grid(p), slack) for p, c in zip(points, pilots)]
-    return np.array([res.confidence_set.contains(x) for res in sets], dtype=bool)
+    return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)

@@ -205,6 +205,8 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
     beta_values = [float(beta) for beta in beta_values]
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
+    if not is_count(base_seed):
+        raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
     RngStream(int(base_seed))  # raises on a seed outside the unsigned 64-bit range
     block = max(1, min(_BLOCK_VALUES // max(n_values), -(-replications // workers)))
     blocks = [range(r, min(r + block, replications)) for r in range(0, replications, block)]

@@ -561,6 +561,22 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys, workers):
     assert digests == _STUDY_DIGESTS
 
 
+# m2 and m2a at sample sizes where the m2a sweep stops before its last
+# informative bandwidth
+_LARGE_N_STUDY_DIGESTS = ("1c22461ac97a28a48fa4a1dcd9a6d10104464bd1bcccd18a01d8961dc6815041",
+                          "268da565833f3c6dc23faebb331c498a3894b1667561f997a810fe40c45debbd")
+
+
+def test_simulate_bytes_are_pinned_at_large_n(tmp_path, capsys):
+    out, widths = tmp_path / "report.csv", tmp_path / "widths.csv"
+    assert main(["simulate", "--methods", "m2,m2a", "--n", "1000,16000", "--beta", "0.5,4",
+                 "--reps", "20", "--seed", "9", "--out", str(out),
+                 "--emit-widths", str(widths)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, widths))
+    assert digests == _LARGE_N_STUDY_DIGESTS
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_simulate_rejects_workers_below_one(capsys, monkeypatch, workers):
     # the count is checked before any replication runs

@@ -17,12 +17,12 @@ from modeset.mest import (
     _level_runs,
     _pilot_counts,
     _sweep,
-    _window_count,
     default_bandwidth_grid,
     dkw_count_slack,
     geometric_grid,
     hoeffding_count_slack,
 )
+from window_count import window_count as _window_count
 
 
 def test_count_slacks_match_direct_evaluation():
@@ -371,6 +371,84 @@ def test_default_bandwidth_grid_requires_spread():
 
     with pytest.raises(MethodInfeasibleError):
         default_bandwidth_grid(np.full(10, 2.0))
+
+
+def _row_grid(points, size):
+    """One row's grid as the one-call-per-row code built it."""
+    gaps = np.diff(points)
+    return np.unique(np.geomspace(float(gaps[gaps > 0].min()) / 2.0,
+                                  float(points[-1] - points[0]), size))
+
+
+def test_bandwidth_grids_of_a_matrix_match_row_grids_bit_for_bit():
+    # subnormal points: 64 bandwidths between 5e-324 and 2e-323 repeat values
+    tiny = np.array([0.0, 1e-323, 2e-323])
+    matrices, repeats = [np.stack([tiny, tiny * 3])], 0
+    for beta in (0.5, 1.0, 4.0):
+        for n in (100, 1000, 4000):
+            data = np.stack([FBetaDensity(beta).sample(RngStream(80, 4 * n + rep), n)
+                             for rep in range(4)])
+            matrices.append(split_and_pilot(data, RngStream(81, n), None)[0])
+    for size in (64, 7, 1):
+        for matrix in matrices:
+            grids = default_bandwidth_grid(matrix, size)
+            assert len(grids) == len(matrix)
+            for points, grid in zip(matrix, grids):
+                want = _row_grid(points, size)
+                repeats += want.size < size
+                assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
+                assert default_bandwidth_grid(points, size).tobytes() == want.tobytes()
+    assert repeats >= 3
+
+
+def test_run_methods_fails_only_the_m2a_row_with_zero_range():
+    from modeset import MethodInfeasibleError
+    from modeset.methods import covers, run_methods
+
+    rows = np.stack([FBetaDensity(1.0).sample(RngStream(82, rep), 400) for rep in range(3)])
+    rows[1] = 2.0  # its pilot is 2.0, but its evaluation half has no range
+    out = run_methods(rows, 0.05, ["m2a"])
+    error = out[1][0]
+    assert isinstance(error, MethodInfeasibleError)
+    assert str(error) == "bandwidth grid needs a sample with positive range"
+    for row, [res] in zip(rows[::2], out[::2]):
+        want = run_method(row, 0.05, "m2a")
+        assert (res.confidence_set, res.h, res.pilot) == (want.confidence_set, want.h, want.pilot)
+    # a scan reports the row's error, as with any cell that fails
+    assert covers(rows[::2], 0.0, 0.05, "m2a").tolist() == [
+        res.confidence_set.contains(0.0) for [res] in out[::2]]
+    with pytest.raises(MethodInfeasibleError, match="^bandwidth grid needs a sample with positive"):
+        covers(rows, 0.0, 0.05, "m2a")
+
+
+def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatch):
+    # each informative bandwidth the sweep builds reads its level runs
+    # once, and the winner's are kept; the floor (pilot + h) - (pilot - h)
+    # ends the walk early on these rows
+    built = []
+    real = _level_runs
+
+    def counted(starts, ends, cutoff):
+        built.append(cutoff > 0.0)
+        return real(starts, ends, cutoff)
+
+    monkeypatch.setattr("modeset.mest._level_runs", counted)
+    informative = 0
+    for beta in (1.0, 4.0):
+        for n in (1000, 4000):
+            for rep in range(4):
+                data = FBetaDensity(beta).sample(RngStream(71, rep), n)
+                points, pilots = split_and_pilot(data[None, :], RngStream(72, rep), None)
+                pts, pilot = points[0], float(pilots[0])
+                grid, slack = default_bandwidth_grid(pts), dkw_count_slack(pts.size, 0.05)
+                informative += int(np.count_nonzero(_pilot_counts(pts, pilot, grid) > slack))
+                _sweep(pts, pilot, grid, slack)
+    assert informative >= 150
+    assert sum(built) <= 0.75 * informative
+    # an informative single bandwidth, as m2 has, is built once
+    built.clear()
+    assert not _sweep(pts, pilot, grid[-1:], slack).vacuous
+    assert built == [True]
 
 
 def test_count_slacks_independent_of_bandwidth():

@@ -355,6 +355,8 @@ def test_study_times_each_method_on_its_own(monkeypatch):
     (dict(replications=True), "replications must be at least 1 and an integer, got True"),
     (dict(replications=2.5), "replications must be at least 1 and an integer, got 2.5"),
     (dict(workers=1.5), "workers must be at least 1 and an integer, got 1.5"),
+    (dict(base_seed=2.7), "base_seed must be an integer, got 2.7"),
+    (dict(base_seed=True), "base_seed must be an integer, got True"),
 ])
 def test_study_rejects_counts_that_are_not_integers(options, message):
     args = dict(methods=["m1"], n_values=[200], beta_values=[1.0], replications=2, base_seed=3)
