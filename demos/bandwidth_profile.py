@@ -26,7 +26,7 @@ print(f"pilot estimate {pilot:.4f}; evaluation half n={points.size}; "
       f"count slack {slack:.1f}\n")
 print(f"{'h':>8}  {'N(pilot)':>8}  {'binds':>5}  {'width':>8}")
 
-grid = default_bandwidth_grid(points, size=24)
+[grid] = default_bandwidth_grid(halves, size=24)
 best_h, best_width = None, np.inf
 for h in grid:
     # a one-bandwidth grid: the m2a set at this h, with the same split

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, is_count
 
 __all__ = [
     "ModeSetError",
@@ -36,11 +36,6 @@ def check_alpha(alpha: float) -> None:
     """Raise ``ValueError`` unless the level ``alpha`` lies strictly in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is an integer: an ``int`` or NumPy integer, not a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_finite_1d(data) -> np.ndarray:
@@ -204,7 +199,7 @@ def split_and_pilot(
     to even) and each row's :func:`venter_pilot`, window ``r``, of the other."""
     k, m = rows.shape
     if m < 2:
-        raise ValueError("splitting requires at least 2 observations")
+        raise MethodInfeasibleError(f"splitting needs at least 2 observations, got {m}")
     n2 = round(m / 2)
     if isinstance(streams, RngStream):  # a plain take: several times faster than the gather
         halves = [rows.take(p, axis=1) for p in np.split(streams.generator().permutation(m), [n2])]
@@ -238,12 +233,13 @@ def venter_pilot(values: np.ndarray, r: int | None = None) -> np.ndarray:
                 f"pilot mode estimate needs at least 3 points, got {n}"
             )
         r = min(math.ceil(math.sqrt(n)), (n - 1) // 2)
-    if not isinstance(r, (int, np.integer)) or r < 1:
+    if not is_count(r) or r < 1:
         raise ValueError(f"window size r must be a positive integer, got {r}")
     if n < 2 * r + 1:
         raise MethodInfeasibleError(
             f"pilot window r={r} needs n >= {2 * r + 1}, got n={n}"
         )
-    gaps = values[:, 2 * r:] - values[:, :-2 * r]
+    with np.errstate(over="ignore"):  # a gap past the largest float is inf: never the narrowest
+        gaps = values[:, 2 * r:] - values[:, :-2 * r]
     j = np.argmin(gaps, axis=1)  # first minimum: smallest j
     return values[np.arange(values.shape[0]), r + j]

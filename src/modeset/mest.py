@@ -137,17 +137,15 @@ def geometric_grid(lo, hi, size: int):
     return grids if np.ndim(lo) else grids[0]
 
 
-def default_bandwidth_grid(points, size: int = DEFAULT_GRID_SIZE):
-    """:func:`geometric_grid` from half the finest gap of ascending ``points`` to their range;
-    for a (k, m) matrix of such rows, the list of their grids from one call, holding a
-    ``MethodInfeasibleError`` for a row with zero range, which a one-row call raises."""
-    rows = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    spans, gaps = rows[:, -1] - rows[:, 0], np.diff(rows, axis=1)
+def default_bandwidth_grid(rows, size: int = DEFAULT_GRID_SIZE) -> list:
+    """Each row's :func:`geometric_grid`, all from one call, for a (k, m) matrix of ascending
+    rows: from half the row's finest gap (at least 5e-324) to its range, or a
+    ``MethodInfeasibleError`` for a row whose range is zero or past the largest float."""
+    rows = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a range past the largest float is inf
+        spans, gaps = rows[:, -1] - rows[:, 0], np.diff(rows, axis=1)
     fine = np.where(gaps > 0, gaps, math.inf).min(axis=1, initial=math.inf) / 2.0
-    grids = iter(geometric_grid(fine[spans > 0], spans[spans > 0], size))
-    out = [next(grids) if span > 0 else
-           MethodInfeasibleError("bandwidth grid needs a sample with positive range")
-           for span in spans]
-    if np.ndim(points) == 1 and isinstance(out[0], MethodInfeasibleError):
-        raise out[0]
-    return out if np.ndim(points) > 1 else out[0]
+    ok = (0 < spans) & (spans < math.inf)
+    grids = iter(geometric_grid(np.maximum(fine[ok], 5e-324), spans[ok], size))
+    return [next(grids) if good else MethodInfeasibleError(
+        "bandwidth grid needs a sample with positive, finite range") for good in ok]

@@ -26,8 +26,7 @@ from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_cou
 from .numerics import RngStream
 from .spacings import m1_bounds
 
-__all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method",
-           "run_methods"]
+__all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method"]
 
 # the keyword options of run_method that each method takes; it ignores the rest
 METHOD_OPTIONS = {
@@ -72,7 +71,13 @@ def _check_options(alpha, methods, h, h_grid, rho):
 
 def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r=None,
                     split_stream=_SPLIT_STREAM):
-    """Yield each method's column of :func:`run_methods`, its options already checked."""
+    """Yield each method's column for the (k, m) matrix ``rows``: ``column[i]`` is row i's
+    ``ModeResult`` or the ``ModeSetError`` it raised, as :func:`run_method` gives it.
+
+    The options are :func:`run_method`'s, checked by ``_check_options``;
+    ``split_stream`` is one stream for all rows or one per row.  ``m1`` runs
+    all rows as one batch and the split methods share one split.
+    """
     split = None
     for method in methods:
         try:
@@ -90,21 +95,6 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
         except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
             column = [exc] * len(rows)
         yield column
-
-
-def run_methods(rows, alpha: float, methods, *, h: float | None = None, h_grid=None,
-                rho: float = _RHO, pilot_r: int | None = None, split_stream=_SPLIT_STREAM):
-    """``out[i][j]``: row i of the (k, m) matrix ``rows`` run by ``methods[j]``,
-    a ``ModeResult`` or the ``ModeSetError`` that row raised.
-
-    The options are :func:`run_method`'s, checked with alpha before any
-    method runs; ``split_stream`` is one stream for all rows or one per
-    row.  ``m1`` runs all rows as one batch and the split methods share
-    one split, so each row's results are :func:`run_method`'s on that row.
-    """
-    h_grid, rows = _check_options(alpha, methods, h, h_grid, rho), np.asarray(rows, dtype=float)
-    columns = list(_method_columns(rows, alpha, methods, h, h_grid, rho, pilot_r, split_stream))
-    return [[column[i] for column in columns] for i in range(len(rows))]
 
 
 def _split_result(method, points, pilot, alpha, h, h_grid, rho) -> ModeResult | ModeSetError:
@@ -145,7 +135,7 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
     in ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and
     ``vacuous``.  Alpha and the named method's own option are checked
     before the sample; options a method does not take (``METHOD_OPTIONS``)
-    are ignored.  This is the one-row case of :func:`run_methods`.
+    are ignored.  This is the one-row case of :func:`_method_columns`.
     """
     # checked first, so a bad alpha is reported before any sample-size check
     h_grid = _check_options(alpha, [method], h, h_grid, rho)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_count
 from .methods import covers
+from .numerics import is_count
 
 __all__ = [
     "MembershipGrid",
@@ -66,24 +66,16 @@ class PointCloud:
 
 
 def radial_transform(cloud: PointCloud, theta) -> np.ndarray:
-    """Transformed sample {||X_i - theta||_2 ** gamma}; zero exactly at X_i = theta.
-
-    ``theta`` is one candidate of shape (d,), giving shape (n,), or k
-    candidates of shape (k, d), giving one row per candidate, (k, n).
-    """
+    """Transformed sample {||X_i - theta||_2 ** gamma} of one candidate ``theta`` of
+    shape (d,), giving shape (n,); zero exactly at X_i = theta."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim < 2:
-        theta = theta.reshape(-1)
-    if theta.ndim > 2 or theta.shape[-1] != cloud.d:
-        raise ValueError(
-            f"candidate points must have shape (d,) or (k, d) with d = {cloud.d}, "
-            f"got {theta.shape}"
-        )
+    if theta.shape != (cloud.d,):
+        raise ValueError(f"candidate theta must have shape ({cloud.d},), got {theta.shape}")
     # left to right, one coordinate at a time; an overflow gives inf, which `covers` rejects
     squares = 0.0
     with np.errstate(over="ignore"):
         for j in range(cloud.d):
-            squares = squares + np.square(cloud.points[:, j] - theta[..., j, None])
+            squares = squares + np.square(cloud.points[:, j] - theta[j])
         return _radii_power(squares, cloud.gamma)
 
 
@@ -108,8 +100,6 @@ def contains_mode_candidate(
     The spacing interval m1 is the default: it needs no sample split, and
     its left tail extension handles a mode sitting at the support boundary 0.
     """
-    if np.shape(theta) != (cloud.d,):
-        raise ValueError(f"candidate theta must have shape ({cloud.d},), got {np.shape(theta)}")
     return bool(covers(radial_transform(cloud, theta)[None, :], 0.0, alpha, algorithm)[0])
 
 
@@ -143,8 +133,9 @@ def scan_region(
     an int or per-dimension counts.  Restricted to d <= 3 and at most 1e7
     cells.  Cells are tested block by block along the last axis (index order
     when one block spans it), in chunks of 2**16 // n (at least one) that
-    share each block's squared distances; ``m1``, ``m3`` and ``m3p`` test a
-    whole chunk as one batch, and ``m2a`` builds each cell's set.
+    add their rows' squares to each block's squared distances in one
+    broadcast; ``m1``, ``m3`` and ``m3p`` test a whole chunk as one batch,
+    and ``m2a`` builds each cell's set.
     """
     d = cloud.d
     if d > 3:
@@ -168,7 +159,6 @@ def scan_region(
     mask = np.empty((rows, width), dtype=bool)
     chunk = max(1, _CHUNK_VALUES // n)  # cells: a block of the last axis by a group of rows
     block, group = min(width, chunk), max(1, chunk // width)
-    buffer = np.empty((group, block, n))  # reused: fresh chunks churn the allocator
     for b in range(0, width, block):
         with np.errstate(over="ignore"):
             last = np.square(cloud.points[:, -1] - axes[-1][b : b + block, None])
@@ -178,7 +168,7 @@ def scan_region(
                 squares = np.zeros((idx[0].size, 1, n))  # summed left to right from 0.0
                 for j in range(d - 1):
                     squares += np.square(cloud.points[:, j] - axes[j][idx[j], None, None])
-                squares = np.add(squares, last, out=buffer[: len(squares), : len(last)])
+                squares = squares + last
                 transformed = _radii_power(squares.reshape(-1, n), cloud.gamma)
             hits = covers(transformed, 0.0, alpha, algorithm)
             mask[r : r + group, b : b + block] = hits.reshape(len(squares), -1)

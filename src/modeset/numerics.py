@@ -24,6 +24,11 @@ __all__ = [
 _UINT64_MAX = 2**64 - 1
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer: an ``int`` or NumPy integer, not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable deterministic random stream.
@@ -47,7 +52,7 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not is_count(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
@@ -90,7 +95,7 @@ def qchisq(p: float, df: int) -> float:
     Computed through the inverse regularized lower incomplete gamma
     function; ``|CDF(result) - p| <= 1e-10``.
     """
-    if not isinstance(df, (int, np.integer)) or df <= 0:
+    if not is_count(df) or df <= 0:
         raise ValueError(f"df must be a positive integer, got {df}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -108,7 +113,7 @@ def sample_uniform(stream: RngStream, n: int) -> np.ndarray:
     on every run and platform.  Values are of the form (k + 1/2) / 2**53,
     so 0 and 1 are never produced.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_count(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     raw = stream.generator().integers(0, 1 << 53, size=int(n), dtype=np.uint64)
     return (raw.astype(np.float64) + 0.5) * 2.0**-53

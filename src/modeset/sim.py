@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModeSetError, check_alpha, is_count
+from .core import ModeSetError, check_alpha
 from .methods import METHOD_CODES, _method_columns
-from .numerics import RngStream, sample_uniform
+from .numerics import RngStream, is_count, sample_uniform
 
 __all__ = [
     "CoverageReport",
@@ -105,7 +105,7 @@ class FBetaDensity:
         third uniform below ``mass_left`` picks the left piece.  Draw i
         reads uniforms 3i..3i+2, so ``sample(s, k) == sample(s, n)[:k]``.
         """
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not is_count(n) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n}")
         u = sample_uniform(stream, 3 * n).reshape(n, 3)
         r = u[:, 1] * u[:, 2] ** (1.0 / (self.beta + 1.0))

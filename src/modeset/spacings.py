@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MethodInfeasibleError, check_alpha
-from .numerics import qbeta
+from .numerics import is_count, qbeta
 
 __all__ = [
     "SpacingsPlan",
@@ -34,7 +34,7 @@ def lanke_inflation(n: int, alpha: float) -> float:
     Inflating the sample range by this factor on each side covers a mode
     that falls outside the observed range with probability 1 - alpha/2.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not is_count(n) or n < 2:
         raise ValueError(f"the inflation factor needs n >= 2, got {n}")
     check_alpha(alpha)
     return (alpha / 2.0) ** (-1.0 / (n - 1)) - 1.0
@@ -79,7 +79,7 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
     MethodInfeasibleError
         When n is too small to form even one coarse block (b_max < 0).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not is_count(n) or n < 2:
         raise MethodInfeasibleError(
             f"sample too small for the spacing interval: n={n}"
         )

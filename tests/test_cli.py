@@ -15,7 +15,7 @@ from modeset import (FBetaDensity, PointCloud, RngStream, compute_confidence_set
                      sample_uniform, scan_region)
 from modeset.cli import _read_floats, main
 from modeset.mest import geometric_grid
-from modeset.methods import METHOD_CODES, METHOD_OPTIONS, run_method
+from modeset.methods import METHOD_CODES, METHOD_OPTIONS, SCAN_CODES, run_method
 
 
 @pytest.fixture
@@ -427,6 +427,27 @@ def test_mode2d_m3_on_tied_points_exits_3(tmp_path, capsys):
                  "--box=-2:2,-2:2", "--res", "4", "--out", str(mask_path)]) == 3
     assert "coincides" in capsys.readouterr().err
     assert not mask_path.exists()
+
+
+def test_finite_well_formed_inputs_never_exit_2(tmp_path, capsys):
+    # exit 2 is for bad flags and unreadable input; a sample a method cannot
+    # handle exits 3, whatever its size, spread or scale
+    samples = {"one": [0.5], "two": [0.1, 0.7], "huge": [-1e308, 1e308] * 7,
+               "equal": [2.0] * 40, "subnormal": [*np.linspace(0, 1, 40).tolist(), 5e-324]}
+    codes = {}
+    for name, values in samples.items():
+        path = _write_lines(tmp_path, f"{name}.txt", [repr(float(v)) for v in values])
+        for method in METHOD_CODES:
+            h = ["--h", "1"] if method == "m2" else []
+            codes[name, method] = main(["ci", "--method", method, "--input", str(path), *h])
+    path = _write_lines(tmp_path, "point.csv", ["0.5,-1.5"])
+    for method in SCAN_CODES:
+        codes["point", method] = main(["mode2d", "--gamma", "2", "--method", method,
+                                       "--input", str(path), "--res", "2"])
+    capsys.readouterr()
+    assert {key: code for key, code in codes.items() if code not in (0, 3)} == {}
+    assert codes["huge", "m2a"] == 3 and codes["subnormal", "m2a"] == 0
+    assert all(codes["one", method] == 3 for method in ("m2", "m2a", "m3", "m3p"))
 
 
 def test_mode2d_auto_box_to_stdout(tmp_path, capsys):

@@ -20,7 +20,7 @@ from modeset import (
     run_method,
 )
 from modeset.core import sort_rows, split_and_pilot, venter_pilot
-from modeset.methods import METHOD_CODES, run_methods
+from modeset.methods import METHOD_CODES, _method_columns
 
 
 def test_every_exported_name_resolves():
@@ -275,7 +275,8 @@ def test_run_methods_rows_match_run_method_calls():
     rows[3, tie] = split_and_pilot(rows[3:4], streams[3], None)[1][0]  # the pilot is unchanged
     options = dict(h=0.3, rho=1.5)
     for split in (streams, RngStream(16, 0)):
-        results = run_methods(rows, 0.05, METHOD_CODES, split_stream=split, **options)
+        results = list(zip(*_method_columns(rows, 0.05, METHOD_CODES, split_stream=split,
+                                            **options)))
         assert len(results) == k
         for i, row in enumerate(rows):
             stream = split[i] if isinstance(split, list) else split
@@ -286,9 +287,9 @@ def test_run_methods_rows_match_run_method_calls():
                     assert type(res) is type(exc) and str(res) == str(exc), (i, method)
                 else:
                     assert repr(res) == repr(want), (i, method)
-    by_method = dict(zip(METHOD_CODES, zip(*run_methods(rows, 0.05, METHOD_CODES,
-                                                         split_stream=streams, **options))))
-    assert str(by_method["m2a"][1]) == "bandwidth grid needs a sample with positive range"
+    by_method = dict(zip(METHOD_CODES, _method_columns(rows, 0.05, METHOD_CODES,
+                                                       split_stream=streams, **options)))
+    assert str(by_method["m2a"][1]) == "bandwidth grid needs a sample with positive, finite range"
     assert isinstance(by_method["m2a"][1], MethodInfeasibleError)
     for method in ("m3", "m3p"):
         assert isinstance(by_method[method][3], MethodInfeasibleError)
@@ -299,7 +300,8 @@ def test_run_methods_rows_match_run_method_calls():
 
 
 def test_split_sample_errors():
-    with pytest.raises(ValueError, match="at least 2"):
+    message = "^splitting needs at least 2 observations, got 1$"
+    with pytest.raises(MethodInfeasibleError, match=message):
         split_and_pilot(np.array([[1.0]]), RngStream(0, 0), None)
     with pytest.raises(ValueError, match="finite"):
         split_and_pilot(np.array([[1.0, 2.0, math.nan, 4.0]]), RngStream(0, 0), None)

@@ -174,8 +174,9 @@ def _sweep_cases():
             pilot = float(pts[n // 2])
             yield pts, pilot, (0.5,), hoeffding_count_slack(n, 0.3)  # m2
             if pts[-1] > pts[0]:  # m2a's default grid, with the pilot also at either end
+                [grid] = default_bandwidth_grid(pts[None, :])
                 for at in (pilot, float(pts[0]), float(pts[-1])):
-                    yield pts, at, default_bandwidth_grid(pts), dkw_count_slack(n, 0.05)
+                    yield pts, at, grid, dkw_count_slack(n, 0.05)
             # a quarter-step grid on which integer data tie in width
             quarters = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
             yield pts, pilot, quarters, 0.1 * n
@@ -305,13 +306,13 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
     data = FBetaDensity(1.0).sample(RngStream(50, 0), 1000)
     res = run_method(data, 0.05, "m2a", split_stream=RngStream(51, 0))
     grid = default_bandwidth_grid(
-        np.sort(data)  # not the true s2, only for grid shape checks
-    )
+        np.sort(data)[None, :]  # not the true s2, only for grid shape checks
+    )[0]
     assert len(grid) == 64
     # the chosen width is minimal among a re-run over the same default grid
     points, pilots = split_and_pilot(data[None, :], RngStream(51, 0), None)
     pts, pilot = points[0], pilots[0]
-    true_grid = default_bandwidth_grid(pts)
+    true_grid = default_bandwidth_grid(points)[0]
     widths = []
     for h in true_grid:
         starts, ends, _ = _window(pts, h)
@@ -367,10 +368,17 @@ def test_m2a_rejects_a_grid_that_is_not_one_dimensional(h_grid):
 
 
 def test_default_bandwidth_grid_requires_spread():
+    # a zero range or one past the largest float is the row's error; a finest
+    # gap of 5e-324, whose half rounds to 0.0, starts the row's grid at 5e-324
     from modeset import MethodInfeasibleError
 
-    with pytest.raises(MethodInfeasibleError):
-        default_bandwidth_grid(np.full(10, 2.0))
+    rows = np.stack([np.full(14, 2.0), np.r_[-1e308, np.zeros(12), 1e308],
+                     np.r_[0.0, 5e-324, np.linspace(0.5, 1.0, 12)]])
+    flat, huge, grid = default_bandwidth_grid(rows)
+    for error in (flat, huge):
+        assert isinstance(error, MethodInfeasibleError)
+        assert str(error) == "bandwidth grid needs a sample with positive, finite range"
+    assert grid[0] == 5e-324 and grid[-1] == 1.0 and np.all(np.diff(grid) > 0)
 
 
 def _row_grid(points, size):
@@ -397,20 +405,19 @@ def test_bandwidth_grids_of_a_matrix_match_row_grids_bit_for_bit():
                 want = _row_grid(points, size)
                 repeats += want.size < size
                 assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
-                assert default_bandwidth_grid(points, size).tobytes() == want.tobytes()
     assert repeats >= 3
 
 
 def test_run_methods_fails_only_the_m2a_row_with_zero_range():
     from modeset import MethodInfeasibleError
-    from modeset.methods import covers, run_methods
+    from modeset.methods import _method_columns, covers
 
     rows = np.stack([FBetaDensity(1.0).sample(RngStream(82, rep), 400) for rep in range(3)])
     rows[1] = 2.0  # its pilot is 2.0, but its evaluation half has no range
-    out = run_methods(rows, 0.05, ["m2a"])
+    out = list(zip(*_method_columns(rows, 0.05, ["m2a"])))
     error = out[1][0]
     assert isinstance(error, MethodInfeasibleError)
-    assert str(error) == "bandwidth grid needs a sample with positive range"
+    assert str(error) == "bandwidth grid needs a sample with positive, finite range"
     for row, [res] in zip(rows[::2], out[::2]):
         want = run_method(row, 0.05, "m2a")
         assert (res.confidence_set, res.h, res.pilot) == (want.confidence_set, want.h, want.pilot)
@@ -440,7 +447,7 @@ def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatc
                 data = FBetaDensity(beta).sample(RngStream(71, rep), n)
                 points, pilots = split_and_pilot(data[None, :], RngStream(72, rep), None)
                 pts, pilot = points[0], float(pilots[0])
-                grid, slack = default_bandwidth_grid(pts), dkw_count_slack(pts.size, 0.05)
+                grid, slack = default_bandwidth_grid(points)[0], dkw_count_slack(pts.size, 0.05)
                 informative += int(np.count_nonzero(_pilot_counts(pts, pilot, grid) > slack))
                 _sweep(pts, pilot, grid, slack)
     assert informative >= 150

@@ -55,16 +55,13 @@ def test_radial_transform_rows_match_single_candidates(d):
     thetas = gen.normal(size=(25, d))
     for gamma in (0.5, 1.0, 2.0, 3.7):
         cloud = PointCloud.from_points(pts, gamma)
-        rows = radial_transform(cloud, thetas)
-        assert rows.shape == (25, 300)
-        assert np.array_equal(rows, np.stack([radial_transform(cloud, t) for t in thetas]))
-        # the same values as the norm of the difference, bit for bit
-        norms = np.stack([np.linalg.norm(cloud.points - t, axis=1) for t in thetas])
-        assert np.array_equal(rows, norms**gamma)
-    with pytest.raises(ValueError):
-        radial_transform(cloud, gen.normal(size=(25, d + 1)))
-    with pytest.raises(ValueError):
-        radial_transform(cloud, gen.normal(size=(2, 25, d)))
+        for theta in thetas:
+            # the same values as the norm of the difference, bit for bit
+            norms = np.linalg.norm(cloud.points - theta, axis=1)
+            assert np.array_equal(radial_transform(cloud, theta), norms**gamma)
+    for shape in ((d + 1,), (25, d), (2, 25, d), ()):
+        with pytest.raises(ValueError, match=re.escape(f"must have shape ({d},), got {shape}")):
+            radial_transform(cloud, gen.normal(size=shape))
 
 
 def test_radial_transform_rotation_invariance():
@@ -237,8 +234,9 @@ def test_scan_region_blocks_and_row_groups_match_per_cell_oracle(n, resolution, 
 
 
 def test_scan_region_memory_stays_within_a_few_chunks():
-    # no array but the reused chunk buffer outlives its block, and none holds
-    # more than a chunk of 2**16 values, so the peak does not grow with the resolution
+    # no array but the block's squared distances of the last axis outlives its
+    # chunk, and none holds more than a chunk of 2**16 values, so the peak does
+    # not grow with the resolution
     gen = RngStream(87, 0).generator()
     for d, resolution in ((1, (5000,)), (2, (4, 3000))):
         cloud = PointCloud.from_points(gen.normal(size=(1000, d)), gamma=2.0)
