@@ -13,7 +13,6 @@ from .core import (
     MethodInfeasibleError,
     ModeResult,
     ModeSetError,
-    dilate,
     make_confidence_set,
 )
 from .methods import compute_confidence_set, run_method
@@ -51,7 +50,6 @@ __all__ = [
     "compute_confidence_set",
     "contains_mode_candidate",
     "coverage_report_csv",
-    "dilate",
     "make_confidence_set",
     "radial_transform",
     "run_coverage_study",

@@ -144,6 +144,8 @@ def _run_ci(args) -> int:
                "split_stream": split_stream}
     cs = compute_confidence_set(data, args.alpha, args.method,
                                 **{k: v for k, v in options.items() if v is not None})
+    if np.isinf(cs.width) and np.isfinite(cs.intervals).all():  # JSON null means unbounded
+        raise MethodInfeasibleError("the set is bounded but its width exceeds the largest float")
     if args.format == "json":
         payload = json.dumps(cs.to_json_dict(alpha=args.alpha, method=args.method),
                              allow_nan=False)

@@ -16,7 +16,6 @@ __all__ = [
     "ConfidenceSet",
     "ModeResult",
     "make_confidence_set",
-    "dilate",
     "join_runs",
     "sort_rows",
     "split_and_pilot",
@@ -174,19 +173,6 @@ def join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return lo, hi
     cut = np.flatnonzero(lo[1:] > hi[:-1])
     return lo[np.concatenate(([0], cut + 1))], hi[np.concatenate((cut, [-1]))]
-
-
-def dilate(cs: ConfidenceSet, h: float) -> ConfidenceSet:
-    """Minkowski dilation: every point within distance ``h`` of the set.
-
-    Each interval [lo, hi] becomes [lo - h, hi + h], and
-    :func:`make_confidence_set` joins them, closing the gaps narrower than
-    2h; an infinite end shifted by an infinite ``h`` raises as NaN.
-    """
-    if not h >= 0:
-        raise ValueError(f"dilation radius must be nonnegative, got {h}")
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as with Python floats
-        return make_confidence_set(np.array(cs.intervals).reshape(-1, 2) + [-h, h])
 
 
 def split_and_pilot(

@@ -90,14 +90,16 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
 
     One vectorized count gives every bandwidth's cutoff.  A cutoff <= 0
     excludes nothing: the set is the dilated knot hull, whose width is
-    closed-form.  The other bandwidths, in ascending h, build their pieces,
-    shifted by h and joined once (rounding is monotone, so no gap closed by
-    the shift reopens), and sum the runs' widths left to right, as
-    ``ConfidenceSet.width`` does.  The set holds the pilot, and the sum's
-    terms are nonnegative, so a width is at least its floor
+    closed-form.  The count N(pilot) never falls as h rises (rounding is
+    monotone, so a window that holds the pilot still holds it when wider),
+    so these vacuous bandwidths come first in the grid.  The others, in
+    ascending h, build their pieces, shifted by h and joined once (no gap
+    closed by the shift reopens), and sum the runs' widths left to right,
+    as ``ConfidenceSet.width`` does.  The set holds the pilot, and the
+    sum's terms are nonnegative, so a width is at least its floor
     (pilot + h) - (pilot - h), which grows with h.  Ties go to the smallest
-    h, so the walk stops once a floor reaches a width at a smaller h or
-    exceeds one at a larger h: the winner is bit for bit the one every
+    h, so the walk stops once a floor reaches a width at a smaller h: every
+    larger h is still unbuilt, so the winner is bit for bit the one every
     width would pick, and its runs are kept unless it is vacuous.
     """
     hs = np.asarray(grid, dtype=np.float64)
@@ -108,7 +110,7 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
         floors, kept = (pilot + hs) - (pilot - hs), (None,)
         for i in np.flatnonzero(cutoffs > 0.0):
             prior = widths[:i].min(initial=math.inf)
-            if floors[i] >= prior or floors[i] > widths[i:].min():
+            if floors[i] >= prior:
                 break
             lo, hi = _level_runs(points - hs[i], points + hs[i], float(cutoffs[i]))
             dlo, dhi = join_runs(lo - hs[i], hi + hs[i])

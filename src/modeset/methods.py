@@ -3,8 +3,8 @@
 This is the only module that branches on a method code; the simulator,
 the CLI and the multivariate lift all go through it.  Errors keep their
 classes: invalid arguments raise ``ValueError`` and a sample the method
-cannot handle (too small, or an evaluation point tied with the pilot)
-raises ``MethodInfeasibleError``.
+cannot handle (too small, tied for ``m1``, or an evaluation point tied
+with the pilot) raises ``MethodInfeasibleError``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     ConfidenceSet,
+    MethodInfeasibleError,
     ModeResult,
     ModeSetError,
     _as_finite_1d,
@@ -41,6 +42,7 @@ METHOD_CODES = tuple(METHOD_OPTIONS)
 SCAN_CODES = tuple(m for m, options in METHOD_OPTIONS.items() if "h" not in options)
 _RHO = 2.0  # m3p's default damping exponent, also the one covers uses
 _SPLIT_STREAM = RngStream(0, 0)
+_TIED = "tied data: an m1 block of order statistics has zero width"
 
 
 def _check_options(alpha, methods, h, h_grid, rho):
@@ -82,9 +84,10 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
     for method in methods:
         try:
             if method == "m1":
-                lo, hi = m1_bounds(sort_rows(rows), alpha)
-                column = [ModeResult(ConfidenceSet.from_runs(*ends))
-                          for ends in zip(lo[:, None], hi[:, None])]
+                lo, hi, tied = m1_bounds(sort_rows(rows), alpha)
+                column = [MethodInfeasibleError(_TIED) if t else
+                          ModeResult(ConfidenceSet(((a, b),)))
+                          for a, b, t in zip(lo.tolist(), hi.tolist(), tied)]
             else:
                 split = split or split_and_pilot(rows, split_stream, pilot_r)
                 grids = (default_bandwidth_grid(split[0]) if method == "m2a" and h_grid is None
@@ -116,7 +119,7 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
     """Run one univariate mode confidence-set construction by code.
 
     - ``m1``: the spacing interval, always one closed interval within
-      [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics.
+      [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics; tied data are infeasible.
     - ``m2``: the fixed-bandwidth window-count set; ``h`` is required.
     - ``m2a``: the width-minimizing window-count set over ``h_grid``, a
       nonempty 1-D sequence of strictly ascending, positive, finite
@@ -163,7 +166,9 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
         raise ValueError(f"method {method!r} is not one of {SCAN_CODES}, which need no options")
     rows = np.asarray(rows, dtype=np.float64)
     if method == "m1":
-        lo, hi = m1_bounds(sort_rows(rows), alpha)
+        lo, hi, tied = m1_bounds(sort_rows(rows), alpha)
+        if tied.any():
+            raise MethodInfeasibleError(_TIED)
         return (lo <= x) & (x <= hi)
     if method == "m2a":
         [results] = _method_columns(rows, alpha, [method])

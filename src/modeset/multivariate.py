@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import MethodInfeasibleError
 from .methods import covers
 from .numerics import is_count
 
@@ -71,12 +72,17 @@ def radial_transform(cloud: PointCloud, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cloud.d,):
         raise ValueError(f"candidate theta must have shape ({cloud.d},), got {theta.shape}")
-    # left to right, one coordinate at a time; an overflow gives inf, which `covers` rejects
-    squares = 0.0
     with np.errstate(over="ignore"):
-        for j in range(cloud.d):
-            squares = squares + np.square(cloud.points[:, j] - theta[j])
-        return _radii_power(squares, cloud.gamma)
+        return _finite_radii(np.square(cloud.points - theta), cloud.gamma)
+
+
+def _finite_radii(squares: np.ndarray, gamma: float) -> np.ndarray:
+    """:func:`_radii_power` of the rows of the (n, d) ``squares`` summed left to right from
+    0.0, as every transform sums them; ``MethodInfeasibleError`` if one overflows to inf."""
+    radii = _radii_power(sum(squares.T, 0.0), gamma)
+    if np.isinf(radii).any():
+        raise MethodInfeasibleError(f"radial transform overflows to inf at gamma {gamma}")
+    return radii
 
 
 def _radii_power(squares: np.ndarray, gamma: float) -> np.ndarray:
@@ -96,7 +102,7 @@ def contains_mode_candidate(
 
     ``theta`` is one candidate of shape (d,); ``algorithm`` is one of
     ``methods.SCAN_CODES``, the method codes that run with their defaults,
-    or ``ValueError`` is raised.
+    or ``ValueError`` is raised; an overflowing transform raises ``MethodInfeasibleError``.
     The spacing interval m1 is the default: it needs no sample split, and
     its left tail extension handles a mode sitting at the support boundary 0.
     """
@@ -135,7 +141,8 @@ def scan_region(
     when one block spans it), in chunks of 2**16 // n (at least one) that
     add their rows' squares to each block's squared distances in one
     broadcast; ``m1``, ``m3`` and ``m3p`` test a whole chunk as one batch,
-    and ``m2a`` builds each cell's set.
+    and ``m2a`` builds each cell's set.  An overflowing transform raises
+    ``MethodInfeasibleError``, checked once at each point's farthest cell.
     """
     d = cloud.d
     if d > 3:
@@ -155,6 +162,9 @@ def scan_region(
     if cells > _MAX_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds the {_MAX_CELLS} cell limit")
     axes = [_cell_centers(lo, hi, k) for (lo, hi), k in zip(box, resolution)]
+    with np.errstate(over="ignore"):  # the same sum the scan takes at each point's farthest cell
+        far = np.square(cloud.points - np.array([axis[[0, -1]] for axis in axes]).T[:, None])
+        _finite_radii(far.max(axis=0), cloud.gamma)
     rows, width, n = math.prod(resolution[:-1]), resolution[-1], cloud.n
     mask = np.empty((rows, width), dtype=bool)
     chunk = max(1, _CHUNK_VALUES // n)  # cells: a block of the last axis by a group of rows

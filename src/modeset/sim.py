@@ -6,9 +6,7 @@ The test density has mode 0 with height 1/2, behaves like
 (beta + 2) / beta; beta controls the flatness at the mode.  Each piece
 decreases away from the mode, so by Khintchine's representation a draw is
 exact from three uniforms: one picks the side and the product of the other
-two, one raised to 1/(beta + 1), gives the distance from the mode.  The
-closed-form ``pdf`` and ``cdf`` are the oracles the sampler is tested
-against.
+two, one raised to 1/(beta + 1), gives the distance from the mode.
 
 The study engine runs seeded replications per (method, n, beta), records
 whether each confidence set covers the true mode 0 and how wide it is, and
@@ -59,39 +57,6 @@ class FBetaDensity:
     def mass_left(self) -> float:
         """Distribution function at the mode: beta / (2 (beta + 1))."""
         return self.beta / (2.0 * (self.beta + 1.0))
-
-    def _right_terms(self, x):
-        """x clipped to [0, upper], and t**beta - 1 with t = that / upper.
-
-        The right piece is written in t because b**b / (b + 2)**b equals
-        upper**-b: no power can overflow for large beta, and expm1 keeps
-        t**beta - 1 accurate for small beta.
-        """
-        xr = np.clip(x, 0.0, self.upper)
-        with np.errstate(divide="ignore"):  # t = 0 at the mode: t**beta - 1 = -1
-            return xr, np.expm1(self.beta * np.log(xr / self.upper))
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        b = self.beta
-        left = 0.5 - 0.5 * np.abs(x) ** b
-        right = -0.5 * self._right_terms(x)[1]
-        out = np.where(x <= 0, left, right)
-        out = np.where((x < -1.0) | (x > self.upper), 0.0, out)
-        return out
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        b = self.beta
-        left = (x + 1.0) / 2.0 + ((-np.minimum(x, 0.0)) ** (b + 1.0) - 1.0) / (2.0 * (b + 1.0))
-        # x (b - (t**b - 1)) / (2 (b + 1)) adds two nonnegative terms; the
-        # form x/2 - x t**b / (2 (b + 1)) cancels to 1e-12 for small beta
-        xr, t_b_minus_1 = self._right_terms(x)
-        right = self.mass_left + xr * (b - t_b_minus_1) / (2.0 * (b + 1.0))
-        out = np.where(x <= 0, left, right)
-        out = np.where(x < -1.0, 0.0, out)
-        out = np.where(x > self.upper, 1.0, out)
-        return np.clip(out, 0.0, 1.0)
 
     def sample(self, stream: RngStream, n: int) -> np.ndarray:
         """``n`` exact draws from three uniforms each, with no iteration.

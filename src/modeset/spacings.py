@@ -120,17 +120,18 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
     )
 
 
-def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoints of the m1 interval for each row of a (k, n) matrix.
 
     Every row must be sorted ascending and finite; one plan serves all
     rows.  Each level masks the blocks outside a row's candidate range
     with inf, takes the first narrowest block per row, and grows the run
-    of blocks within ``h_b`` times that width on both sides of it.
+    of blocks within ``h_b`` times that width on both sides of it.  A row
+    is ``tied`` once a narrowest block has zero width: its run is one atom.
 
     Returns
     -------
-    lo, hi : ndarray of shape (k,)
+    lo, hi, tied : ndarray of shape (k,)
     """
     v = np.asarray(rows, dtype=np.float64)
     k, n = v.shape
@@ -138,6 +139,7 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     pick = np.arange(k)
     cand_lo = np.zeros(k, dtype=np.intp)  # 0-based block ids, inclusive
     cand_hi = np.full(k, plan.n_b[plan.b_max] - 1)
+    tied = np.zeros(k, dtype=bool)
     for b in range(plan.b_max, -1, -1):
         w = 1 << (b + plan.s_n)
         n_b = plan.n_b[b]
@@ -147,7 +149,9 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         outside = (blocks < cand_lo[:, None]) | (blocks > cand_hi[:, None])
         masked = np.where(outside, np.inf, widths)
         narrowest = masked.argmin(axis=1)
-        bound = plan.h_b[b] * masked[pick, narrowest]
+        least = masked[pick, narrowest]
+        tied |= least == 0.0
+        bound = plan.h_b[b] * least
         stop = outside | (widths > bound[:, None])
         # the run around the narrowest block ends at the nearest stop on each
         # side; the right end is found on the reversed rows
@@ -170,4 +174,4 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     hi = np.where(
         hi_run == plan.n_b[0] - 1, last + plan.lam * span, v[pick, (hi_run + 1) * w0]
     )
-    return lo, hi
+    return lo, hi, tied

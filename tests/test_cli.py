@@ -432,22 +432,34 @@ def test_mode2d_m3_on_tied_points_exits_3(tmp_path, capsys):
 def test_finite_well_formed_inputs_never_exit_2(tmp_path, capsys):
     # exit 2 is for bad flags and unreadable input; a sample a method cannot
     # handle exits 3, whatever its size, spread or scale
+    gen = np.random.default_rng(44)
     samples = {"one": [0.5], "two": [0.1, 0.7], "huge": [-1e308, 1e308] * 7,
-               "equal": [2.0] * 40, "subnormal": [*np.linspace(0, 1, 40).tolist(), 5e-324]}
+               "equal": [2.0] * 40, "subnormal": [*np.linspace(0, 1, 40).tolist(), 5e-324],
+               "rounded": np.round(gen.normal(size=1000), 1)}
     codes = {}
     for name, values in samples.items():
         path = _write_lines(tmp_path, f"{name}.txt", [repr(float(v)) for v in values])
         for method in METHOD_CODES:
             h = ["--h", "1"] if method == "m2" else []
             codes[name, method] = main(["ci", "--method", method, "--input", str(path), *h])
-    path = _write_lines(tmp_path, "point.csv", ["0.5,-1.5"])
-    for method in SCAN_CODES:
-        codes["point", method] = main(["mode2d", "--gamma", "2", "--method", method,
-                                       "--input", str(path), "--res", "2"])
+    # a bounded set wider than the largest float has no finite width to print
+    path = _write_lines(tmp_path, "wide.txt", np.linspace(-0.85e308, 0.85e308, 40).tolist())
+    codes["wide", "m2"] = main(["ci", "--method", "m2", "--h", "4e306", "--input", str(path)])
+    # clouds whose radial transform overflows at gamma 400 and at scale 1e160
+    clouds = {"point": ([[0.5, -1.5]], "2"), "steep": (gen.normal(size=(300, 2)), "400"),
+              "vast": (1e160 * gen.normal(size=(200, 2)), "2")}
+    for name, (points, gamma) in clouds.items():
+        lines = [f"{x!r},{y!r}" for x, y in np.asarray(points).tolist()]
+        path = _write_lines(tmp_path, f"{name}.csv", lines)
+        for method in SCAN_CODES:
+            codes[name, method] = main(["mode2d", "--gamma", gamma, "--method", method,
+                                        "--input", str(path), "--res", "2"])
     capsys.readouterr()
     assert {key: code for key, code in codes.items() if code not in (0, 3)} == {}
     assert codes["huge", "m2a"] == 3 and codes["subnormal", "m2a"] == 0
     assert all(codes["one", method] == 3 for method in ("m2", "m2a", "m3", "m3p"))
+    assert codes["rounded", "m1"] == codes["huge", "m2"] == codes["wide", "m2"] == 3
+    assert all(codes[name, method] == 3 for name in ("steep", "vast") for method in SCAN_CODES)
 
 
 def test_mode2d_auto_box_to_stdout(tmp_path, capsys):
@@ -490,11 +502,12 @@ def test_mode2d_res_beyond_the_cell_limit_exits_2(tmp_path, capsys):
     assert not captured.out
 
 
-def test_mode2d_overflowing_transform_exits_2(tmp_path, capsys):
+def test_mode2d_overflowing_transform_exits_3(tmp_path, capsys):
+    # finite, well-formed points whose transform overflows: infeasible, not bad data
     path = _write_lines(tmp_path, "p.csv", ["1e200,1e200"] * 100)
     assert main(["mode2d", "--gamma", "2", "--input", str(path),
-                 "--box=-1:1,-1:1", "--res", "2"]) == 2
-    assert "finite" in capsys.readouterr().err
+                 "--box=-1:1,-1:1", "--res", "2"]) == 3
+    assert "radial transform overflows" in capsys.readouterr().err
 
 
 def test_mode2d_too_few_points_exits_3(tmp_path, capsys):

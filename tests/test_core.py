@@ -15,12 +15,13 @@ from modeset import (
     ModeSetError,
     RngStream,
     compute_confidence_set,
-    dilate,
     make_confidence_set,
     run_method,
 )
 from modeset.core import sort_rows, split_and_pilot, venter_pilot
 from modeset.methods import METHOD_CODES, _method_columns
+
+from dilate import dilate
 
 
 def test_every_exported_name_resolves():
@@ -294,7 +295,10 @@ def test_run_methods_rows_match_run_method_calls():
     for method in ("m3", "m3p"):
         assert isinstance(by_method[method][3], MethodInfeasibleError)
         assert str(by_method[method][3]).startswith("an evaluation point coincides with the pilot")
-    failed = {(1, "m2a"), (3, "m3"), (3, "m3p")}
+    # row 1's constant half also ties m1's narrowest block: m1 fails that row alone
+    assert isinstance(by_method["m1"][1], MethodInfeasibleError)
+    assert str(by_method["m1"][1]).startswith("tied data")
+    failed = {(1, "m1"), (1, "m2a"), (3, "m3"), (3, "m3p")}
     assert all(isinstance(by_method[method][i], ModeResult) == ((i, method) not in failed)
                for method in METHOD_CODES for i in range(k))
 

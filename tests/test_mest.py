@@ -8,7 +8,6 @@ from modeset import (
     ConfidenceSet,
     FBetaDensity,
     RngStream,
-    dilate,
     make_confidence_set,
     run_method,
 )
@@ -22,6 +21,7 @@ from modeset.mest import (
     geometric_grid,
     hoeffding_count_slack,
 )
+from dilate import dilate
 from window_count import window_count as _window_count
 
 
@@ -189,6 +189,9 @@ def _sweep_cases():
 def test_sweep_matches_knot_table_sweep_bit_for_bit():
     vacuous = multi = tied = 0
     for pts, pilot, grid, slack in _sweep_cases():
+        # the count at the pilot never falls as h rises, so the vacuous
+        # bandwidths come first and _sweep needs no stop at a larger h
+        assert np.all(np.diff(_pilot_counts(pts, pilot, np.asarray(grid))) >= 0)
         rows = _reference_sweep(pts, pilot, grid, slack)
         for h, cutoff, pre, cs in rows:
             # every bandwidth's maximal runs; its pieces shifted by h and

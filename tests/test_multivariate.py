@@ -17,7 +17,7 @@ from modeset import (
     sample_uniform,
     scan_region,
 )
-from modeset.multivariate import _CHUNK_VALUES
+from modeset.multivariate import _CHUNK_VALUES, _cell_centers
 
 
 def disk_points(stream, n, center=(0.0, 0.0), radius=1.0):
@@ -278,12 +278,40 @@ def test_scan_region_m3_m3p_match_per_cell_sets(method, alpha):
 
 
 def test_scan_region_rejects_an_overflowing_transform():
-    # finite points whose squared distances overflow to inf
+    # finite points whose squared distances overflow to inf: the sample is
+    # well formed, so the lift is infeasible rather than the data invalid
     cloud = PointCloud.from_points(np.full((100, 2), 1e200), gamma=2.0)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(MethodInfeasibleError, match="^radial transform overflows"):
         scan_region(cloud, [(-1.0, 1.0), (-1.0, 1.0)], 2, 0.05)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(MethodInfeasibleError, match="^radial transform overflows"):
         contains_mode_candidate(cloud, [0.0, 0.0], 0.05)
+
+
+def test_scan_overflow_check_fires_exactly_when_some_cell_overflows():
+    # the scan checks each point's farthest cell once; that must overflow
+    # exactly when radial_transform overflows at some cell centre
+    gen = np.random.default_rng(91)
+    fired = []
+    for _ in range(150):
+        d = int(gen.integers(1, 4))
+        scale = 10.0 ** gen.uniform(0, 160)
+        cloud = PointCloud.from_points(scale * gen.normal(size=(40, d)), 10 ** gen.uniform(-1, 2.7))
+        box = [tuple(np.sort(scale * gen.normal(size=2)).tolist()) for _ in range(d)]
+        resolution = gen.integers(1, 5, size=d).tolist()
+        axes = [_cell_centers(lo, hi, k) for (lo, hi), k in zip(box, resolution)]
+        brute = False
+        for theta in itertools.product(*axes):
+            try:
+                radial_transform(cloud, np.array(theta))
+            except MethodInfeasibleError:
+                brute = True
+        try:
+            scan_region(cloud, box, resolution, 0.05)
+            fired.append(False)
+        except MethodInfeasibleError as exc:
+            fired.append(str(exc).startswith("radial transform overflows"))
+        assert fired[-1] == brute, (box, resolution, cloud.gamma)
+    assert 30 <= sum(fired) <= 120
 
 
 @pytest.mark.parametrize("method", ["m2", "m9"])

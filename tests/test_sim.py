@@ -18,7 +18,7 @@ from modeset.core import venter_pilot
 from modeset.methods import METHOD_CODES
 from modeset.sim import FBetaDensity, replication_widths_csv
 
-from fbeta_ppf import ppf
+from fbeta_ppf import cdf, pdf, ppf
 
 BETAS = (0.5, 1.0, 2.0, 4.0)
 
@@ -28,22 +28,22 @@ def test_density_normalizes_and_mass_left():
         d = FBetaDensity(beta)
         # split at the mode: the integrand has a cusp there, and across it
         # quad stops near its default 1.5e-8 tolerance, above the 1e-9 asserted
-        total, _ = integrate.quad(d.pdf, -1.0, d.upper, limit=200, points=[0.0])
+        total, _ = integrate.quad(lambda t: pdf(d, t), -1.0, d.upper, limit=200, points=[0.0])
         assert total == pytest.approx(1.0, abs=1e-9)
-        left, _ = integrate.quad(d.pdf, -1.0, 0.0, limit=200)
+        left, _ = integrate.quad(lambda t: pdf(d, t), -1.0, 0.0, limit=200)
         assert left == pytest.approx(beta / (2 * (beta + 1)), abs=1e-10)
 
 
 def test_cdf_checkpoints():
     # F(0) = beta/(2(beta+1)); for beta=1 that is 1/4
-    assert FBetaDensity(1.0).cdf(0.0) == pytest.approx(0.25, abs=1e-14)
+    assert cdf(FBetaDensity(1.0), 0.0) == pytest.approx(0.25, abs=1e-14)
     for beta in BETAS:
         d = FBetaDensity(beta)
-        assert d.cdf(0.0) == pytest.approx(beta / (2 * (beta + 1)), abs=1e-14)
-        assert d.cdf(d.upper) == pytest.approx(1.0, abs=1e-12)
-        assert d.cdf(-1.0) == 0.0
-        assert d.cdf(-5.0) == 0.0
-        assert d.cdf(d.upper + 3.0) == 1.0
+        assert cdf(d, 0.0) == pytest.approx(beta / (2 * (beta + 1)), abs=1e-14)
+        assert cdf(d, d.upper) == pytest.approx(1.0, abs=1e-12)
+        assert cdf(d, -1.0) == 0.0
+        assert cdf(d, -5.0) == 0.0
+        assert cdf(d, d.upper + 3.0) == 1.0
 
 
 def test_cdf_matches_quadrature_oracle():
@@ -51,16 +51,16 @@ def test_cdf_matches_quadrature_oracle():
         d = FBetaDensity(beta)
         for x in (-0.8, -0.2, 0.0, 0.4, 1.9, d.upper - 0.05):
             # split at the mode: the integrand has a kink there
-            oracle, err = integrate.quad(d.pdf, -1.0, x, limit=400,
+            oracle, err = integrate.quad(lambda t: pdf(d, t), -1.0, x, limit=400,
                                          points=[0.0] if x > 0 else None)
-            assert d.cdf(x) == pytest.approx(oracle, abs=max(1e-9, 10 * err))
+            assert cdf(d, x) == pytest.approx(oracle, abs=max(1e-9, 10 * err))
 
 
 def test_cdf_monotone_and_continuous():
     for beta in BETAS:
         d = FBetaDensity(beta)
         xs = np.linspace(-1.2, d.upper + 0.2, 10**4)
-        f = d.cdf(xs)
+        f = cdf(d, xs)
         assert np.all(np.diff(f) >= -1e-12)
         step = xs[1] - xs[0]
         assert np.max(np.diff(f)) <= 0.5 * step + 1e-9  # density is at most 1/2
@@ -73,7 +73,7 @@ def test_ppf_round_trip_and_mode_point():
         u = np.linspace(1e-9, 1 - 1e-9, 2001)
         x = ppf(d, u)
         assert np.all(x >= -1.0) and np.all(x <= d.upper)
-        assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
+        assert np.max(np.abs(cdf(d, x) - u)) <= 1e-12
 
 
 @pytest.mark.parametrize("beta", [1e-5, 1e-4, 0.1, 0.5, 1.0, 4.0, 10.0, 200.0, 1000.0])
@@ -83,7 +83,7 @@ def test_ppf_extreme_uniforms(beta):
     u = np.array([2.0**-54, 1e-15, 1 - 1e-12, 1 - 2.0**-53])
     x = ppf(d, u)
     assert np.all(x >= -1.0) and np.all(x <= d.upper)
-    assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
+    assert np.max(np.abs(cdf(d, x) - u)) <= 1e-12
     for bad in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError, match="probabilities"):
             ppf(d, [0.5, bad])
@@ -96,7 +96,7 @@ def test_sampler_at_extreme_beta(beta):
     d = FBetaDensity(beta)
     x = d.sample(RngStream(86, 0), 5000)
     assert np.all(x >= -1.0) and np.all(x <= d.upper)
-    assert np.all(d.pdf(x) >= 0.0) and np.all(d.pdf(x) <= 0.5)
+    assert np.all(pdf(d, x) >= 0.0) and np.all(pdf(d, x) <= 0.5)
 
 
 def test_ppf_is_elementwise():
@@ -125,7 +125,7 @@ def test_sampler_ks_band():
         d = FBetaDensity(beta)
         x = d.sample(RngStream(81, 0), 10**5)
         assert np.all(x >= -1.0) and np.all(x <= d.upper)
-        u = np.sort(d.cdf(x))
+        u = np.sort(cdf(d, x))
         i = np.arange(1, u.size + 1)
         ks = max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
         assert ks <= 1.63 / math.sqrt(u.size), beta
@@ -149,9 +149,9 @@ def test_sample_checks_its_own_size():
 
 def test_sampler_mean_against_quadrature():
     d = FBetaDensity(1.0)
-    mean, _ = integrate.quad(lambda t: t * d.pdf(t), -1.0, 3.0, limit=200)
+    mean, _ = integrate.quad(lambda t: t * pdf(d, t), -1.0, 3.0, limit=200)
     assert mean == pytest.approx(2.0 / 3.0, abs=1e-10)  # hand integral
-    second, _ = integrate.quad(lambda t: t * t * d.pdf(t), -1.0, 3.0, limit=200)
+    second, _ = integrate.quad(lambda t: t * t * pdf(d, t), -1.0, 3.0, limit=200)
     sigma = math.sqrt(second - mean * mean)
     x = d.sample(RngStream(82, 0), 10**6)
     assert abs(x.mean() - mean) <= 3.0 * sigma / 1000.0
@@ -160,7 +160,7 @@ def test_sampler_mean_against_quadrature():
 def test_sampler_mode_neighborhood_mass():
     d = FBetaDensity(1.0)
     x = d.sample(RngStream(83, 0), 10**5)
-    p = float(d.cdf(0.01) - d.cdf(-0.01))
+    p = float(cdf(d, 0.01) - cdf(d, -0.01))
     assert p == pytest.approx(0.01, rel=0.02)  # 2*eps*f(0) with f(0)=1/2
     frac = np.mean(np.abs(x) <= 0.01)
     assert abs(frac - p) <= 3.0 * math.sqrt(p * (1 - p) / x.size)

@@ -12,12 +12,15 @@ from modeset.spacings import build_plan, lanke_inflation, m1_bounds
 
 
 def scalar_m1(v, alpha):
-    """Reference: the m1 level descent one sample at a time, with loops."""
+    """Reference: the m1 level descent one sample at a time, with loops;
+    None for tied data, whose narrowest compared block has zero width."""
     plan = build_plan(v.size, alpha)
     cand_lo, cand_hi = 1, plan.n_b[plan.b_max]  # 1-based block ids
     for b in range(plan.b_max, -1, -1):
         w = 1 << (b + plan.s_n)
         widths = np.diff(v[np.arange(cand_lo - 1, cand_hi + 1) * w])
+        if widths.min() == 0.0:
+            return None
         bound = plan.h_b[b] * float(widths.min())
         left = right = int(np.argmin(widths))
         while left > 0 and widths[left - 1] <= bound:
@@ -121,14 +124,19 @@ def test_m1_single_interval_within_bounds():
 
 
 def test_m1_handles_duplicate_values():
-    # zero-width minimal blocks: the tolerance bound becomes 0 and only
-    # zero-width neighbours join; no division occurs
+    # a zero-width narrowest block makes the tolerance bound 0, which would
+    # collapse the interval onto one atom: tied data are infeasible
     rng = np.random.default_rng(3)
     data = np.concatenate([np.full(300, 0.5), rng.uniform(-1, 3, 700)])
-    cs = run_method(data, 0.05, "m1").confidence_set
-    assert len(cs.intervals) == 1
-    assert cs.contains(0.5)
-    assert cs.width < 0.5
+    with pytest.raises(MethodInfeasibleError, match="^tied data"):
+        run_method(data, 0.05, "m1")
+    # rounded normal data tie too; data rounded finely enough to leave
+    # every compared block positive keep their interval
+    gen = np.random.default_rng(4)
+    with pytest.raises(MethodInfeasibleError, match="^tied data"):
+        run_method(np.round(gen.normal(size=1000), 1), 0.05, "m1")
+    cs = run_method(np.round(gen.normal(size=4000), 3), 0.05, "m1").confidence_set
+    assert len(cs.intervals) == 1 and cs.contains(0.0)
 
 
 def test_m1_alpha_nesting_observed():
@@ -176,7 +184,7 @@ def test_m1_covers_a_mode_at_either_edge(n):
     reps = 200
     draws = RngStream(57, n).generator().exponential(size=(reps, n))
     for rows in (np.sort(draws, axis=1), np.sort(-draws, axis=1)):
-        lo, hi = m1_bounds(rows, 0.05)
+        lo, hi, _ = m1_bounds(rows, 0.05)
         covered = np.count_nonzero((lo <= 0.0) & (0.0 <= hi))
         assert covered / reps >= _coverage_floor(0.05, reps)
 
@@ -186,7 +194,7 @@ def test_m1_coverage_at_n60():
     reps = 400
     rows = np.sort([FBetaDensity(1.0).sample(RngStream(58, rep), 60)
                     for rep in range(reps)], axis=1)
-    lo, hi = m1_bounds(rows, 0.05)
+    lo, hi, _ = m1_bounds(rows, 0.05)
     covered = np.count_nonzero((lo <= 0.0) & (0.0 <= hi))
     assert covered / reps >= _coverage_floor(0.05, reps)
 
@@ -209,16 +217,21 @@ def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
     gen = np.random.default_rng(n)
     rows = _kernel_rows(gen, n, 4)
     for alpha in (0.05, 0.3):
-        lo, hi = m1_bounds(rows, alpha)
-        want = np.array([scalar_m1(row, alpha) for row in rows])
-        assert np.array_equal(lo, want[:, 0]) and np.array_equal(hi, want[:, 1])
-        for row, a, b in zip(rows, lo, hi):  # k = 1
-            lo1, hi1 = m1_bounds(row[None, :], alpha)
-            assert (lo1[0], hi1[0]) == (a, b)
-            cs = run_method(row, alpha, "m1").confidence_set
-            assert cs.intervals == ((a, b),)
+        lo, hi, tied = m1_bounds(rows, alpha)
+        want = [scalar_m1(row, alpha) for row in rows]
+        assert tied.tolist() == [w is None for w in want]
+        assert [(a, b) for a, b, t in zip(lo, hi, tied) if not t] == [w for w in want if w]
+        for row, a, b, t in zip(rows, lo, hi, tied):  # k = 1
+            lo1, hi1, tied1 = m1_bounds(row[None, :], alpha)
+            assert (lo1[0], hi1[0], tied1[0]) == (a, b, t)
+            if t:
+                with pytest.raises(MethodInfeasibleError, match="^tied data"):
+                    run_method(row, alpha, "m1")
+            else:
+                assert run_method(row, alpha, "m1").confidence_set.intervals == ((a, b),)
     # both tail inflations ran, whether or not each level's blocks are
     # exactly the halves of the coarser level's, and runs that stop short
-    # of either end
+    # of either end, on untied rows
+    lo, hi, rows = lo[~tied], hi[~tied], rows[~tied]
     assert np.any(hi > rows[:, -1]) and np.any(lo < rows[:, 0])
     assert np.any(lo > rows[:, 0]) and np.any(hi < rows[:, -1])
