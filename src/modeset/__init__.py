@@ -3,7 +3,7 @@
 Five constructions share one data model: a nested order-statistic spacing
 interval (m1), window-count M-estimation sets with a fixed or
 width-minimizing bandwidth (m2, m2a), combined per-observation p-value sets
-(m3) and their dependence-robust variant (m3p), plus a lift of any of them
+(m3) and their Markov-bound variant (m3p), plus a lift of any of them
 to multivariate star-unimodal data via a radial transform.  A Monte-Carlo
 engine reproduces coverage/width studies at desk scale.
 """

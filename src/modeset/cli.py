@@ -138,7 +138,7 @@ def _run_ci(args) -> int:
         if args.h_grid_min is None or args.h_grid_max is None:
             raise ValueError("--h-grid-min and --h-grid-max must be given together")
         size = DEFAULT_GRID_SIZE if args.h_grid_size is None else args.h_grid_size
-        h_grid = geometric_grid(args.h_grid_min, args.h_grid_max, size)
+        [h_grid] = geometric_grid([args.h_grid_min], [args.h_grid_max], size)
     split_stream = None if args.split_seed is None else RngStream(args.split_seed, 0)
     options = {"h": args.h, "h_grid": h_grid, "rho": args.rho, "pilot_r": args.pilot_r,
                "split_stream": split_stream}

@@ -13,7 +13,8 @@ where the pilot anchor comes from the other half of the sample.  Method m3
 combines the p-values with the chi-square combination statistic
 -2 * sum(log p_i); method m3p replaces the combination by a Markov bound on
 the mean of the dampened ratios |(X_i - theta)/(X_i - pilot)|**(1/rho),
-which stays valid under arbitrary dependence between observations.
+valid under any dependence at a fixed anchor, so with this pilot only
+when the pilot half is independent of the evaluation half.
 
 Both statistics have the form scale * sum_i f(|X_i - theta| / d_i) + shift,
 with d_i = |X_i - pilot| and f increasing and concave on [0, inf):
@@ -262,12 +263,12 @@ def _concentration_set(points: np.ndarray, pilot: float, alpha: float,
     degrees of freedom; the set always contains the pilot (all p-values
     equal 1 there) and is bounded, but its width does not shrink with the
     sample size: the statistic's law of large numbers limit pins a fixed
-    limiting set.  m3p is valid whenever the observations are identically
-    distributed, without any independence assumption: Markov's inequality
-    applied to the mean of the dampened ratios needs only the
-    single-observation concentration bound, which requires rho > 1 for
-    integrability.  A large rho can give the whole line (see
-    :func:`_extract_level_set`).
+    limiting set.  m3p is valid for identically distributed observations
+    whose pilot half is independent of the evaluation half: Markov's
+    inequality on the mean of the dampened ratios needs only each ratio's
+    single-observation bound at a fixed anchor (rho > 1 for integrability),
+    so it holds under any dependence within the evaluation half.  A large
+    rho can give the whole line (see :func:`_extract_level_set`).
     """
     cutoff = _cutoff(points, pilot, alpha, rho)
     stat = partial(concentration_statistic, points, pilot, rho=rho)

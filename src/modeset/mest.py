@@ -45,21 +45,20 @@ def dkw_count_slack(n: int, alpha: float) -> float:
     return 2.0 * math.sqrt(2.0 * n * math.log(2.0 / alpha))
 
 
-def _level_runs(starts: np.ndarray, ends: np.ndarray,
-                cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _level_runs(points: np.ndarray, h: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (lo, hi) of pieces whose union is the set N(theta) >= cutoff.
 
-    ``starts`` and ``ends`` are X_i - h and X_i + h over the sorted points.
-    The points a window catches form a contiguous block, so for K =
-    ceil(cutoff) >= 1, N(theta) >= K exactly when s_{j+K-1} <= theta < e_j
-    for some j: the nonempty such pieces, whose end arrays both ascend, as
-    :func:`join_runs` takes them.  Every count is >= 0, so a cutoff <= 0
-    gives the knot hull [s_0, e_{n-1}].
+    Over the sorted ``points``, s_i = X_i - h and e_i = X_i + h (each slice
+    shifted once taken: the same floats).  The points a window catches are
+    contiguous, so for K = ceil(cutoff) >= 1, N(theta) >= K exactly when
+    s_{j+K-1} <= theta < e_j for some j: the nonempty such pieces, whose end
+    arrays ascend, as :func:`join_runs` takes them.  Every count is >= 0, so
+    a cutoff <= 0 gives the knot hull [s_0, e_{n-1}].
     """
     if cutoff <= 0.0:
-        return starts[:1], ends[-1:]
+        return points[:1] - h, points[-1:] + h
     k = math.ceil(cutoff)
-    lo, hi = starts[k - 1:], ends[:max(ends.size - k + 1, 0)]
+    lo, hi = points[k - 1:] - h, points[:max(points.size - k + 1, 0)] + h
     keep = lo < hi
     return lo[keep], hi[keep]
 
@@ -88,55 +87,46 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
     """The narrowest dilated level set over the ascending bandwidth ``grid``
     for the sorted evaluation ``points``, with its bandwidth and diagnostics.
 
-    One vectorized count gives every bandwidth's cutoff.  A cutoff <= 0
-    excludes nothing: the set is the dilated knot hull, whose width is
-    closed-form.  The count N(pilot) never falls as h rises (rounding is
-    monotone, so a window that holds the pilot still holds it when wider),
-    so these vacuous bandwidths come first in the grid.  The others, in
-    ascending h, build their pieces, shifted by h and joined once (no gap
-    closed by the shift reopens), and sum the runs' widths left to right,
-    as ``ConfidenceSet.width`` does.  The set holds the pilot, and the
-    sum's terms are nonnegative, so a width is at least its floor
-    (pilot + h) - (pilot - h), which grows with h.  Ties go to the smallest
-    h, so the walk stops once a floor reaches a width at a smaller h: every
-    larger h is still unbuilt, so the winner is bit for bit the one every
-    width would pick, and its runs are kept unless it is vacuous.
+    One vectorized count gives every cutoff.  A built bandwidth's pieces are
+    shifted by h and joined once (no gap closed by the shift reopens), and
+    its runs' widths summed left to right, as ``ConfidenceSet.width`` does.
+    The walk builds the first bandwidth, then the informative ones (cutoff
+    > 0) in ascending h, and keeps a running best that only a strictly
+    narrower set replaces, so ties go to the smaller h.  N(pilot) never
+    falls as h rises (rounding is monotone), so the vacuous bandwidths come
+    first; their set, the dilated knot hull, never narrows as h rises, so
+    only the first can win.  An informative set holds the pilot, so its
+    width is at least (pilot + h) - (pilot - h), which grows with h: the
+    walk stops once that floor reaches the best width.
     """
     hs = np.asarray(grid, dtype=np.float64)
     with np.errstate(over="ignore"):  # a huge h gives infinite ends, as with Python floats
         cutoffs = _pilot_counts(points, pilot, hs) - slack
-        hulls = ((points[-1] + hs) + hs) - ((points[0] - hs) - hs)
-        widths = np.where(cutoffs > 0.0, math.inf, hulls)
-        floors, kept = (pilot + hs) - (pilot - hs), (None,)
-        for i in np.flatnonzero(cutoffs > 0.0):
-            prior = widths[:i].min(initial=math.inf)
-            if floors[i] >= prior:
+        best = None
+        for i in np.flatnonzero(np.concatenate(([True], cutoffs[1:] > 0.0))):
+            h = hs[i]
+            if best is not None and (pilot + h) - (pilot - h) >= best[0]:
                 break
-            lo, hi = _level_runs(points - hs[i], points + hs[i], float(cutoffs[i]))
-            dlo, dhi = join_runs(lo - hs[i], hi + hs[i])
-            widths[i] = np.cumsum(dhi - dlo)[-1]
-            kept = (i, lo, hi, dlo, dhi) if widths[i] < prior else kept
-        best = int(np.argmin(widths))
-        h, cutoff = float(hs[best]), float(cutoffs[best])
-        if kept[0] != best:  # a vacuous winner, or every width infinite
-            lo, hi = _level_runs(points - h, points + h, cutoff)
-            kept = best, lo, hi, *join_runs(lo - h, hi + h)
-        _, lo, hi, dlo, dhi = kept
+            lo, hi = _level_runs(points, h, float(cutoffs[i]))
+            dlo, dhi = join_runs(lo - h, hi + h)
+            width = np.cumsum(dhi - dlo)[-1]
+            if best is None or width < best[0]:
+                best = width, float(h), float(cutoffs[i]), lo, hi, dlo, dhi
+    _, h, cutoff, lo, hi, dlo, dhi = best
     return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=cutoff <= 0.0, pilot=pilot,
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 
 
-def geometric_grid(lo, hi, size: int):
-    """``size`` geometric bandwidths from ``lo`` to ``hi`` as an ascending float64 array, or
-    for 1-D arrays of bounds, the list of their grids, each the scalar call's bit for bit."""
-    for a, b in zip(np.atleast_1d(lo), np.atleast_1d(hi)):
+def geometric_grid(lo, hi, size: int) -> list:
+    """For 1-D arrays of bounds, the list of their grids: ``size`` geometric bandwidths from
+    each ``lo`` to its ``hi`` as an ascending float64 array."""
+    for a, b in zip(lo, hi):
         if not 0 < a <= b < math.inf:
             raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {a}, {b}")
     if size < 1:
         raise ValueError(f"bandwidth grid size must be at least 1, got {size}")
-    grids = [grid if np.all(grid[1:] > grid[:-1]) else np.unique(grid)  # rounding can repeat
-             for grid in np.atleast_2d(np.geomspace(lo, hi, size, axis=-1))]
-    return grids if np.ndim(lo) else grids[0]
+    return [grid if np.all(grid[1:] > grid[:-1]) else np.unique(grid)  # rounding can repeat
+            for grid in np.geomspace(lo, hi, size, axis=-1)]
 
 
 def default_bandwidth_grid(rows, size: int = DEFAULT_GRID_SIZE) -> list:

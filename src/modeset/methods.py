@@ -129,9 +129,9 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
       over the grid keeps the coverage guarantee; ties go to the smallest h.
     - ``m3``: the combined p-value set.  It is bounded and contains the
       pilot, but its width does not shrink with the sample size.
-    - ``m3p``: the dampened-ratio set, valid under arbitrary dependence
-      between identically distributed observations; ``rho`` must exceed 1,
-      and a large ``rho`` can give the whole line.
+    - ``m3p``: the dampened-ratio set, valid under any dependence within the
+      identically distributed evaluation half if it is independent of the
+      pilot half; ``rho`` must exceed 1, and a large ``rho`` can give the whole line.
 
     Every method but ``m1`` splits the sample with ``split_stream`` and
     takes its pilot from one half, with window ``pilot_r``, and reports it

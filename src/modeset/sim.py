@@ -136,6 +136,15 @@ def _run_block(methods, n_values, beta, alpha, base_seed, reps):
     return by_n
 
 
+def _width_quantiles(widths: np.ndarray) -> list:
+    """``np.quantile``'s 10%, 50% and 90% points without its nan beside an inf width: a point
+    whose neighbours are equal is their value, and one whose upper neighbour is inf is inf."""
+    with np.errstate(invalid="ignore"):  # numpy's interpolation reads inf - inf and inf * 0
+        linear = np.quantile(widths, [0.1, 0.5, 0.9])
+    lower, upper = (np.quantile(widths, [0.1, 0.5, 0.9], method=m) for m in ("lower", "higher"))
+    return np.where((lower == upper) | (upper == math.inf), upper, linear).tolist()
+
+
 def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
                        replications: int = 1000, base_seed: int = 0,
                        workers: int = 1) -> list[CoverageReport]:
@@ -168,6 +177,8 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
         raise ValueError(f"sample sizes must be integers of at least 2, got {n_values}")
     n_values = [int(n) for n in n_values]
     beta_values = [float(beta) for beta in beta_values]
+    if not beta_values:
+        raise ValueError("beta values must be nonempty")
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
     if not is_count(base_seed):
@@ -189,8 +200,7 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
         outcomes = [outcome for _, block in cell for outcome in block]
         covered, per_rep, vacuous, errored = zip(*outcomes)  # per_rep holds NaN where errored
         widths = np.array([w for w, err in zip(per_rep, errored) if not err], dtype=np.float64)
-        q10, q50, q90 = (np.quantile(widths, [0.1, 0.5, 0.9]).tolist() if widths.size
-                         else (math.nan,) * 3)
+        q10, q50, q90 = _width_quantiles(widths) if widths.size else (math.nan,) * 3
         reports.append(CoverageReport(
             method=method, n=n, beta=beta, alpha=float(alpha), replications=replications,
             coverage=sum(covered) / replications, width_q10=q10, width_q50=q50, width_q90=q90,

@@ -178,13 +178,14 @@ def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, fl
 
 
 _GRID = ["--h-grid-min", "0.05", "--h-grid-max", "1.0"]
+[_GRID_64], [_GRID_16] = geometric_grid([0.05], [1.0], 64), geometric_grid([0.05], [1.0], 16)
 # each method-specific flag of ci: the arguments that give it a valid
 # value, the run_method option it sets and that option's value
 _CI_FLAGS = {
     "--h": (["--h", "0.25"], "h", 0.25),
-    "--h-grid-min": (_GRID, "h_grid", geometric_grid(0.05, 1.0, 64)),
-    "--h-grid-max": (_GRID, "h_grid", geometric_grid(0.05, 1.0, 64)),
-    "--h-grid-size": (_GRID + ["--h-grid-size", "16"], "h_grid", geometric_grid(0.05, 1.0, 16)),
+    "--h-grid-min": (_GRID, "h_grid", _GRID_64),
+    "--h-grid-max": (_GRID, "h_grid", _GRID_64),
+    "--h-grid-size": (_GRID + ["--h-grid-size", "16"], "h_grid", _GRID_16),
     "--rho": (["--rho", "2.5"], "rho", 2.5),
     "--pilot-r": (["--pilot-r", "10"], "pilot_r", 10),
     "--split-seed": (["--split-seed", "7"], "split_stream", RngStream(7, 0)),

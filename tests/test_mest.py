@@ -39,9 +39,9 @@ def _window(points, h):
     return starts, ends, np.unique(np.concatenate([starts, ends]))
 
 
-def _runs(starts, ends, cutoff):
+def _runs(points, h, cutoff):
     """The maximal runs of N(theta) >= cutoff as a list of (lo, hi) pairs."""
-    lo, hi = join_runs(*_level_runs(starts, ends, cutoff))
+    lo, hi = join_runs(*_level_runs(np.sort(np.asarray(points, dtype=np.float64)), h, cutoff))
     return list(zip(lo.tolist(), hi.tolist()))
 
 
@@ -53,10 +53,10 @@ def test_window_statistic_hand_sweep():
     counts = _window_count(starts, ends, knots)
     assert list(counts[:-1]) == [1, 0, 1]
     assert counts[-1] == 0
-    segments = _runs(starts, ends, 0.5)
+    segments = _runs([0.0, 1.0], 0.4, 0.5)
     assert segments == [(-0.4, 0.4), (0.6, 1.4)]
     # every count is >= 0, so a cutoff <= 0 keeps the whole knot hull
-    assert _runs(starts, ends, 0.0) == _runs(starts, ends, -3.0) == [(-0.4, 1.4)]
+    assert _runs([0.0, 1.0], 0.4, 0.0) == _runs([0.0, 1.0], 0.4, -3.0) == [(-0.4, 1.4)]
     dilated = dilate(make_confidence_set(segments), 0.4)
     assert len(dilated.intervals) == 1
     assert dilated.intervals[0] == pytest.approx((-0.8, 1.8), abs=1e-12)
@@ -74,7 +74,7 @@ def test_window_statistic_half_open_convention():
 def test_window_statistic_duplicates():
     starts, ends, _ = _window([1.0, 1.0, 1.0], 0.25)
     assert _window_count(starts, ends, 1.0) == 3
-    assert _runs(starts, ends, 2.5) == [(0.75, 1.25)]
+    assert _runs([1.0, 1.0, 1.0], 0.25, 2.5) == [(0.75, 1.25)]
 
 
 def _m2_oracle_membership(grid, s2, pilot, h, tau):
@@ -184,22 +184,30 @@ def _sweep_cases():
             yield pts, pilot, quarters, n + 1.0
             # only the last bandwidth, which catches every point, clears it
             yield pts, pilot, (1e-3, 1e-2, 2.0 * (pts[-1] - pts[0]) + 1.0), n - 0.5
+    # points of scale 1e307: dilated ends overflow, and the winner may be
+    # infinitely wide, vacuous or informative
+    for n in (20, 64, 300):
+        pts = np.sort(gen.normal(size=n)) * 1e307
+        pilot = float(pts[n // 2])
+        yield pts, pilot, (1e307, 1e308), 0.1 * n
+        yield pts, pilot, (5e307, 1e308, 1.5e308), dkw_count_slack(n, 0.05)
+        yield pts, pilot, (1e308,), hoeffding_count_slack(n, 0.3)
 
 
+@np.errstate(over="ignore")  # the 1e307 cases overflow to inf, as in _sweep
 def test_sweep_matches_knot_table_sweep_bit_for_bit():
-    vacuous = multi = tied = 0
+    vacuous = multi = tied = infinite = 0
     for pts, pilot, grid, slack in _sweep_cases():
         # the count at the pilot never falls as h rises, so the vacuous
-        # bandwidths come first and _sweep needs no stop at a larger h
+        # bandwidths come first and _sweep builds only the first of them
         assert np.all(np.diff(_pilot_counts(pts, pilot, np.asarray(grid))) >= 0)
         rows = _reference_sweep(pts, pilot, grid, slack)
         for h, cutoff, pre, cs in rows:
             # every bandwidth's maximal runs; its pieces shifted by h and
             # joined, as the sweep ranks them, are the dilated runs, and
             # their left-to-right sum is the dilated set's width
-            starts, ends = pts - h, pts + h
-            assert _runs(starts, ends, cutoff) == list(pre.intervals)
-            lo, hi = _level_runs(starts, ends, cutoff)
+            assert _runs(pts, h, cutoff) == list(pre.intervals)
+            lo, hi = _level_runs(pts, h, cutoff)
             dlo, dhi = join_runs(lo - h, hi + h)
             assert repr(ConfidenceSet.from_runs(dlo, dhi)) == repr(cs)
             assert float(np.cumsum(dhi - dlo)[-1]) == cs.width
@@ -211,9 +219,10 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
         vacuous += res.vacuous
         multi += len(pre.intervals) > 1
         tied += widths.count(min(widths)) > 1
-    # the cases reach the vacuous hull, multi-interval level sets, and
-    # bandwidths tied at the minimal width
-    assert vacuous >= 5 and multi >= 5 and tied >= 3
+        infinite += res.confidence_set.width == math.inf
+    # the cases reach the vacuous hull, multi-interval level sets,
+    # bandwidths tied at the minimal width, and infinitely wide winners
+    assert vacuous >= 5 and multi >= 5 and tied >= 3 and infinite >= 3
 
 
 def test_pilot_counts_match_window_count_h_by_h():
@@ -299,7 +308,7 @@ def test_m2a_degenerate_grid_matches_single_dkw_set():
     pts, pilot = points[0], pilots[0]
     starts, ends, _ = _window(pts, 0.5)
     cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
-    pre = make_confidence_set(_runs(starts, ends, cutoff))
+    pre = make_confidence_set(_runs(pts, 0.5, cutoff))
     assert res_grid.h == 0.5
     assert res_grid.vacuous == (cutoff <= 0)
     assert res_grid.confidence_set == dilate(pre, 0.5)
@@ -320,7 +329,7 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
     for h in true_grid:
         starts, ends, _ = _window(pts, h)
         cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
-        pre = make_confidence_set(_runs(starts, ends, cutoff))
+        pre = make_confidence_set(_runs(pts, h, cutoff))
         widths.append(dilate(pre, h).width)
     assert res.confidence_set.width == min(widths)
     assert res.h == true_grid[int(np.argmin(widths))]
@@ -357,7 +366,7 @@ def test_mest_option_validation():
     with pytest.raises(ValueError, match="finite"):
         run_method(data, 0.05, "m2a", h_grid=(0.25, math.inf))
     with pytest.raises(ValueError, match="max < inf"):
-        geometric_grid(0.1, math.inf, 8)
+        geometric_grid([0.1], [math.inf], 8)
     with pytest.raises(ValueError, match="alpha"):
         run_method(data, 0.0, "m2a")
 
@@ -438,9 +447,9 @@ def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatc
     built = []
     real = _level_runs
 
-    def counted(starts, ends, cutoff):
+    def counted(points, h, cutoff):
         built.append(cutoff > 0.0)
-        return real(starts, ends, cutoff)
+        return real(points, h, cutoff)
 
     monkeypatch.setattr("modeset.mest._level_runs", counted)
     informative = 0

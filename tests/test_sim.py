@@ -16,7 +16,7 @@ from modeset import (
 )
 from modeset.core import venter_pilot
 from modeset.methods import METHOD_CODES
-from modeset.sim import FBetaDensity, replication_widths_csv
+from modeset.sim import FBetaDensity, _width_quantiles, replication_widths_csv
 
 from fbeta_ppf import cdf, pdf, ppf
 
@@ -272,6 +272,22 @@ def test_study_validation():
         run_coverage_study(["m1"], [200], [1.0, 0.0], replications=5)
 
 
+def test_study_reports_inf_not_nan_for_the_width_quantiles_of_unbounded_sets():
+    # at alpha 1e-30 most m3p sets are the whole line; numpy interpolates a
+    # quantile beside an infinite width to nan, with a RuntimeWarning
+    reports = run_coverage_study(["m3p"], [50, 100, 400], [1.0], alpha=1e-30,
+                                 replications=20, base_seed=1)
+    assert [sum(w == math.inf for w in r.widths) for r in reports] == [19, 17, 10]
+    assert coverage_report_csv(reports).splitlines()[1:] == [
+        "m3p,50,1.0,1e-30,20,1.0,inf,inf,inf,0,0",
+        "m3p,100,1.0,1e-30,20,1.0,4.883966594657337e+60,inf,inf,0,0",
+        "m3p,400,1.0,1e-30,20,1.0,4.300812084745403e+60,inf,inf,0,0"]
+    # at a whole index the lower neighbour stands, even beside an inf one
+    assert _width_quantiles(np.r_[np.arange(1.0, 11.0), math.inf]) == [2.0, 6.0, 10.0]
+    finite = np.sort(np.random.default_rng(5).exponential(size=37))
+    assert _width_quantiles(finite) == np.quantile(finite, [0.1, 0.5, 0.9]).tolist()
+
+
 def test_study_default_grid_smoke():
     # every (method, n, beta) cell of the CLI's default grid runs error-free
     reports = run_coverage_study(["m1", "m2", "m3"], [1000, 2000],
@@ -357,6 +373,7 @@ def test_study_times_each_method_on_its_own(monkeypatch):
     (dict(workers=1.5), "workers must be at least 1 and an integer, got 1.5"),
     (dict(base_seed=2.7), "base_seed must be an integer, got 2.7"),
     (dict(base_seed=True), "base_seed must be an integer, got True"),
+    (dict(beta_values=[]), "beta values must be nonempty"),
 ])
 def test_study_rejects_counts_that_are_not_integers(options, message):
     args = dict(methods=["m1"], n_values=[200], beta_values=[1.0], replications=2, base_seed=3)
