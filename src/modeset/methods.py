@@ -19,7 +19,6 @@ from .core import (
     ModeSetError,
     _as_finite_1d,
     check_alpha,
-    sort_rows,
     split_and_pilot,
 )
 from .edelman import _concentration_covers, _concentration_set
@@ -84,7 +83,7 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
     for method in methods:
         try:
             if method == "m1":
-                lo, hi, tied = m1_bounds(sort_rows(rows), alpha)
+                lo, hi, tied = m1_bounds(rows, alpha)
                 column = [MethodInfeasibleError(_TIED) if t else
                           ModeResult(ConfidenceSet(((a, b),)))
                           for a, b, t in zip(lo.tolist(), hi.tolist(), tied)]
@@ -166,7 +165,7 @@ def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
         raise ValueError(f"method {method!r} is not one of {SCAN_CODES}, which need no options")
     rows = np.asarray(rows, dtype=np.float64)
     if method == "m1":
-        lo, hi, tied = m1_bounds(sort_rows(rows), alpha)
+        lo, hi, tied = m1_bounds(rows, alpha)
         if tied.any():
             raise MethodInfeasibleError(_TIED)
         return (lo <= x) & (x <= hi)

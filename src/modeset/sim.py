@@ -137,12 +137,12 @@ def _run_block(methods, n_values, beta, alpha, base_seed, reps):
 
 
 def _width_quantiles(widths: np.ndarray) -> list:
-    """``np.quantile``'s 10%, 50% and 90% points without its nan beside an inf width: a point
-    whose neighbours are equal is their value, and one whose upper neighbour is inf is inf."""
+    """``np.quantile``'s 10%, 50% and 90% points, with its ``higher`` point wherever the linear
+    one is nan: only beside an inf width, where it is inf or the equal neighbours' value."""
     with np.errstate(invalid="ignore"):  # numpy's interpolation reads inf - inf and inf * 0
         linear = np.quantile(widths, [0.1, 0.5, 0.9])
-    lower, upper = (np.quantile(widths, [0.1, 0.5, 0.9], method=m) for m in ("lower", "higher"))
-    return np.where((lower == upper) | (upper == math.inf), upper, linear).tolist()
+    higher = np.quantile(widths, [0.1, 0.5, 0.9], method="higher")
+    return np.where(np.isnan(linear), higher, linear).tolist()
 
 
 def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
@@ -181,6 +181,10 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
         raise ValueError("beta values must be nonempty")
     for beta in beta_values:
         FBetaDensity(beta)  # raises on a non-positive or non-finite beta
+    axes = (("methods", methods), ("sample sizes", n_values), ("beta values", beta_values))
+    for name, values in axes:  # each (method, n, beta) is one row of the CSV
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat, got {values}")
     if not is_count(base_seed):
         raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
     RngStream(int(base_seed))  # raises on a seed outside the unsigned 64-bit range

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MethodInfeasibleError, check_alpha
+from .core import MethodInfeasibleError, check_alpha, sort_rows
 from .numerics import is_count, qbeta
 
 __all__ = [
@@ -123,17 +123,18 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
 def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoints of the m1 interval for each row of a (k, n) matrix.
 
-    Every row must be sorted ascending and finite; one plan serves all
-    rows.  Each level masks the blocks outside a row's candidate range
-    with inf, takes the first narrowest block per row, and grows the run
-    of blocks within ``h_b`` times that width on both sides of it.  A row
-    is ``tied`` once a narrowest block has zero width: its run is one atom.
+    The rows may be in any order; they are sorted here, and a value that is
+    not finite raises ``ValueError``.  One plan serves all rows.  Each level
+    masks the blocks outside a row's candidate range with inf, takes the
+    first narrowest block per row, and ends its run at the nearest block on
+    each side that is masked or wider than ``h_b`` times the narrowest.  A
+    row is ``tied`` once a narrowest block has zero width: its run is one atom.
 
     Returns
     -------
     lo, hi, tied : ndarray of shape (k,)
     """
-    v = np.asarray(rows, dtype=np.float64)
+    v = sort_rows(np.asarray(rows, dtype=np.float64))
     k, n = v.shape
     plan = build_plan(n, alpha)
     pick = np.arange(k)
@@ -153,11 +154,9 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         tied |= least == 0.0
         bound = plan.h_b[b] * least
         stop = outside | (widths > bound[:, None])
-        # the run around the narrowest block ends at the nearest stop on each
-        # side; the right end is found on the reversed rows
-        left = np.maximum.accumulate(np.where(stop, blocks + 1, 0), axis=1)
-        right = np.minimum.accumulate(np.where(stop, blocks - 1, n_b - 1)[:, ::-1], axis=1)
-        lo_run, hi_run = left[pick, narrowest], right[pick, n_b - 1 - narrowest]
+        before = blocks < narrowest[:, None]
+        lo_run = np.where(stop & before, blocks + 1, 0).max(axis=1)
+        hi_run = np.where(stop & ~before, blocks - 1, n_b - 1).min(axis=1)
         if b > 0:
             # Finer blocks are halves of the surviving coarse blocks; only
             # those wholly inside the surviving run remain candidates.  The

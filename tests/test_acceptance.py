@@ -328,3 +328,27 @@ def test_criterion_11_simulate_determinism(tmp_path, capsys):
     ok = out1.read_bytes() == out2.read_bytes()
     detail = f"{len(out1.read_bytes())} CSV bytes identical across reruns"
     assert _criterion(11, "simulate determinism", ok, detail), detail
+
+
+# Criterion 12 is reserved for the guarantee audit.
+# 1.5 times the largest |slope - rate| over seeds SEED + 131 to SEED + 135 and
+# the three betas (0.0227 at beta 2), rounded up to 0.01
+RATE_TOLERANCE = 0.04
+
+
+def test_criterion_13_m1_width_rate_across_beta():
+    n_values, betas = [1000, 4000, 16000, 64000], [1, 2, 4]
+    reports = run_coverage_study(["m1", "m2", "m2a"], n_values, betas, alpha=ALPHA,
+                                 replications=40, base_seed=SEED + 130)
+    medians = {(r.method, r.beta): [] for r in reports}
+    for r in reports:
+        medians[r.method, r.beta].append(r.width_q50)
+    slopes = {key: np.polyfit(np.log(n_values), np.log(meds), 1)[0]
+              for key, meds in medians.items()}
+    # m2 and m2a are reported only: their small-n widths are clamped hulls
+    ok = all(abs(slopes["m1", b] - (-1 / (2 * b + 1))) <= RATE_TOLERANCE for b in betas)
+    detail = " ".join(
+        f"beta={b}: m1 {slopes['m1', b]:.3f} vs {-1 / (2 * b + 1):.3f}"
+        f" (m2 {slopes['m2', b]:.3f}, m2a {slopes['m2a', b]:.3f})" for b in betas)
+    detail += f"; tolerance {RATE_TOLERANCE}"
+    assert _criterion(13, "m1 width rate across beta", ok, detail), detail

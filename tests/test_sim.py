@@ -288,6 +288,34 @@ def test_study_reports_inf_not_nan_for_the_width_quantiles_of_unbounded_sets():
     assert _width_quantiles(finite) == np.quantile(finite, [0.1, 0.5, 0.9]).tolist()
 
 
+def _quantiles_by_neighbours(widths):
+    """Oracle of ``_width_quantiles``: numpy's linear point, except that a point whose
+    lower and higher neighbours are equal is their value and one beside an inf is inf."""
+    with np.errstate(invalid="ignore"):
+        linear = np.quantile(widths, [0.1, 0.5, 0.9])
+    lower, upper = (np.quantile(widths, [0.1, 0.5, 0.9], method=m) for m in ("lower", "higher"))
+    return np.where((lower == upper) | (upper == math.inf), upper, linear).tolist()
+
+
+def test_width_quantiles_match_the_neighbour_rule():
+    gen = np.random.default_rng(25)
+    finite_beside_inf = inf_points = 0
+    for i in range(3000):
+        n = int(gen.integers(1, 60))
+        widths = gen.exponential(size=n)
+        if i % 3 == 0:
+            widths = np.round(widths)  # repeated values
+        if i % 2 == 0:
+            widths[gen.random(n) < gen.random()] = math.inf
+        got = _width_quantiles(widths)
+        assert repr(got) == repr(_quantiles_by_neighbours(widths))
+        with np.errstate(invalid="ignore"):
+            nan_linear = np.isnan(np.quantile(widths, [0.1, 0.5, 0.9]))
+        finite_beside_inf += np.count_nonzero(nan_linear & np.isfinite(got))
+        inf_points += got.count(math.inf)
+    assert finite_beside_inf > 0 and inf_points > 0
+
+
 def test_study_default_grid_smoke():
     # every (method, n, beta) cell of the CLI's default grid runs error-free
     reports = run_coverage_study(["m1", "m2", "m3"], [1000, 2000],
@@ -374,6 +402,9 @@ def test_study_times_each_method_on_its_own(monkeypatch):
     (dict(base_seed=2.7), "base_seed must be an integer, got 2.7"),
     (dict(base_seed=True), "base_seed must be an integer, got True"),
     (dict(beta_values=[]), "beta values must be nonempty"),
+    (dict(methods=["m1", "m1"]), "methods must not repeat, got ['m1', 'm1']"),
+    (dict(n_values=[200, np.int64(200)]), "sample sizes must not repeat, got [200, 200]"),
+    (dict(beta_values=[1, 1.0]), "beta values must not repeat, got [1.0, 1.0]"),
 ])
 def test_study_rejects_counts_that_are_not_integers(options, message):
     args = dict(methods=["m1"], n_values=[200], beta_values=[1.0], replications=2, base_seed=3)

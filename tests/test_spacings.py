@@ -212,6 +212,22 @@ def _kernel_rows(gen, n, k):
     return np.sort(np.concatenate(rows), axis=1)
 
 
+@pytest.mark.parametrize("n", [60, 1000, 4097])
+def test_m1_bounds_sorts_its_rows_and_rejects_values_that_are_not_finite(n):
+    rows = _kernel_rows(np.random.default_rng(n + 1), n, 3)
+    shuffled = np.random.default_rng(n).permuted(rows, axis=1)
+    assert not np.array_equal(shuffled, rows)
+    for alpha in (0.05, 0.3):
+        want = [a.tobytes() for a in m1_bounds(rows, alpha)]
+        assert [a.tobytes() for a in m1_bounds(shuffled, alpha)] == want
+        assert [a.tobytes() for a in m1_bounds(shuffled.tolist(), alpha)] == want
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = shuffled.copy()
+        rows[1, n // 2] = bad
+        with pytest.raises(ValueError, match="^data must contain only finite values$"):
+            m1_bounds(rows, 0.05)
+
+
 @pytest.mark.parametrize("n", [32, 54, 60, 64, 65, 100, 129, 257, 1000, 1023, 4097, 5000])
 def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
     gen = np.random.default_rng(n)
