@@ -24,7 +24,7 @@ from .core import (
 from .edelman import _concentration_covers, _concentration_set
 from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_count_slack
 from .numerics import RngStream
-from .spacings import m1_bounds
+from .spacings import _m1_descent, _m1_order_statistics, m1_bounds
 
 __all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method"]
 
@@ -42,6 +42,7 @@ SCAN_CODES = tuple(m for m, options in METHOD_OPTIONS.items() if "h" not in opti
 _RHO = 2.0  # m3p's default damping exponent, also the one covers uses
 _SPLIT_STREAM = RngStream(0, 0)
 _TIED = "tied data: an m1 block of order statistics has zero width"
+_M1_BATCH = 2**15  # order statistics that covers holds for one m1 descent
 
 
 def _check_options(alpha, methods, h, h_grid, rho):
@@ -153,27 +154,47 @@ def compute_confidence_set(data, alpha: float, method: str, **options) -> Confid
     return run_method(data, alpha, method, **options).confidence_set
 
 
-def covers(rows, x: float, alpha: float, method: str) -> np.ndarray:
-    """Whether each row's set (of :func:`run_method` with its defaults) contains ``x``.
+def covers(chunks, x: float, alpha: float, method: str):
+    """For each (k, n) matrix of ``chunks`` in turn, yield whether each row's set (of
+    :func:`run_method` with its defaults) contains ``x``; the matrices are left as they are.
 
-    ``rows`` is a (k, n) matrix holding k samples of equal size n >= 1 and
-    ``method`` one of ``SCAN_CODES``.  Every method but ``m2a``, which
-    builds each row's set, tests all rows as one batch.
+    All rows have one size n >= 1; ``method`` is one of ``SCAN_CODES``.  ``m1`` answers
+    the matrices with one descent per ``_M1_BATCH`` order statistics held, from which a
+    row leaves once its interval misses ``x``.  ``m3`` and ``m3p`` test each matrix as
+    one batch, and ``m2a`` builds each row's set.
     """
     check_alpha(alpha)
     if method not in SCAN_CODES:
         raise ValueError(f"method {method!r} is not one of {SCAN_CODES}, which need no options")
-    rows = np.asarray(rows, dtype=np.float64)
-    if method == "m1":
-        lo, hi, tied = m1_bounds(rows, alpha)
-        if tied.any():
-            raise MethodInfeasibleError(_TIED)
-        return (lo <= x) & (x <= hi)
-    if method == "m2a":
-        [results] = _method_columns(rows, alpha, [method])
-        for res in results:
-            if isinstance(res, ModeSetError):
-                raise res
-        return np.array([res.confidence_set.contains(x) for res in results], dtype=bool)
-    points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
-    return _concentration_covers(points, pilots, x, alpha, _RHO if method == "m3p" else None)
+    held, sizes = np.empty((0, 0)), []  # m1: order statistics awaiting a descent, rows per matrix
+    for rows in chunks:
+        rows = np.asarray(rows, dtype=np.float64)
+        if method == "m1":
+            stats, plan = _m1_order_statistics(rows, alpha)
+            if sizes and sum(sizes) + len(stats) > len(held):
+                yield from _m1_hits(held, sizes, x, plan)
+                sizes = []
+            if len(stats) > len(held):
+                held = np.empty((max(len(stats), _M1_BATCH // stats.shape[1]), stats.shape[1]))
+            held[sum(sizes) : sum(sizes) + len(stats)] = stats
+            sizes.append(len(stats))
+        elif method == "m2a":
+            [results] = _method_columns(rows, alpha, [method])
+            for res in results:
+                if isinstance(res, ModeSetError):
+                    raise res
+            yield np.array([res.confidence_set.contains(x) for res in results], dtype=bool)
+        else:
+            points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
+            yield _concentration_covers(points, pilots, x, alpha,
+                                        _RHO if method == "m3p" else None)
+    if sizes:
+        yield from _m1_hits(held, sizes, x, plan)
+
+
+def _m1_hits(held, sizes, x, plan):
+    """``covers`` for ``m1`` on the first ``sum(sizes)`` rows ``held``, one array per size."""
+    lo, hi, tied = _m1_descent(held[: sum(sizes)], plan, x)
+    if tied.any():
+        raise MethodInfeasibleError(_TIED)
+    return np.split((lo <= x) & (x <= hi), np.cumsum(sizes[:-1]))

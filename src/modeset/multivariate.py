@@ -106,7 +106,8 @@ def contains_mode_candidate(
     The spacing interval m1 is the default: it needs no sample split, and
     its left tail extension handles a mode sitting at the support boundary 0.
     """
-    return bool(covers(radial_transform(cloud, theta)[None, :], 0.0, alpha, algorithm)[0])
+    [hits] = covers([radial_transform(cloud, theta)[None, :]], 0.0, alpha, algorithm)
+    return bool(hits[0])
 
 
 def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
@@ -137,12 +138,14 @@ def scan_region(
 
     ``box`` is a per-dimension sequence of finite (lo, hi); ``resolution``
     an int or per-dimension counts.  Restricted to d <= 3 and at most 1e7
-    cells.  Cells are tested block by block along the last axis (index order
-    when one block spans it), in chunks of 2**16 // n (at least one) that
-    add their rows' squares to each block's squared distances in one
-    broadcast; ``m1``, ``m3`` and ``m3p`` test a whole chunk as one batch,
-    and ``m2a`` builds each cell's set.  An overflowing transform raises
-    ``MethodInfeasibleError``, checked once at each point's farthest cell.
+    cells.  Cells are transformed block by block along the last axis (index
+    order when one block spans it), in chunks of 2**16 // n (at least one)
+    that add their rows' squares to each block's squared distances in one
+    broadcast.  :func:`methods.covers` takes the chunks in turn, and each
+    answer fills its chunk's slice of the mask: ``m1`` answers several
+    chunks with one level descent, ``m3`` and ``m3p`` test a chunk as one
+    batch, and ``m2a`` builds each cell's set.  An overflowing transform
+    raises ``MethodInfeasibleError``, checked once at each point's farthest cell.
     """
     d = cloud.d
     if d > 3:
@@ -169,19 +172,25 @@ def scan_region(
     mask = np.empty((rows, width), dtype=bool)
     chunk = max(1, _CHUNK_VALUES // n)  # cells: a block of the last axis by a group of rows
     block, group = min(width, chunk), max(1, chunk // width)
-    for b in range(0, width, block):
-        with np.errstate(over="ignore"):
-            last = np.square(cloud.points[:, -1] - axes[-1][b : b + block, None])
-        for r in range(0, rows, group):
-            idx = np.unravel_index(np.arange(r, min(r + group, rows)), resolution[:-1] or (1,))
+    places = (mask[r : r + group, b : b + block]
+              for b in range(0, width, block) for r in range(0, rows, group))
+
+    def chunks():  # the transforms of the cells of each place, in the same order
+        for b in range(0, width, block):
             with np.errstate(over="ignore"):
-                squares = np.zeros((idx[0].size, 1, n))  # summed left to right from 0.0
-                for j in range(d - 1):
-                    squares += np.square(cloud.points[:, j] - axes[j][idx[j], None, None])
-                squares = squares + last
-                transformed = _radii_power(squares.reshape(-1, n), cloud.gamma)
-            hits = covers(transformed, 0.0, alpha, algorithm)
-            mask[r : r + group, b : b + block] = hits.reshape(len(squares), -1)
+                last = np.square(cloud.points[:, -1] - axes[-1][b : b + block, None])
+            for r in range(0, rows, group):
+                idx = np.unravel_index(np.arange(r, min(r + group, rows)), resolution[:-1] or (1,))
+                with np.errstate(over="ignore"):
+                    squares = np.zeros((idx[0].size, 1, n))  # summed left to right from 0.0
+                    for j in range(d - 1):
+                        squares += np.square(cloud.points[:, j] - axes[j][idx[j], None, None])
+                    squares = squares + last
+                    transformed = _radii_power(squares.reshape(-1, n), cloud.gamma)
+                yield transformed
+
+    for place, hits in zip(places, covers(chunks(), 0.0, alpha, algorithm)):
+        place[...] = hits.reshape(place.shape)
     mask = mask.reshape(resolution)
     mask.setflags(write=False)
     return MembershipGrid(box=box, resolution=resolution, mask=mask)

@@ -123,35 +123,51 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
 def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoints of the m1 interval for each row of a (k, n) matrix.
 
-    The rows may be in any order; they are sorted here, and a value that is
-    not finite raises ``ValueError``.  One plan serves all rows.  Each level
-    masks the blocks outside a row's candidate range with inf, takes the
-    first narrowest block per row, and ends its run at the nearest block on
-    each side that is masked or wider than ``h_b`` times the narrowest.  A
-    row is ``tied`` once a narrowest block has zero width: its run is one atom.
+    The rows may be in any order: a sorted copy is taken, so the caller's
+    array is left as it is, and a value that is not finite raises ``ValueError``.
 
     Returns
     -------
     lo, hi, tied : ndarray of shape (k,)
     """
+    return _m1_descent(*_m1_order_statistics(rows, alpha))
+
+
+def _m1_order_statistics(rows, alpha: float):
+    """``(stats, plan)``: each row's order statistics 0, 2**s_n, ... and then its maximum."""
     v = sort_rows(np.asarray(rows, dtype=np.float64))
-    k, n = v.shape
-    plan = build_plan(n, alpha)
-    pick = np.arange(k)
+    plan = build_plan(v.shape[1], alpha)
+    return np.concatenate((v[:, :: 1 << plan.s_n], v[:, -1:]), axis=1), plan
+
+
+def _m1_descent(stats, plan: SpacingsPlan, x: float | None = None):
+    """``(lo, hi, tied)`` of :func:`m1_bounds` from each row's ``stats``, under one plan.
+
+    Each level masks the blocks outside a row's candidate range with inf, takes the
+    first narrowest block per row, and ends its run at the nearest block on each side
+    that is masked or wider than ``h_b`` times the narrowest.  A row is ``tied`` once a
+    narrowest block has zero width: its run is one atom.  Given ``x``, a row leaves with
+    ``nan`` ends once its run settles that its interval misses ``x``, if no finest block
+    of it has zero width: a block of zero width holds one, so no other row is ever tied.
+    """
+    k = len(stats)
+    rows = np.arange(k)  # the rows still descending
+    may_leave = None if x is None else (stats[:, 1:-1] > stats[:, :-2]).all(axis=1)
     cand_lo = np.zeros(k, dtype=np.intp)  # 0-based block ids, inclusive
     cand_hi = np.full(k, plan.n_b[plan.b_max] - 1)
     tied = np.zeros(k, dtype=bool)
     for b in range(plan.b_max, -1, -1):
-        w = 1 << (b + plan.s_n)
+        step = 1 << b
         n_b = plan.n_b[b]
-        pts = v[:, : n_b * w + 1 : w]
+        pick = np.arange(len(stats))
+        pts = stats[:, : n_b * step + 1 : step]
         widths = pts[:, 1:] - pts[:, :-1]
-        blocks = np.arange(n_b)
+        blocks = np.arange(n_b, dtype=np.int32)  # halves the index temporaries
         outside = (blocks < cand_lo[:, None]) | (blocks > cand_hi[:, None])
-        masked = np.where(outside, np.inf, widths)
-        narrowest = masked.argmin(axis=1)
-        least = masked[pick, narrowest]
-        tied |= least == 0.0
+        widths[outside] = np.inf
+        narrowest = widths.argmin(axis=1)
+        least = widths[pick, narrowest]
+        tied[rows] |= least == 0.0
         bound = plan.h_b[b] * least
         stop = outside | (widths > bound[:, None])
         before = blocks < narrowest[:, None]
@@ -166,11 +182,17 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # finer block to its right.
             cand_lo = 2 * lo_run
             cand_hi = np.where(hi_run == n_b - 1, plan.n_b[b - 1] - 1, 2 * hi_run + 1)
-    w0 = 1 << plan.s_n
-    first, last = v[:, 0], v[:, -1]
+            if x is not None:
+                # the final run lies within this one: its interval reaches no further
+                out = ((lo_run > 0) & (pts[pick, lo_run] > x)
+                       | (hi_run < n_b - 1) & (pts[pick, hi_run + 1] < x))
+                stay = ~(out & may_leave)
+                stats, rows, may_leave, cand_lo, cand_hi = (
+                    a[stay] for a in (stats, rows, may_leave, cand_lo, cand_hi))
+    first, last = stats[:, 0], stats[:, -1]
     span = last - first
-    lo = np.where(lo_run == 0, first - plan.lam * span, v[pick, lo_run * w0])
-    hi = np.where(
-        hi_run == plan.n_b[0] - 1, last + plan.lam * span, v[pick, (hi_run + 1) * w0]
-    )
-    return lo, hi, tied
+    lo = np.where(lo_run == 0, first - plan.lam * span, stats[pick, lo_run])
+    hi = np.where(hi_run == plan.n_b[0] - 1, last + plan.lam * span, stats[pick, hi_run + 1])
+    ends = np.full((2, k), np.nan)
+    ends[:, rows] = lo, hi
+    return *ends, tied

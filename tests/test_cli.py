@@ -446,9 +446,10 @@ def test_finite_well_formed_inputs_never_exit_2(tmp_path, capsys):
     # a bounded set wider than the largest float has no finite width to print
     path = _write_lines(tmp_path, "wide.txt", np.linspace(-0.85e308, 0.85e308, 40).tolist())
     codes["wide", "m2"] = main(["ci", "--method", "m2", "--h", "4e306", "--input", str(path)])
-    # clouds whose radial transform overflows at gamma 400 and at scale 1e160
+    # clouds whose radial transform overflows at gamma 400 and at scale 1e160,
+    # and one of 40 equal points, whose transforms are tied at every cell
     clouds = {"point": ([[0.5, -1.5]], "2"), "steep": (gen.normal(size=(300, 2)), "400"),
-              "vast": (1e160 * gen.normal(size=(200, 2)), "2")}
+              "vast": (1e160 * gen.normal(size=(200, 2)), "2"), "same": ([[0.5, -1.5]] * 40, "2")}
     for name, (points, gamma) in clouds.items():
         lines = [f"{x!r},{y!r}" for x, y in np.asarray(points).tolist()]
         path = _write_lines(tmp_path, f"{name}.csv", lines)
@@ -460,7 +461,8 @@ def test_finite_well_formed_inputs_never_exit_2(tmp_path, capsys):
     assert codes["huge", "m2a"] == 3 and codes["subnormal", "m2a"] == 0
     assert all(codes["one", method] == 3 for method in ("m2", "m2a", "m3", "m3p"))
     assert codes["rounded", "m1"] == codes["huge", "m2"] == codes["wide", "m2"] == 3
-    assert all(codes[name, method] == 3 for name in ("steep", "vast") for method in SCAN_CODES)
+    assert all(codes[name, method] == 3 for name in ("steep", "vast", "same")
+               for method in SCAN_CODES)
 
 
 def test_mode2d_auto_box_to_stdout(tmp_path, capsys):

@@ -434,10 +434,10 @@ def test_run_methods_fails_only_the_m2a_row_with_zero_range():
         want = run_method(row, 0.05, "m2a")
         assert (res.confidence_set, res.h, res.pilot) == (want.confidence_set, want.h, want.pilot)
     # a scan reports the row's error, as with any cell that fails
-    assert covers(rows[::2], 0.0, 0.05, "m2a").tolist() == [
-        res.confidence_set.contains(0.0) for [res] in out[::2]]
+    [hits] = covers([rows[::2]], 0.0, 0.05, "m2a")
+    assert hits.tolist() == [res.confidence_set.contains(0.0) for [res] in out[::2]]
     with pytest.raises(MethodInfeasibleError, match="^bandwidth grid needs a sample with positive"):
-        covers(rows, 0.0, 0.05, "m2a")
+        list(covers([rows], 0.0, 0.05, "m2a"))
 
 
 def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatch):

@@ -18,6 +18,7 @@ from modeset import (
     scan_region,
 )
 from modeset.multivariate import _CHUNK_VALUES, _cell_centers
+from modeset.spacings import build_plan, m1_bounds
 
 
 def disk_points(stream, n, center=(0.0, 0.0), radius=1.0):
@@ -219,6 +220,11 @@ def test_scan_region_matches_per_cell_oracle(n, resolution):
         # 109-cell chunks of five-cell rows: groups of 21 rows, then 16
         (600, (37, 5), 3.3, 6.0),
         (600, (37, 5), 0.7, 0.05),
+        # five levels; 16-cell chunks: blocks of 16, 16, 16 and 2 centres
+        # under each of three rows.  An m1 descent holds 130 rows, so the
+        # first takes eight chunks and the last, partial one the other four;
+        # cells leave the descent at each of the levels 4 to 1
+        (4000, (3, 50), 0.7, 0.05),
     ],
 )
 def test_scan_region_blocks_and_row_groups_match_per_cell_oracle(n, resolution, gamma, half):
@@ -231,6 +237,48 @@ def test_scan_region_blocks_and_row_groups_match_per_cell_oracle(n, resolution, 
     want = _cell_oracle(cloud, grid, 0.05)
     assert np.array_equal(grid.mask, want)
     assert want.any() and not want.all()
+
+
+def _leaves_at_the_coarsest_level(v, alpha, x):
+    """Whether the coarsest run of the m1 descent of the sorted sample ``v``,
+    found as ``scalar_m1`` finds it, settles that the interval misses ``x``."""
+    plan = build_plan(v.size, alpha)
+    w = 1 << (plan.b_max + plan.s_n)
+    pts = v[: plan.n_b[plan.b_max] * w + 1 : w]
+    widths = np.diff(pts)
+    bound = plan.h_b[plan.b_max] * widths.min()
+    left = right = int(np.argmin(widths))
+    while left > 0 and widths[left - 1] <= bound:
+        left -= 1
+    while right < widths.size - 1 and widths[right + 1] <= bound:
+        right += 1
+    return (left > 0 and pts[left] > x) or (right < widths.size - 1 and pts[right + 1] < x)
+
+
+@pytest.mark.parametrize(
+    "seed, tied, early",
+    # seed 5: the one tied cell has a coarsest run that settles its interval
+    # misses 0, so only the finest-block guard keeps it in the descent to
+    # the level that flags it
+    [(5, 1, 1), (6, 3, 1), (8, 2, 0), (0, 0, 0)],
+)
+def test_m1_scan_of_a_rounded_cloud_is_tied_exactly_when_a_cell_is(seed, tied, early):
+    # points on a 0.1 grid share radii, so some cells' transforms hold
+    # zero-width blocks; the per-cell m1_bounds oracle says which are tied
+    points = np.round(RngStream(89, seed).generator().normal(size=(1000, 2)), 1)
+    cloud = PointCloud.from_points(points, 2.0)
+    centers = _cell_centers(-2.5, 2.5, 4)
+    flagged = []
+    for theta in itertools.product(centers, centers):
+        v = np.sort(radial_transform(cloud, theta))
+        if m1_bounds(v[None, :], 0.05)[2][0]:
+            flagged.append(_leaves_at_the_coarsest_level(v, 0.05, 0.0))
+    assert (len(flagged), sum(flagged)) == (tied, early)
+    if flagged:
+        with pytest.raises(MethodInfeasibleError, match="^tied data"):
+            scan_region(cloud, [(-2.5, 2.5)] * 2, 4, 0.05)
+    else:
+        assert scan_region(cloud, [(-2.5, 2.5)] * 2, 4, 0.05).mask.any()
 
 
 def test_scan_region_memory_stays_within_a_few_chunks():

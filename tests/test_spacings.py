@@ -8,6 +8,7 @@ from modeset import (
     RngStream,
     run_method,
 )
+from modeset.methods import covers
 from modeset.spacings import build_plan, lanke_inflation, m1_bounds
 
 
@@ -221,6 +222,13 @@ def test_m1_bounds_sorts_its_rows_and_rejects_values_that_are_not_finite(n):
         want = [a.tobytes() for a in m1_bounds(rows, alpha)]
         assert [a.tobytes() for a in m1_bounds(shuffled, alpha)] == want
         assert [a.tobytes() for a in m1_bounds(shuffled.tolist(), alpha)] == want
+    # neither sorts the caller's rows in place: the first three are the untied normal ones
+    kept = shuffled.copy()
+    m1_bounds(shuffled, 0.05)
+    list(covers([shuffled[:3]], 0.0, 0.05, "m1"))
+    with pytest.raises(MethodInfeasibleError, match="^tied data"):
+        list(covers([shuffled], 0.0, 0.05, "m1"))
+    assert np.array_equal(shuffled, kept)
     for bad in (np.nan, np.inf, -np.inf):
         rows = shuffled.copy()
         rows[1, n // 2] = bad
@@ -251,3 +259,22 @@ def test_m1_kernel_matches_scalar_descent_bit_for_bit(n):
     lo, hi, rows = lo[~tied], hi[~tied], rows[~tied]
     assert np.any(hi > rows[:, -1]) and np.any(lo < rows[:, 0])
     assert np.any(lo > rows[:, 0]) and np.any(hi < rows[:, -1])
+
+
+@pytest.mark.parametrize("n", [40, 1000, 4096])
+def test_m1_covers_matches_the_bounds_bit_for_bit(n):
+    # covers drops a row from its descent once the row's run settles that x
+    # lies outside the interval, on either side; b_max is 0, 3 and 5.  x runs
+    # below, at and between each row's ends, above them, and at every end of
+    # a coarsest block, where a strict comparison decides; the rows come in
+    # three chunks of one batch
+    gen = np.random.default_rng(n + 3)
+    rows = np.concatenate([gen.normal(size=(4, n)), gen.exponential(size=(4, n)),
+                           -gen.exponential(size=(4, n)), gen.uniform(size=(4, n))])
+    lo, hi, tied = m1_bounds(rows, 0.05)
+    assert not tied.any()
+    plan = build_plan(n, 0.05)
+    ends = np.sort(rows, axis=1)[:, :: 1 << (plan.s_n + plan.b_max)]
+    for x in np.unique(np.concatenate([lo - 1.0, lo, (lo + hi) / 2, hi, hi + 1.0, ends.ravel()])):
+        hits = np.concatenate(list(covers(np.split(rows, [3, 10]), x, 0.05, "m1")))
+        assert np.array_equal(hits, (lo <= x) & (x <= hi))
