@@ -3,8 +3,8 @@
 The width-minimizing method evaluates one window-count level set per
 bandwidth, all sharing a single simultaneous threshold, and keeps the
 narrowest dilation.  This script prints the whole width profile so you can
-see the tradeoff: tiny bandwidths keep the vacuous clamp narrow but the
-threshold never binds; large bandwidths bind sooner but pay 2h of dilation.
+see the tradeoff: at tiny bandwidths the threshold never binds and the set
+is the whole line; large bandwidths bind sooner but pay 2h of dilation.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ for h in grid:
     binds = " no" if res.vacuous else "yes"
     width = res.confidence_set.width
     marker = ""
-    if width < best_width:
+    if best_h is None or width < best_width:  # ties, even at inf, go to the smaller h
         best_h, best_width = h, width
         marker = "  <- best so far"
     print(f"{h:8.4f}  {n_pilot:8d}  {binds:>5}  {width:8.4f}{marker}")

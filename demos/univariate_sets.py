@@ -4,9 +4,9 @@ Draws n = 1000 points from the piecewise power test density (mode at 0),
 then builds the five confidence sets side by side.  Note how differently
 they behave at desk-scale n: the spacing interval is already fairly tight,
 the fixed-bandwidth window set is still in its vacuous-threshold regime
-(the count condition excludes nothing, so the set is the clamped window
-hull), the width-minimizing variant recovers a useful set, and the
-p-value sets are wide but valid.
+(the count condition excludes nothing, so the set is the whole line), the
+width-minimizing variant recovers a useful set, and the p-value sets are
+wide but valid.
 """
 
 import json

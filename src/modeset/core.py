@@ -134,11 +134,11 @@ class ConfidenceSet:
 class ModeResult:
     """A method's confidence set and the diagnostics it computed on the way.
 
-    ``vacuous`` is set when the ``m2``/``m2a`` count condition excluded
-    nothing.  ``pilot`` is the pilot mode estimate of a split method;
-    ``h`` and ``pre_dilation`` are the bandwidth ``m2``/``m2a`` used and
-    the level set before dilation by it.  A method leaves a diagnostic it
-    does not compute at its default.
+    ``vacuous``: the set is the whole line, as the ``m2``/``m2a`` count
+    condition excluded nothing at every bandwidth.  ``pilot`` is the pilot
+    mode estimate of a split method; ``h`` and ``pre_dilation`` are the
+    bandwidth ``m2``/``m2a`` used and the level set before dilation by it.
+    A method leaves a diagnostic it does not compute at its default.
     """
 
     confidence_set: ConfidenceSet

@@ -37,7 +37,7 @@ DEFAULT_GRID_SIZE = 64  # bandwidths in an m2a grid
 
 def hoeffding_count_slack(n: int, alpha: float) -> float:
     """Count slack sqrt(6n) * (sqrt(log(1/alpha)) + 2) for the fixed-h set."""
-    return math.sqrt(6.0 * n) * (math.sqrt(math.log(1.0 / alpha)) + 2.0)
+    return math.sqrt(6.0 * n) * (math.sqrt(-math.log(alpha)) + 2.0)
 
 
 def dkw_count_slack(n: int, alpha: float) -> float:
@@ -45,20 +45,16 @@ def dkw_count_slack(n: int, alpha: float) -> float:
     return 2.0 * math.sqrt(2.0 * n * math.log(2.0 / alpha))
 
 
-def _level_runs(points: np.ndarray, h: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (lo, hi) of pieces whose union is the set N(theta) >= cutoff.
+def _level_runs(points: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (lo, hi) of pieces whose union is the set N(theta) >= k, for 1 <= k <= n.
 
     Over the sorted ``points``, s_i = X_i - h and e_i = X_i + h (each slice
     shifted once taken: the same floats).  The points a window catches are
-    contiguous, so for K = ceil(cutoff) >= 1, N(theta) >= K exactly when
-    s_{j+K-1} <= theta < e_j for some j: the nonempty such pieces, whose end
-    arrays ascend, as :func:`join_runs` takes them.  Every count is >= 0, so
-    a cutoff <= 0 gives the knot hull [s_0, e_{n-1}].
+    contiguous, so N(theta) >= k exactly when s_{j+k-1} <= theta < e_j for
+    some j: the nonempty such pieces, whose end arrays ascend, as
+    :func:`join_runs` takes them.
     """
-    if cutoff <= 0.0:
-        return points[:1] - h, points[-1:] + h
-    k = math.ceil(cutoff)
-    lo, hi = points[k - 1:] - h, points[:max(points.size - k + 1, 0)] + h
+    lo, hi = points[k - 1:] - h, points[:points.size - k + 1] + h
     keep = lo < hi
     return lo[keep], hi[keep]
 
@@ -87,33 +83,36 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
     """The narrowest dilated level set over the ascending bandwidth ``grid``
     for the sorted evaluation ``points``, with its bandwidth and diagnostics.
 
-    One vectorized count gives every cutoff.  A built bandwidth's pieces are
-    shifted by h and joined once (no gap closed by the shift reopens), and
-    its runs' widths summed left to right, as ``ConfidenceSet.width`` does.
-    The walk builds the first bandwidth, then the informative ones (cutoff
-    > 0) in ascending h, and keeps a running best that only a strictly
-    narrower set replaces, so ties go to the smaller h.  N(pilot) never
-    falls as h rises (rounding is monotone), so the vacuous bandwidths come
-    first; their set, the dilated knot hull, never narrows as h rises, so
-    only the first can win.  An informative set holds the pilot, so its
-    width is at least (pilot + h) - (pilot - h), which grows with h: the
-    walk stops once that floor reaches the best width.
+    On integer counts N(theta) >= N(pilot) - slack is N(theta) >= K =
+    N(pilot) - floor(slack).  K is taken from floor(min(slack * (1 + 2^-49),
+    n)): each slack function is within a relative 5 * 2^-53 of its formula
+    if ``math.log`` is within one ulp (glibc's is), so K never exceeds the
+    exact K.  N(pilot) never falls as h rises (rounding is monotone), so the
+    informative bandwidths (K >= 1) come last; with none, the set is the
+    whole line at the first h.  The walk builds them in ascending h, each
+    one's pieces shifted by h and joined once (no gap closed by the shift
+    reopens), its runs' widths summed left to right as ``ConfidenceSet.width``
+    sums them.  The first replaces the whole line, then only a strictly
+    narrower set, so ties go to the smaller h.  An informative set holds the
+    pilot, so its width is at least (pilot + h) - (pilot - h), which grows
+    with h: the walk stops once that floor reaches the best width.
     """
     hs = np.asarray(grid, dtype=np.float64)
+    ks = _pilot_counts(points, pilot, hs) - math.floor(min(slack * (1 + 2**-49), points.size))
+    line = np.array([[-math.inf], [math.inf]])  # the ends of the whole line
+    best = math.inf, float(hs[0]), *line, *line
     with np.errstate(over="ignore"):  # a huge h gives infinite ends, as with Python floats
-        cutoffs = _pilot_counts(points, pilot, hs) - slack
-        best = None
-        for i in np.flatnonzero(np.concatenate(([True], cutoffs[1:] > 0.0))):
+        for built, i in enumerate(np.flatnonzero(ks > 0)):
             h = hs[i]
-            if best is not None and (pilot + h) - (pilot - h) >= best[0]:
+            if built and (pilot + h) - (pilot - h) >= best[0]:
                 break
-            lo, hi = _level_runs(points, h, float(cutoffs[i]))
+            lo, hi = _level_runs(points, h, int(ks[i]))
             dlo, dhi = join_runs(lo - h, hi + h)
             width = np.cumsum(dhi - dlo)[-1]
-            if best is None or width < best[0]:
-                best = width, float(h), float(cutoffs[i]), lo, hi, dlo, dhi
-    _, h, cutoff, lo, hi, dlo, dhi = best
-    return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=cutoff <= 0.0, pilot=pilot,
+            if not built or width < best[0]:
+                best = width, float(h), lo, hi, dlo, dhi
+    _, h, lo, hi, dlo, dhi = best
+    return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=bool(ks[-1] <= 0), pilot=pilot,
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 
 

@@ -121,12 +121,12 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
     - ``m1``: the spacing interval, always one closed interval within
       [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics; tied data are infeasible.
     - ``m2``: the fixed-bandwidth window-count set; ``h`` is required.
-    - ``m2a``: the width-minimizing window-count set over ``h_grid``, a
-      nonempty 1-D sequence of strictly ascending, positive, finite
-      bandwidths, by default a geometric grid from the evaluation half's
-      resolution to its range.  Every candidate uses the DKW slack, which
-      holds simultaneously over all h, so minimizing the dilated width
-      over the grid keeps the coverage guarantee; ties go to the smallest h.
+    - ``m2a``: the width-minimizing window-count set over ``h_grid``, a nonempty 1-D sequence
+      of strictly ascending, positive, finite bandwidths, by default a geometric grid from the
+      evaluation half's resolution to its range.  Every candidate uses the DKW slack, which
+      holds simultaneously over all h, so minimizing the dilated width over the grid keeps the
+      coverage guarantee; ties go to the smallest h.  If the count condition excludes nothing
+      at every h (or at ``m2``'s), the set is the whole line, ``vacuous``.
     - ``m3``: the combined p-value set.  It is bounded and contains the
       pilot, but its width does not shrink with the sample size.
     - ``m3p``: the dampened-ratio set, valid under any dependence within the

@@ -32,6 +32,25 @@ def test_count_slacks_match_direct_evaluation():
     assert dkw_count_slack(1000, 0.05) == pytest.approx(171.79, abs=0.05)
 
 
+def test_count_slacks_are_within_the_bound_sweep_widens_them_by():
+    # _sweep takes K from floor(slack * (1 + 2**-49)), sound if each slack is
+    # within a relative 5 * 2**-53 of its formula, which 200-bit arithmetic checks
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 200
+    gen = np.random.default_rng(27)
+    alphas = np.concatenate([gen.random(300), 1 - 1e-12 * gen.random(100),
+                             1e-300 * gen.random(100), [0.05, 0.5, 5e-324]])
+    for n, alpha in zip(gen.integers(1, 10**7, alphas.size).tolist(), alphas.tolist()):
+        a = mpmath.mpf(alpha)
+        exact = (mpmath.sqrt(6 * n) * (mpmath.sqrt(-mpmath.log(a)) + 2),
+                 2 * mpmath.sqrt(2 * n * mpmath.log(2 / a)))
+        for slack, want in zip((hoeffding_count_slack(n, alpha), dkw_count_slack(n, alpha)),
+                               exact):
+            if math.isfinite(slack):  # 2 / 5e-324 overflows: every bandwidth vacuous
+                assert abs(slack - want) <= 5 * 2.0**-53 * want
+                assert slack * (1 + 2**-49) >= want
+
+
 def _window(points, h):
     """The sorted X_i - h and X_i + h, and the knots: their distinct values."""
     pts = np.sort(np.asarray(points, dtype=np.float64))
@@ -40,8 +59,12 @@ def _window(points, h):
 
 
 def _runs(points, h, cutoff):
-    """The maximal runs of N(theta) >= cutoff as a list of (lo, hi) pairs."""
-    lo, hi = join_runs(*_level_runs(np.sort(np.asarray(points, dtype=np.float64)), h, cutoff))
+    """The maximal runs of N(theta) >= cutoff as a list of (lo, hi) pairs; every
+    count is >= 0, so a cutoff <= 0 keeps the whole line."""
+    if cutoff <= 0:
+        return [(-math.inf, math.inf)]
+    pts = np.sort(np.asarray(points, dtype=np.float64))
+    lo, hi = join_runs(*_level_runs(pts, h, math.ceil(cutoff)))
     return list(zip(lo.tolist(), hi.tolist()))
 
 
@@ -55,8 +78,11 @@ def test_window_statistic_hand_sweep():
     assert counts[-1] == 0
     segments = _runs([0.0, 1.0], 0.4, 0.5)
     assert segments == [(-0.4, 0.4), (0.6, 1.4)]
-    # every count is >= 0, so a cutoff <= 0 keeps the whole knot hull
-    assert _runs([0.0, 1.0], 0.4, 0.0) == _runs([0.0, 1.0], 0.4, -3.0) == [(-0.4, 1.4)]
+    # every count is >= 0, so a cutoff <= 0 keeps the whole line, as does _sweep
+    whole = [(-math.inf, math.inf)]
+    assert _runs([0.0, 1.0], 0.4, 0.0) == _runs([0.0, 1.0], 0.4, -3.0) == whole
+    res = _sweep(np.array([0.0, 1.0]), 0.5, (0.4,), 1.0)
+    assert res.vacuous and list(res.confidence_set.intervals) == whole
     dilated = dilate(make_confidence_set(segments), 0.4)
     assert len(dilated.intervals) == 1
     assert dilated.intervals[0] == pytest.approx((-0.8, 1.8), abs=1e-12)
@@ -89,8 +115,9 @@ def _m2_oracle_membership(grid, s2, pilot, h, tau):
 
 def test_exact_sweep_matches_brute_force():
     # dyadic data keep breakpoint gaps bounded below so the dense grid is
-    # finite; the mix exercises vacuous clamps, single and multi-interval
-    # level sets under both slack rules
+    # finite; the mix exercises vacuous sets (the whole line, which the
+    # oracle must then hold everywhere), single and multi-interval level
+    # sets under both slack rules
     rng = np.random.default_rng(2024)
     nonvacuous = multi = 0
     for inst in range(60):
@@ -124,8 +151,6 @@ def test_exact_sweep_matches_brute_force():
         hi = knots[-1] + 2 * h
         grid = np.arange(lo + 0.1234567 * step, hi, step)
         want = _m2_oracle_membership(grid, s2, pilot, h, tau)
-        if vacuous:
-            want &= (grid >= knots[0]) & (grid <= knots[-1])
         got = np.zeros(grid.size, dtype=bool)
         for a, b in pre.intervals:
             got |= (grid >= a) & (grid <= b)
@@ -142,8 +167,9 @@ def _run_edges(mask):
 
 def _reference_sweep(points, pilot, grid, slack):
     """The sweep over a knot table: for every h, the np.unique knots, their
-    searchsorted counts, and the dilated set built and measured.  Returns
-    (h, cutoff, pre_dilation, confidence_set) for every h."""
+    searchsorted counts, and the dilated set built and measured, or the
+    whole line where the cutoff is <= 0.  Returns (h, cutoff, pre_dilation,
+    confidence_set) for every h."""
     pts = np.sort(points)
     rows = []
     for h in grid:
@@ -156,6 +182,10 @@ def _reference_sweep(points, pilot, grid, slack):
             ends, pilot, side="right"
         )
         cutoff = float(n_pilot) - slack
+        if cutoff <= 0:  # the count condition excludes nothing
+            whole = make_confidence_set([(-math.inf, math.inf)])
+            rows.append((h, cutoff, whole, whole))
+            continue
         pre = make_confidence_set(knots[_run_edges(counts[:-1] >= cutoff)].reshape(-1, 2))
         rows.append((h, cutoff, pre, dilate(pre, h)))
     return rows
@@ -199,7 +229,7 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
     vacuous = multi = tied = infinite = 0
     for pts, pilot, grid, slack in _sweep_cases():
         # the count at the pilot never falls as h rises, so the vacuous
-        # bandwidths come first and _sweep builds only the first of them
+        # bandwidths come first and _sweep builds none of them
         assert np.all(np.diff(_pilot_counts(pts, pilot, np.asarray(grid))) >= 0)
         rows = _reference_sweep(pts, pilot, grid, slack)
         for h, cutoff, pre, cs in rows:
@@ -207,12 +237,16 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
             # joined, as the sweep ranks them, are the dilated runs, and
             # their left-to-right sum is the dilated set's width
             assert _runs(pts, h, cutoff) == list(pre.intervals)
-            lo, hi = _level_runs(pts, h, cutoff)
+            if cutoff <= 0:
+                continue
+            lo, hi = _level_runs(pts, h, math.ceil(cutoff))
             dlo, dhi = join_runs(lo - h, hi + h)
             assert repr(ConfidenceSet.from_runs(dlo, dhi)) == repr(cs)
             assert float(np.cumsum(dhi - dlo)[-1]) == cs.width
+        # the narrowest set wins, and the first of equals, save that an
+        # informative set, though infinitely wide, beats the whole line
         widths = [cs.width for *_, cs in rows]
-        h, cutoff, pre, cs = rows[widths.index(min(widths))]
+        h, cutoff, pre, cs = min(rows, key=lambda row: (row[3].width, row[1] <= 0))
         res = _sweep(pts, pilot, grid, slack)
         assert (res.h, res.vacuous, res.pilot) == (h, cutoff <= 0.0, pilot)
         assert res.confidence_set == cs and res.pre_dilation == pre
@@ -220,7 +254,7 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
         multi += len(pre.intervals) > 1
         tied += widths.count(min(widths)) > 1
         infinite += res.confidence_set.width == math.inf
-    # the cases reach the vacuous hull, multi-interval level sets,
+    # the cases reach the whole line, multi-interval level sets,
     # bandwidths tied at the minimal width, and infinitely wide winners
     assert vacuous >= 5 and multi >= 5 and tied >= 3 and infinite >= 3
 
@@ -250,14 +284,21 @@ def test_pilot_counts_match_window_count_h_by_h():
 @pytest.mark.parametrize("method, options", [("m2", {"h": 1e308}),
                                              ("m2a", {"h_grid": (1.0, 1e308)})])
 def test_m2_huge_bandwidth_overflows_silently(method, options):
-    # shifting by h = 1e308 overflows to infinite ends without a warning,
-    # which this suite turns into an error
+    # no bandwidth is informative on five points, so the set is the whole
+    # line at the grid's first h, with no warning (this suite makes one an error)
     res = run_method(np.arange(1.0, 11.0), 0.05, method, **options)
     assert res.vacuous
-    if method == "m2":
-        assert res.confidence_set.intervals == ((-math.inf, math.inf),)
-    else:  # the finite h = 1 hull is narrower
-        assert (res.h, res.confidence_set.intervals) == (1.0, ((-1.0, 12.0),))
+    assert res.confidence_set.intervals == res.pre_dilation.intervals == ((-math.inf, math.inf),)
+    assert res.h == (1e308 if method == "m2" else 1.0)
+
+
+def test_m2_informative_huge_bandwidth_overflows_silently():
+    # on 100 evaluation points h = 1e308 is informative; dilating its level
+    # set by h overflows to infinite ends without a warning
+    res = run_method(np.arange(1.0, 201.0), 0.05, "m2", h=1e308)
+    assert not res.vacuous
+    assert res.confidence_set.intervals == ((-math.inf, math.inf),)
+    assert np.isfinite(res.pre_dilation.intervals).all()
 
 
 def test_m2_pilot_always_covered_and_nonempty():
@@ -269,15 +310,14 @@ def test_m2_pilot_always_covered_and_nonempty():
         assert res.pre_dilation.contains(res.pilot)
 
 
-def test_m2_vacuous_clamps_to_breakpoint_hull():
-    # tiny evaluation half: the count slack dwarfs any window count
+def test_m2_vacuous_set_is_the_whole_line():
+    # tiny evaluation half: the count slack dwarfs any window count, so the
+    # condition excludes nothing, before dilation or after
     data = FBetaDensity(1.0).sample(RngStream(43, 0), 40)
     res = run_method(data, 0.05, "m2", h=0.25, split_stream=RngStream(44, 0))
-    assert res.vacuous
-    lo, hi = res.confidence_set.intervals[0]
-    pre_lo, pre_hi = res.pre_dilation.intervals[0]
-    assert lo == pytest.approx(pre_lo - 0.25)
-    assert hi == pytest.approx(pre_hi + 0.25)
+    assert res.vacuous and res.h == 0.25
+    assert res.confidence_set.intervals == ((-math.inf, math.inf),)
+    assert res.pre_dilation.intervals == ((-math.inf, math.inf),)
 
 
 def test_m2_alpha_monotone_inclusion():

@@ -282,9 +282,10 @@ def test_m1_scan_of_a_rounded_cloud_is_tied_exactly_when_a_cell_is(seed, tied, e
 
 
 def test_scan_region_memory_stays_within_a_few_chunks():
-    # no array but the block's squared distances of the last axis outlives its
-    # chunk, and none holds more than a chunk of 2**16 values, so the peak does
-    # not grow with the resolution
+    # no array but the block's squared distances of the last axis and the m1
+    # order statistics covers holds for one descent (at most 2**15 values)
+    # outlives its chunk, and none holds more than a chunk of 2**16 values, so
+    # the peak does not grow with the resolution
     gen = RngStream(87, 0).generator()
     for d, resolution in ((1, (5000,)), (2, (4, 3000))):
         cloud = PointCloud.from_points(gen.normal(size=(1000, d)), gamma=2.0)
