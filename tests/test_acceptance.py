@@ -24,7 +24,7 @@ from modeset import (
 from modeset.cli import main as cli_main
 from modeset.core import split_and_pilot
 from modeset.mest import _sweep, dkw_count_slack, hoeffding_count_slack
-from modeset.methods import SCAN_CODES, _method_columns, covers
+from modeset.methods import _SPLIT_STREAM, SCAN_CODES, _method_columns, covers
 from modeset.multivariate import PointCloud, radial_transform
 from modeset.numerics import qbeta, qchisq
 from modeset.sim import FBetaDensity
@@ -377,7 +377,7 @@ def _audit(rows, mode, methods, h=None):
         bad = [isinstance(res, ModeSetError) for res in column]
         out[method] = (sum(not b and res.confidence_set.contains(mode)
                            for res, b in zip(column, bad)), sum(bad))
-    points, pilots = split_and_pilot(rows, RngStream(0, 0), None)  # covers' split
+    points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)  # as covers splits
     tied = np.any(points == pilots[:, None], axis=1)
     for method in (m for m in methods if m in ("m3", "m3p")):
         hits = next(covers([rows[~tied]], mode, ALPHA, method)) if not tied.all() else []
