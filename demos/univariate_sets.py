@@ -25,7 +25,7 @@ print(f"sample: n={N}, range [{data.min():.3f}, {data.max():.3f}], true mode 0.0
 h = study_bandwidth(N, beta=1.0)
 m1 = run_method(data, ALPHA, "m1")
 m2 = run_method(data, ALPHA, "m2", h=h, split_stream=split_stream)
-m2a = run_method(data, ALPHA, "m2a", split_stream=split_stream)
+m2a = run_method(data, ALPHA, "m2a")  # the whole sample: m2a takes no split
 m3 = run_method(data, ALPHA, "m3", split_stream=split_stream)
 m3p = run_method(data, ALPHA, "m3p", rho=2.0, split_stream=split_stream)
 

@@ -1,20 +1,20 @@
 """Window-count M-estimation confidence sets (methods m2 and m2a).
 
-Half the sample produces a pilot mode estimate; on the other half the set
-collects every location whose +/-h window catches nearly as many points as
-the pilot's window.  The window count N(theta) is piecewise constant with
-jumps only at the points X_i -/+ h, and the points a window catches are
-consecutive order statistics, so the level set is read off exactly from
-the sorted shifted points, then dilated by h to transfer coverage from the
-smoothed mode back to the mode itself.
+A pilot mode estimate comes from half the sample (m2) or from all of it (m2a);
+over the other half, or the whole sample, the set collects every location
+whose +/-h window catches nearly as many points as the pilot's window.  The
+window count N(theta) is piecewise constant with jumps only at the points
+X_i -/+ h, and the points a window catches are consecutive order statistics,
+so the level set is read off exactly from the sorted shifted points, then
+dilated by h to transfer coverage from the smoothed mode back to the mode.
 
 The defining inequality compares window averages scaled by 1/(2h); the
 bandwidth cancels, leaving an integer count condition
 
     N(theta) >= N(pilot) - slack(n, alpha)
 
-with a Hoeffding-type slack for the fixed-bandwidth method and a
-DKW-based slack (simultaneous over all h) for the width-minimizing one.
+with a Hoeffding-type slack for the fixed-bandwidth method and a DKW-based
+slack (all windows at once: any h, any pilot) for the width-minimizing one.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _pilot_counts(points: np.ndarray, pilot: float, hs: np.ndarray) -> np.ndarra
 
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
     """The narrowest dilated level set over the ascending bandwidth ``grid``
-    for the sorted evaluation ``points``, with its bandwidth and diagnostics.
+    for the sorted ``points``, with its bandwidth and diagnostics.
 
     On integer counts N(theta) >= N(pilot) - slack is N(theta) >= K =
     N(pilot) - floor(slack).  K is taken from floor(min(slack * (1 + 2^-49),

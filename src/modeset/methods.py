@@ -19,7 +19,9 @@ from .core import (
     ModeSetError,
     _as_finite_1d,
     check_alpha,
+    sort_rows,
     split_and_pilot,
+    venter_pilot,
 )
 from .edelman import _concentration_covers, _concentration_set
 from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_count_slack
@@ -32,7 +34,7 @@ __all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_s
 METHOD_OPTIONS = {
     "m1": (),
     "m2": ("h", "pilot_r", "split_stream"),
-    "m2a": ("h_grid", "pilot_r", "split_stream"),
+    "m2a": ("h_grid", "pilot_r"),
     "m3": ("pilot_r", "split_stream"),
     "m3p": ("rho", "pilot_r", "split_stream"),
 }
@@ -78,7 +80,7 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
 
     The options are :func:`run_method`'s, checked by ``_check_options``;
     ``split_stream`` is one stream for all rows or one per row.  ``m1`` runs
-    all rows as one batch and the split methods share one split.
+    all rows as one batch, ``m2a`` each whole row, and the split methods share one split.
     """
     split = None
     for method in methods:
@@ -88,25 +90,26 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
                 column = [MethodInfeasibleError(_TIED) if t else
                           ModeResult(ConfidenceSet(((a, b),)))
                           for a, b, t in zip(lo.tolist(), hi.tolist(), tied)]
+            elif method == "m2a":
+                points = sort_rows(rows)
+                grids = default_bandwidth_grid(points) if h_grid is None else [h_grid] * len(rows)
+                column = [grid if isinstance(grid, ModeSetError) else
+                          _sweep(p, float(c), grid, dkw_count_slack(p.size, alpha))
+                          for p, c, grid in zip(points, venter_pilot(points, pilot_r), grids)]
             else:
                 split = split or split_and_pilot(rows, split_stream, pilot_r)
-                grids = (default_bandwidth_grid(split[0]) if method == "m2a" and h_grid is None
-                         else [h_grid] * len(rows))
-                column = [grid if isinstance(grid, ModeSetError) else
-                          _split_result(method, p, float(c), alpha, h, grid, rho)
-                          for p, c, grid in zip(*split, grids)]
+                column = [_split_result(method, p, float(c), alpha, h, rho)
+                          for p, c in zip(*split)]
         except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
             column = [exc] * len(rows)
         yield column
 
 
-def _split_result(method, points, pilot, alpha, h, h_grid, rho) -> ModeResult | ModeSetError:
+def _split_result(method, points, pilot, alpha, h, rho) -> ModeResult | ModeSetError:
     """A split method's result on one sorted evaluation half, or its ``ModeSetError``."""
     try:
         if method == "m2":
             return _sweep(points, pilot, np.array([h]), hoeffding_count_slack(points.size, alpha))
-        if method == "m2a":
-            return _sweep(points, pilot, h_grid, dkw_count_slack(points.size, alpha))
         cs = _concentration_set(points, pilot, alpha, rho if method == "m3p" else None)
         return ModeResult(cs, pilot=pilot)
     except ModeSetError as exc:
@@ -121,24 +124,24 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
     - ``m1``: the spacing interval, always one closed interval within
       [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics; tied data are infeasible.
     - ``m2``: the fixed-bandwidth window-count set; ``h`` is required.
-    - ``m2a``: the width-minimizing window-count set over ``h_grid``, a nonempty 1-D sequence
-      of strictly ascending, positive, finite bandwidths, by default a geometric grid from the
-      evaluation half's resolution to its range.  Every candidate uses the DKW slack, which
-      holds simultaneously over all h, so minimizing the dilated width over the grid keeps the
-      coverage guarantee; ties go to the smallest h.  If the count condition excludes nothing
-      at every h (or at ``m2``'s), the set is the whole line, ``vacuous``.
+    - ``m2a``: the width-minimizing window-count set over ``h_grid``, a nonempty 1-D sequence of
+      strictly ascending, positive, finite bandwidths, by default a geometric grid from the
+      sample's resolution to its range.  Every candidate uses the DKW slack, which holds for all
+      windows at once, so for any h and any pilot: ``m2a`` needs no split, and minimizing the
+      dilated width over the grid keeps the coverage guarantee; ties go to the smallest h.  If
+      the count condition excludes nothing at every h (or at ``m2``'s), the set is the whole
+      line, ``vacuous``.
     - ``m3``: the combined p-value set.  It is bounded and contains the
       pilot, but its width does not shrink with the sample size.
     - ``m3p``: the dampened-ratio set, valid under any dependence within the
       identically distributed evaluation half if it is independent of the
       pilot half; ``rho`` must exceed 1, and a large ``rho`` can give the whole line.
 
-    Every method but ``m1`` splits the sample with ``split_stream`` and
-    takes its pilot from one half, with window ``pilot_r``, and reports it
-    in ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and
-    ``vacuous``.  Alpha and the named method's own option are checked
-    before the sample; options a method does not take (``METHOD_OPTIONS``)
-    are ignored.  This is the one-row case of :func:`_method_columns`.
+    ``m2``, ``m3`` and ``m3p`` split the sample with ``split_stream`` and take their pilot from
+    one half, ``m2a`` from the whole sample, with window ``pilot_r``, and report it in
+    ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and ``vacuous``.  Alpha and
+    the named method's own option are checked before the sample; options a method does not take
+    (``METHOD_OPTIONS``) are ignored.  This is the one-row case of :func:`_method_columns`.
     """
     # checked first, so a bad alpha is reported before any sample-size check
     h_grid = _check_options(alpha, [method], h, h_grid, rho)

@@ -88,11 +88,11 @@ class CoverageReport:
 
     ``coverage`` counts replications whose set contains the true mode 0,
     divided by all replications (errored replications count as misses).
-    ``wall_time_s`` sums this cell's method time over blocks of
-    replications, in whichever process ran each; the split methods share a
-    split per (n, replication), timed with the first of them in ``methods``.
-    It excludes sampling the shared data and is measured, so it stays out
-    of the deterministic CSV payload.
+    ``wall_time_s`` sums this cell's method time over blocks of replications,
+    in whichever process ran each; the split methods (``m2``, ``m3``,
+    ``m3p``) share a split per (n, replication), timed with the first of them
+    in ``methods``.  It excludes sampling the shared data and is measured, so
+    it stays out of the deterministic CSV payload.
     """
 
     method: str
@@ -150,16 +150,16 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
                        workers: int = 1) -> list[CoverageReport]:
     """Coverage and width study over a (method, n, beta) grid.
 
-    Replication ``r`` draws its data from stream ``2r`` of ``base_seed``
-    once per beta, at the largest n; every (method, n) cell runs on the
-    length-n prefix of that draw and splits it with stream ``2r + 1``.
-    Cells thus share datasets (common random numbers across methods and,
-    by prefix, across sample sizes) and the whole study is reproducible
-    bit for bit.  A job runs one beta on a block of replications (at most
-    2**15 drawn values, and replications / workers); ``workers`` > 1 spreads
-    the jobs over one process pool without changing any result.  Arguments
-    are validated first; a replication that raises ``ModeSetError`` counts
-    as an error, while any other exception propagates.
+    Replication ``r`` draws its data from stream ``2r`` of ``base_seed`` once
+    per beta, at the largest n; every (method, n) cell runs on the length-n
+    prefix of that draw, which ``m2``, ``m3`` and ``m3p`` split with stream
+    ``2r + 1``.  Cells thus share datasets (common random numbers across
+    methods and, by prefix, across sample sizes) and the whole study is
+    reproducible bit for bit.  A job runs one beta on a block of replications
+    (at most 2**15 drawn values, and replications / workers); ``workers`` > 1
+    spreads the jobs over one process pool without changing any result.
+    Arguments are validated first; a replication that raises ``ModeSetError``
+    counts as an error, while any other exception propagates.
     """
     for name, count in (("replications", replications), ("workers", workers)):
         if not is_count(count) or count < 1:

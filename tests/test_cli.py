@@ -152,12 +152,13 @@ def test_ci_m2_and_m2a_and_m3_run(data_1000, capsys):
 
 @pytest.mark.parametrize("method", ["m2a", "m3p"])
 def test_ci_pilot_error_names_the_sample_size(tmp_path, capsys, method):
-    # the pilot half of a 2-point sample has 1 point; the message says so
+    # m2a takes its pilot from the whole 2-point sample; m3p from its pilot
+    # half of 1 point, and the message says so
     path = _write_lines(tmp_path, "two.txt", [0.1, 0.7])
     assert main(["ci", "--method", method, "--input", str(path)]) == 3
+    got = {"m2a": "got 2", "m3p": "got 1 (pilot half of a 2-point sample)"}[method]
     err = capsys.readouterr().err
-    assert "at least 3 points, got 1" in err
-    assert "2-point" in err
+    assert err == f"modeset ci: pilot mode estimate needs at least 3 points, {got}\n"
 
 
 @pytest.mark.parametrize("method, flag, value", [
@@ -170,6 +171,7 @@ def test_ci_pilot_error_names_the_sample_size(tmp_path, capsys, method):
     ("m2a", "--rho", "2.5"),
     ("m1", "--pilot-r", "0"),
     ("m1", "--split-seed", "7"),
+    ("m2a", "--split-seed", "7"),
 ])
 def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, flag, value):
     assert main(["ci", "--method", method, flag, value, "--input", str(data_1000)]) == 2
@@ -587,8 +589,8 @@ def test_simulate_workers_flag_matches_serial(tmp_path, capsys):
 
 # sha256 of the study CSV and of its --emit-widths file for the study below;
 # a change to any set, split, draw or number format of the study moves them
-_STUDY_DIGESTS = ("7bb985dc2d2ac468ae3515348d7b4644acdf99a8889ec99eef36bd0a85967c15",
-                  "7bf02e41e2365b3dca896253f8e9355d546625e3670cbc4370d6e4f0f434e456")
+_STUDY_DIGESTS = ("b7c0a1e2a0c9b6716748170f001d87b95216514681cc323206575d6911b94073",
+                  "dd7173f7ef5b6512003bdb691d10aeb51f274ffe83ab87787a9844e67151268e")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -604,8 +606,8 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys, workers):
 
 # m2 and m2a at sample sizes where the m2a sweep stops before its last
 # informative bandwidth
-_LARGE_N_STUDY_DIGESTS = ("03335dbecc2809c3866cf2f3a7e79f42eb7423b93b9cf97bc7a06674eec3174b",
-                          "69bbfc19cbc980e0c958f946f14dc55c57ae42c5335d6084c1260221442167de")
+_LARGE_N_STUDY_DIGESTS = ("dc1c9780ea1bbca948c55d93b82ad9c7df3d4263da3c77f84953cc527de1119a",
+                          "a839a72b8ad45eb5c9956a6f8ed99543dc80cf24c632e70d519ab1c84c9b2cb4")
 
 
 def test_simulate_bytes_are_pinned_at_large_n(tmp_path, capsys):

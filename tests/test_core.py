@@ -19,7 +19,7 @@ from modeset import (
     run_method,
 )
 from modeset.core import sort_rows, split_and_pilot, venter_pilot
-from modeset.methods import METHOD_CODES, _method_columns
+from modeset.methods import METHOD_CODES, METHOD_OPTIONS, _method_columns
 
 from dilate import dilate
 
@@ -271,7 +271,7 @@ def test_run_methods_rows_match_run_method_calls():
     k, m = 5, 240
     rows = np.random.default_rng(14).normal(size=(k, m))
     streams = [RngStream(15, i) for i in range(k)]
-    rows[1, streams[1].generator().permutation(m)[: m // 2]] = 0.5  # constant evaluation half
+    rows[1] = 0.5  # constant: no m2a grid, and its pilot is every point
     tie = streams[3].generator().permutation(m)[0]  # a point of row 3's evaluation half
     rows[3, tie] = split_and_pilot(rows[3:4], streams[3], None)[1][0]  # the pilot is unchanged
     options = dict(h=0.3, rho=1.5)
@@ -293,12 +293,14 @@ def test_run_methods_rows_match_run_method_calls():
     assert str(by_method["m2a"][1]) == "bandwidth grid needs a sample with positive, finite range"
     assert isinstance(by_method["m2a"][1], MethodInfeasibleError)
     for method in ("m3", "m3p"):
-        assert isinstance(by_method[method][3], MethodInfeasibleError)
-        assert str(by_method[method][3]).startswith("an evaluation point coincides with the pilot")
-    # row 1's constant half also ties m1's narrowest block: m1 fails that row alone
+        for i in (1, 3):
+            assert isinstance(by_method[method][i], MethodInfeasibleError)
+            assert str(by_method[method][i]).startswith(
+                "an evaluation point coincides with the pilot")
+    # row 1 also ties m1's narrowest block: m1 fails that row alone
     assert isinstance(by_method["m1"][1], MethodInfeasibleError)
     assert str(by_method["m1"][1]).startswith("tied data")
-    failed = {(1, "m1"), (1, "m2a"), (3, "m3"), (3, "m3p")}
+    failed = {(1, "m1"), (1, "m2a"), (1, "m3"), (1, "m3p"), (3, "m3"), (3, "m3p")}
     assert all(isinstance(by_method[method][i], ModeResult) == ((i, method) not in failed)
                for method in METHOD_CODES for i in range(k))
 
@@ -345,6 +347,7 @@ def test_run_method_reports_its_diagnostics():
     data = FBetaDensity(1.0).sample(RngStream(77, 0), 600)
     stream = RngStream(78, 0)
     pilot = split_and_pilot(data[None, :], stream, None)[1][0]
+    whole_pilot = venter_pilot(np.sort(data)[None, :])[0]  # m2a's pilot: the whole sample's
     options = dict(h=0.3, rho=2.0, split_stream=stream)
     for method in ("m1", "m2", "m2a", "m3", "m3p"):
         res = run_method(data, 0.05, method, **options)
@@ -353,6 +356,22 @@ def test_run_method_reports_its_diagnostics():
         if method == "m1":
             assert res.pilot is None and res.h is None and res.pre_dilation is None
             continue
-        assert res.pilot == pilot
+        assert res.pilot == (whole_pilot if method == "m2a" else pilot)
         if method in ("m2", "m2a"):
             assert dilate(res.pre_dilation, res.h) == res.confidence_set
+
+
+# each option of the method table, a value other than the one the test below starts from
+_OTHER_VALUES = {"h": 0.6, "h_grid": (0.5,), "rho": 3.0, "pilot_r": 5,
+                 "split_stream": RngStream(79, 1)}
+
+
+def test_every_option_of_the_method_table_changes_its_methods_result():
+    # an option that a method lists but never reads would leave its result as it was
+    data = FBetaDensity(1.0).sample(RngStream(77, 0), 600)
+    base = dict(h=0.3, rho=2.0, split_stream=RngStream(79, 0))
+    for method, options in METHOD_OPTIONS.items():
+        want = repr(run_method(data, 0.05, method, **base))
+        for option in options:
+            other = {**base, option: _OTHER_VALUES[option]}
+            assert repr(run_method(data, 0.05, method, **other)) != want, (method, option)

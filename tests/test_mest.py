@@ -11,7 +11,7 @@ from modeset import (
     make_confidence_set,
     run_method,
 )
-from modeset.core import join_runs, split_and_pilot
+from modeset.core import join_runs, split_and_pilot, venter_pilot
 from modeset.mest import (
     _level_runs,
     _pilot_counts,
@@ -342,11 +342,10 @@ def test_m2_requires_bandwidth():
 
 def test_m2a_degenerate_grid_matches_single_dkw_set():
     data = FBetaDensity(1.0).sample(RngStream(48, 0), 400)
-    stream = RngStream(49, 0)
-    res_grid = run_method(data, 0.05, "m2a", h_grid=(0.5,), split_stream=stream)
-    # manual single-h DKW construction
-    points, pilots = split_and_pilot(data[None, :], stream, None)
-    pts, pilot = points[0], pilots[0]
+    res_grid = run_method(data, 0.05, "m2a", h_grid=(0.5,))
+    # manual single-h DKW construction on the whole sorted sample
+    pts = np.sort(data)
+    pilot = venter_pilot(pts[None, :])[0]
     starts, ends, _ = _window(pts, 0.5)
     cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
     pre = make_confidence_set(_runs(pts, 0.5, cutoff))
@@ -357,23 +356,45 @@ def test_m2a_degenerate_grid_matches_single_dkw_set():
 
 def test_m2a_picks_minimal_width_smallest_h_tie():
     data = FBetaDensity(1.0).sample(RngStream(50, 0), 1000)
-    res = run_method(data, 0.05, "m2a", split_stream=RngStream(51, 0))
-    grid = default_bandwidth_grid(
-        np.sort(data)[None, :]  # not the true s2, only for grid shape checks
-    )[0]
+    res = run_method(data, 0.05, "m2a")
+    # the chosen width is minimal among a re-run over the same default grid,
+    # on the whole sorted sample
+    pts = np.sort(data)
+    pilot = venter_pilot(pts[None, :])[0]
+    [grid] = default_bandwidth_grid(pts[None, :])
     assert len(grid) == 64
-    # the chosen width is minimal among a re-run over the same default grid
-    points, pilots = split_and_pilot(data[None, :], RngStream(51, 0), None)
-    pts, pilot = points[0], pilots[0]
-    true_grid = default_bandwidth_grid(points)[0]
     widths = []
-    for h in true_grid:
+    for h in grid:
         starts, ends, _ = _window(pts, h)
         cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
         pre = make_confidence_set(_runs(pts, h, cutoff))
         widths.append(dilate(pre, h).width)
     assert res.confidence_set.width == min(widths)
-    assert res.h == true_grid[int(np.argmin(widths))]
+    assert res.h == grid[int(np.argmin(widths))]
+
+
+@pytest.mark.parametrize("kind", ["normal", "rounded to 0.1", "integer"])
+def test_m2a_level_set_holds_every_maximizer_of_the_whole_sample_count(kind):
+    # DKW bounds every window at once, so the smoothed mode has N >= max N - slack
+    # over the whole sample; a pilot from the same sample has N(pilot) <= max N, so
+    # at the winning h the level set must hold every theta with N(theta) >= max N -
+    # floor(slack), the maximizers among them
+    informative = 0
+    for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
+        for rep in range(3):
+            data = RngStream(53, 10 * n + rep).generator().normal(size=n)
+            data = {"normal": data, "rounded to 0.1": np.round(data, 1),
+                    "integer": np.round(4.0 * data)}[kind]
+            res = run_method(data, 0.05, "m2a")
+            starts, ends, knots = _window(data, res.h)
+            counts = _window_count(starts, ends, knots)
+            near = counts.max() - math.floor(dkw_count_slack(n, 0.05))
+            # N is constant on each [knots[j], knots[j + 1]): hold its closure
+            for j in np.flatnonzero(counts >= max(near, 1)):
+                for theta in (knots[j], (knots[j] + knots[j + 1]) / 2, knots[j + 1]):
+                    assert res.pre_dilation.contains(theta), (n, rep, theta)
+            informative += not res.vacuous
+    assert informative >= 15
 
 
 def test_m2a_statistical_coverage_smoke():
@@ -382,10 +403,7 @@ def test_m2a_statistical_coverage_smoke():
     reps = 60
     for rep in range(reps):
         data = FBetaDensity(1.0).sample(RngStream(52, 2 * rep), 1000)
-        cs = run_method(
-            data, 0.05, "m2a", split_stream=RngStream(52, 2 * rep + 1)
-        ).confidence_set
-        covered += cs.contains(0.0)
+        covered += run_method(data, 0.05, "m2a").confidence_set.contains(0.0)
     assert covered / reps >= 0.95 - 2 * math.sqrt(0.05 * 0.95 / reps)
 
 
