@@ -136,9 +136,9 @@ class ModeResult:
 
     ``vacuous``: the set is the whole line, as the ``m2``/``m2a`` count
     condition excluded nothing at every bandwidth.  ``pilot`` is the pilot
-    mode estimate (of the whole sample for ``m2a``, else of the pilot half);
-    ``h`` and ``pre_dilation`` are the bandwidth ``m2``/``m2a`` used and the
-    level set before dilation by it.  A method leaves a diagnostic it does
+    mode estimate (of the whole sample for ``m2``/``m2a``, else of the pilot
+    half); ``h`` and ``pre_dilation`` are the bandwidth ``m2``/``m2a`` used
+    and the level set before dilation by it.  A method leaves a diagnostic it does
     not compute at its default.
     """
 

@@ -1,20 +1,21 @@
 """Window-count M-estimation confidence sets (methods m2 and m2a).
 
-A pilot mode estimate comes from half the sample (m2) or from all of it (m2a);
-over the other half, or the whole sample, the set collects every location
-whose +/-h window catches nearly as many points as the pilot's window.  The
-window count N(theta) is piecewise constant with jumps only at the points
-X_i -/+ h, and the points a window catches are consecutive order statistics,
-so the level set is read off exactly from the sorted shifted points, then
-dilated by h to transfer coverage from the smoothed mode back to the mode.
+A pilot mode estimate comes from the whole sample; the set collects every
+location whose +/-h window catches nearly as many points as the pilot's
+window.  The window count N(theta) is piecewise constant with jumps only at
+the points X_i -/+ h, and the points a window catches are consecutive order
+statistics, so the level set is read off exactly from the sorted shifted
+points, then dilated by h to transfer coverage from the smoothed mode back
+to the mode.
 
 The defining inequality compares window averages scaled by 1/(2h); the
 bandwidth cancels, leaving an integer count condition
 
     N(theta) >= N(pilot) - slack(n, alpha)
 
-with a Hoeffding-type slack for the fixed-bandwidth method and a DKW-based
-slack (all windows at once: any h, any pilot) for the width-minimizing one.
+with a DKW-based slack, which bounds every window at once: any h, and any
+pilot, one taken from the same sample included.  m2 is the sweep at its
+one bandwidth, m2a the narrowest set over a grid.
 """
 
 from __future__ import annotations
@@ -29,15 +30,9 @@ __all__ = [
     "default_bandwidth_grid",
     "dkw_count_slack",
     "geometric_grid",
-    "hoeffding_count_slack",
 ]
 
 DEFAULT_GRID_SIZE = 64  # bandwidths in an m2a grid
-
-
-def hoeffding_count_slack(n: int, alpha: float) -> float:
-    """Count slack sqrt(6n) * (sqrt(log(1/alpha)) + 2) for the fixed-h set."""
-    return math.sqrt(6.0 * n) * (math.sqrt(-math.log(alpha)) + 2.0)
 
 
 def dkw_count_slack(n: int, alpha: float) -> float:
@@ -85,11 +80,11 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
 
     On integer counts N(theta) >= N(pilot) - slack is N(theta) >= K =
     N(pilot) - floor(slack).  K is taken from floor(min(slack * (1 + 2^-49),
-    n)): each slack function is within a relative 5 * 2^-53 of its formula
-    if ``math.log`` is within one ulp (glibc's is), so K never exceeds the
-    exact K.  N(pilot) never falls as h rises (rounding is monotone), so the
-    informative bandwidths (K >= 1) come last; with none, the set is the
-    whole line at the first h.  The walk builds them in ascending h, each
+    n)): :func:`dkw_count_slack` is within a relative 5 * 2^-53 of its
+    formula if ``math.log`` is within one ulp (glibc's is), so K never
+    exceeds the exact K.  N(pilot) never falls as h rises (rounding is
+    monotone), so the informative bandwidths (K >= 1) come last; with none,
+    the set is the whole line at the first h.  The walk builds them in ascending h, each
     one's pieces shifted by h and joined once (no gap closed by the shift
     reopens), its runs' widths summed left to right as ``ConfidenceSet.width``
     sums them.  The first replaces the whole line, then only a strictly

@@ -24,16 +24,16 @@ from .core import (
     venter_pilot,
 )
 from .edelman import _concentration_covers, _concentration_set
-from .mest import _sweep, default_bandwidth_grid, dkw_count_slack, hoeffding_count_slack
+from .mest import _sweep, default_bandwidth_grid, dkw_count_slack
 from .numerics import RngStream
-from .spacings import _m1_descent, _m1_order_statistics, m1_bounds
+from .spacings import _m1_descent, _m1_order_statistics
 
 __all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_set", "run_method"]
 
 # the keyword options of run_method that each method takes; it ignores the rest
 METHOD_OPTIONS = {
     "m1": (),
-    "m2": ("h", "pilot_r", "split_stream"),
+    "m2": ("h", "pilot_r"),
     "m2a": ("h_grid", "pilot_r"),
     "m3": ("pilot_r", "split_stream"),
     "m3p": ("rho", "pilot_r", "split_stream"),
@@ -79,39 +79,40 @@ def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r
     ``ModeResult`` or the ``ModeSetError`` it raised, as :func:`run_method` gives it.
 
     The options are :func:`run_method`'s, checked by ``_check_options``;
-    ``split_stream`` is one stream for all rows or one per row.  ``m1`` runs
-    all rows as one batch, ``m2a`` each whole row, and the split methods share one split.
+    ``split_stream`` is one stream for all rows or one per row.  ``m1``, ``m2`` and ``m2a``
+    share one sort of the rows: ``m1`` runs them as one batch, and ``m2``/``m2a`` sweep each
+    sorted row, ``m2`` at its one bandwidth ``h``.  ``m3`` and ``m3p`` share one split.
     """
-    split = None
+    points = split = None
     for method in methods:
         try:
+            if points is None and method in ("m1", "m2", "m2a"):
+                points = sort_rows(rows)
             if method == "m1":
-                lo, hi, tied = m1_bounds(rows, alpha)
+                lo, hi, tied = _m1_descent(*_m1_order_statistics(points, alpha))
                 column = [MethodInfeasibleError(_TIED) if t else
                           ModeResult(ConfidenceSet(((a, b),)))
                           for a, b, t in zip(lo.tolist(), hi.tolist(), tied)]
-            elif method == "m2a":
-                points = sort_rows(rows)
-                grids = default_bandwidth_grid(points) if h_grid is None else [h_grid] * len(rows)
+            elif method in ("m2", "m2a"):
+                given = np.array([h]) if method == "m2" else h_grid
+                grids = default_bandwidth_grid(points) if given is None else [given] * len(rows)
                 column = [grid if isinstance(grid, ModeSetError) else
                           _sweep(p, float(c), grid, dkw_count_slack(p.size, alpha))
                           for p, c, grid in zip(points, venter_pilot(points, pilot_r), grids)]
             else:
                 split = split or split_and_pilot(rows, split_stream, pilot_r)
-                column = [_split_result(method, p, float(c), alpha, h, rho)
+                column = [_split_result(p, float(c), alpha, rho if method == "m3p" else None)
                           for p, c in zip(*split)]
         except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
             column = [exc] * len(rows)
         yield column
 
 
-def _split_result(method, points, pilot, alpha, h, rho) -> ModeResult | ModeSetError:
-    """A split method's result on one sorted evaluation half, or its ``ModeSetError``."""
+def _split_result(points, pilot, alpha, rho) -> ModeResult | ModeSetError:
+    """``m3``'s result (``rho`` None) or ``m3p``'s on one sorted evaluation half, or its
+    ``ModeSetError``."""
     try:
-        if method == "m2":
-            return _sweep(points, pilot, np.array([h]), hoeffding_count_slack(points.size, alpha))
-        cs = _concentration_set(points, pilot, alpha, rho if method == "m3p" else None)
-        return ModeResult(cs, pilot=pilot)
+        return ModeResult(_concentration_set(points, pilot, alpha, rho), pilot=pilot)
     except ModeSetError as exc:
         return exc
 
@@ -123,22 +124,22 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
 
     - ``m1``: the spacing interval, always one closed interval within
       [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics; tied data are infeasible.
-    - ``m2``: the fixed-bandwidth window-count set; ``h`` is required.
+    - ``m2``: the window-count set at one fixed bandwidth ``h``, which is required: ``m2a``'s
+      sweep over the grid ``[h]``.
     - ``m2a``: the width-minimizing window-count set over ``h_grid``, a nonempty 1-D sequence of
       strictly ascending, positive, finite bandwidths, by default a geometric grid from the
       sample's resolution to its range.  Every candidate uses the DKW slack, which holds for all
-      windows at once, so for any h and any pilot: ``m2a`` needs no split, and minimizing the
-      dilated width over the grid keeps the coverage guarantee; ties go to the smallest h.  If
-      the count condition excludes nothing at every h (or at ``m2``'s), the set is the whole
-      line, ``vacuous``.
+      windows at once, so for any h and any pilot: ``m2``/``m2a`` need no split, and minimizing
+      the dilated width over the grid keeps the coverage guarantee; ties go to the smallest h.
+      If the count condition excludes nothing at every h, the set is the whole line, ``vacuous``.
     - ``m3``: the combined p-value set.  It is bounded and contains the
       pilot, but its width does not shrink with the sample size.
     - ``m3p``: the dampened-ratio set, valid under any dependence within the
       identically distributed evaluation half if it is independent of the
       pilot half; ``rho`` must exceed 1, and a large ``rho`` can give the whole line.
 
-    ``m2``, ``m3`` and ``m3p`` split the sample with ``split_stream`` and take their pilot from
-    one half, ``m2a`` from the whole sample, with window ``pilot_r``, and report it in
+    ``m3`` and ``m3p`` split the sample with ``split_stream`` and take their pilot from one
+    half, ``m2`` and ``m2a`` from the whole sample, with window ``pilot_r``, and report it in
     ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and ``vacuous``.  Alpha and
     the named method's own option are checked before the sample; options a method does not take
     (``METHOD_OPTIONS``) are ignored.  This is the one-row case of :func:`_method_columns`.
@@ -173,7 +174,7 @@ def covers(chunks, x: float, alpha: float, method: str):
     for rows in chunks:
         rows = np.asarray(rows, dtype=np.float64)
         if method == "m1":
-            stats, plan = _m1_order_statistics(rows, alpha)
+            stats, plan = _m1_order_statistics(sort_rows(rows), alpha)
             if sizes and sum(sizes) + len(stats) > len(held):
                 yield from _m1_hits(held, sizes, x, plan)
                 sizes = []

@@ -89,10 +89,11 @@ class CoverageReport:
     ``coverage`` counts replications whose set contains the true mode 0,
     divided by all replications (errored replications count as misses).
     ``wall_time_s`` sums this cell's method time over blocks of replications,
-    in whichever process ran each; the split methods (``m2``, ``m3``,
-    ``m3p``) share a split per (n, replication), timed with the first of them
-    in ``methods``.  It excludes sampling the shared data and is measured, so
-    it stays out of the deterministic CSV payload.
+    in whichever process ran each; ``m1``, ``m2`` and ``m2a`` share one sort
+    per (n, replication), and ``m3`` and ``m3p`` one split, each timed with
+    the first method in ``methods`` that uses it.  It excludes sampling the
+    shared data and is measured, so it stays out of the deterministic CSV
+    payload.
     """
 
     method: str
@@ -125,7 +126,7 @@ def _run_block(methods, n_values, beta, alpha, base_seed, reps):
         columns = _method_columns(full[:, :n], alpha, methods, h=study_bandwidth(n, beta),
                                   split_stream=[RngStream(base_seed, 2 * rep + 1) for rep in reps])
         by_method, start = [], time.perf_counter()
-        for column in columns:  # the shared split is timed with the first split method
+        for column in columns:  # a shared sort or split is timed with the first method using it
             # data a method cannot handle (too small, pilot collision) is an error, not a crash
             outcomes = [(False, math.nan, False, True) if isinstance(res, ModeSetError) else
                         (res.confidence_set.contains(0.0), res.confidence_set.width, res.vacuous,
@@ -152,7 +153,7 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
 
     Replication ``r`` draws its data from stream ``2r`` of ``base_seed`` once
     per beta, at the largest n; every (method, n) cell runs on the length-n
-    prefix of that draw, which ``m2``, ``m3`` and ``m3p`` split with stream
+    prefix of that draw, which ``m3`` and ``m3p`` split with stream
     ``2r + 1``.  Cells thus share datasets (common random numbers across
     methods and, by prefix, across sample sizes) and the whole study is
     reproducible bit for bit.  A job runs one beta on a block of replications

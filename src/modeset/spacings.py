@@ -130,14 +130,14 @@ def m1_bounds(rows, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     -------
     lo, hi, tied : ndarray of shape (k,)
     """
-    return _m1_descent(*_m1_order_statistics(rows, alpha))
+    return _m1_descent(*_m1_order_statistics(sort_rows(np.asarray(rows, dtype=np.float64)), alpha))
 
 
-def _m1_order_statistics(rows, alpha: float):
-    """``(stats, plan)``: each row's order statistics 0, 2**s_n, ... and then its maximum."""
-    v = sort_rows(np.asarray(rows, dtype=np.float64))
-    plan = build_plan(v.shape[1], alpha)
-    return np.concatenate((v[:, :: 1 << plan.s_n], v[:, -1:]), axis=1), plan
+def _m1_order_statistics(rows: np.ndarray, alpha: float):
+    """``(stats, plan)`` for a (k, n) matrix of ascending rows: each row's order statistics
+    0, 2**s_n, ... and then its maximum."""
+    plan = build_plan(rows.shape[1], alpha)
+    return np.concatenate((rows[:, :: 1 << plan.s_n], rows[:, -1:]), axis=1), plan
 
 
 def _m1_descent(stats, plan: SpacingsPlan, x: float | None = None):

@@ -23,7 +23,7 @@ from modeset import (
 )
 from modeset.cli import main as cli_main
 from modeset.core import split_and_pilot
-from modeset.mest import _sweep, dkw_count_slack, hoeffding_count_slack
+from modeset.mest import _sweep, dkw_count_slack
 from modeset.methods import _SPLIT_STREAM, SCAN_CODES, _method_columns, covers
 from modeset.multivariate import PointCloud, radial_transform
 from modeset.numerics import qbeta, qchisq
@@ -64,8 +64,7 @@ def study_n2000():
 
 @pytest.fixture(scope="module")
 def m2_beta2():
-    # at beta 1 the study bandwidth leaves m2 vacuous, the whole line, up to
-    # n = 4000; at beta 2 its count condition binds
+    # m2's widths at beta 2, where its count condition binds at both sizes
     reports = run_coverage_study(["m2"], [1000, 2000], [2.0],
                                  alpha=ALPHA, replications=REPS, base_seed=SEED)
     return {r.n: r for r in reports}
@@ -181,7 +180,7 @@ def _m2_oracle_instances():
         else:
             h = float(rng.choice([0.25, 0.75, 1.5]))
             alpha = float(rng.choice([0.2, 0.5, 0.9]))
-            slack = hoeffding_count_slack(n2, alpha)
+            slack = math.sqrt(6.0 * n2) * (math.sqrt(-math.log(alpha)) + 2.0)  # Hoeffding
             tau = (1.0 / h) * math.sqrt(3.0 / (2 * n2)) * (
                 math.sqrt(math.log(1.0 / alpha)) + 2.0
             )

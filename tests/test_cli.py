@@ -124,7 +124,7 @@ def test_ci_m2_requires_bandwidth(data_1000, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--method", "m2", "--h", "0.3", "--split-seed", "-1"],
+    (["--method", "m3", "--split-seed", "-1"],
      "seed must fit in an unsigned 64-bit integer, got -1"),
     (["--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "1", "--h-grid-size", "-1"],
      "bandwidth grid size must be at least 1, got -1"),
@@ -138,7 +138,7 @@ def test_ci_option_errors_name_the_value(data_1000, capsys, argv, message):
 
 
 def test_ci_m2_and_m2a_and_m3_run(data_1000, capsys):
-    for argv in (  # h = 0.25 would exclude nothing on these data, giving a null width
+    for argv in (  # h = 0.1 would exclude nothing on these data, giving a null width
         ["ci", "--method", "m2", "--h", "0.75", "--input", str(data_1000)],
         ["ci", "--method", "m2a", "--h-grid-min", "0.05", "--h-grid-max", "1.0",
          "--h-grid-size", "16", "--input", str(data_1000)],
@@ -172,6 +172,7 @@ def test_ci_pilot_error_names_the_sample_size(tmp_path, capsys, method):
     ("m1", "--pilot-r", "0"),
     ("m1", "--split-seed", "7"),
     ("m2a", "--split-seed", "7"),
+    ("m2", "--split-seed", "7"),
 ])
 def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, flag, value):
     assert main(["ci", "--method", method, flag, value, "--input", str(data_1000)]) == 2
@@ -446,7 +447,7 @@ def test_finite_well_formed_inputs_never_exit_2(tmp_path, capsys):
             h = ["--h", "1"] if method == "m2" else []
             codes[name, method] = main(["ci", "--method", method, "--input", str(path), *h])
     # a bounded set wider than the largest float has no finite width to print;
-    # on 500 evaluation points h = 4e307 is informative
+    # on 1000 points h = 4e307 is informative
     path = _write_lines(tmp_path, "wide.txt", np.linspace(-0.85e308, 0.85e308, 1000).tolist())
     codes["wide", "m2"] = main(["ci", "--method", "m2", "--h", "4e307", "--input", str(path)])
     # clouds whose radial transform overflows at gamma 400 and at scale 1e160,
@@ -464,7 +465,7 @@ def test_finite_well_formed_inputs_never_exit_2(tmp_path, capsys):
     assert codes["huge", "m2a"] == 3 and codes["subnormal", "m2a"] == 0
     assert all(codes["one", method] == 3 for method in ("m2", "m2a", "m3", "m3p"))
     assert codes["rounded", "m1"] == codes["wide", "m2"] == 3
-    # no bandwidth is informative on seven evaluation points: the whole line
+    # no bandwidth is informative on 14 points: the whole line
     assert codes["huge", "m2"] == 0
     assert all(codes[name, method] == 3 for name in ("steep", "vast", "same")
                for method in SCAN_CODES)
@@ -549,7 +550,7 @@ def test_mode2d_empty_file_writes_one_line_to_stderr(tmp_path):
 ])
 def test_ci_huge_bandwidth_writes_nothing_to_stderr(tmp_path, flags, intervals):
     # a subprocess, so that numpy's overflow warnings would reach stderr; on
-    # 100 evaluation points h = 1e308 is informative, and dilating by it overflows
+    # 200 points h = 1e308 is informative, and dilating by it overflows
     path = _write_lines(tmp_path, "many.txt", range(1, 201))
     env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
     proc = subprocess.run(
@@ -589,8 +590,8 @@ def test_simulate_workers_flag_matches_serial(tmp_path, capsys):
 
 # sha256 of the study CSV and of its --emit-widths file for the study below;
 # a change to any set, split, draw or number format of the study moves them
-_STUDY_DIGESTS = ("b7c0a1e2a0c9b6716748170f001d87b95216514681cc323206575d6911b94073",
-                  "dd7173f7ef5b6512003bdb691d10aeb51f274ffe83ab87787a9844e67151268e")
+_STUDY_DIGESTS = ("c3a1c13a6c5c8b7d65b86285426b83cf2306aee3d217dfe50d2fa9bead8baa99",
+                  "07b873b3fe34462cb0450df1914373b19618a192ac5444e6d9aa53aebd6c04bd")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -606,8 +607,8 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys, workers):
 
 # m2 and m2a at sample sizes where the m2a sweep stops before its last
 # informative bandwidth
-_LARGE_N_STUDY_DIGESTS = ("dc1c9780ea1bbca948c55d93b82ad9c7df3d4263da3c77f84953cc527de1119a",
-                          "a839a72b8ad45eb5c9956a6f8ed99543dc80cf24c632e70d519ab1c84c9b2cb4")
+_LARGE_N_STUDY_DIGESTS = ("1aacb8cb2e6943e41ab063398ae4a6686cd917b1e2054ccdb67593c7a3e0b4ce",
+                          "407fe2d2aba2945a8e681e66d576965f20ece1304b727a7d6773a3609c1d6f43")
 
 
 def test_simulate_bytes_are_pinned_at_large_n(tmp_path, capsys):

@@ -347,7 +347,7 @@ def test_run_method_reports_its_diagnostics():
     data = FBetaDensity(1.0).sample(RngStream(77, 0), 600)
     stream = RngStream(78, 0)
     pilot = split_and_pilot(data[None, :], stream, None)[1][0]
-    whole_pilot = venter_pilot(np.sort(data)[None, :])[0]  # m2a's pilot: the whole sample's
+    whole_pilot = venter_pilot(np.sort(data)[None, :])[0]  # m2's and m2a's: the whole sample's
     options = dict(h=0.3, rho=2.0, split_stream=stream)
     for method in ("m1", "m2", "m2a", "m3", "m3p"):
         res = run_method(data, 0.05, method, **options)
@@ -356,7 +356,7 @@ def test_run_method_reports_its_diagnostics():
         if method == "m1":
             assert res.pilot is None and res.h is None and res.pre_dilation is None
             continue
-        assert res.pilot == (whole_pilot if method == "m2a" else pilot)
+        assert res.pilot == (whole_pilot if method in ("m2", "m2a") else pilot)
         if method in ("m2", "m2a"):
             assert dilate(res.pre_dilation, res.h) == res.confidence_set
 

@@ -7,6 +7,7 @@ import pytest
 from modeset import (
     ConfidenceSet,
     FBetaDensity,
+    MethodInfeasibleError,
     RngStream,
     make_confidence_set,
     run_method,
@@ -19,15 +20,12 @@ from modeset.mest import (
     default_bandwidth_grid,
     dkw_count_slack,
     geometric_grid,
-    hoeffding_count_slack,
 )
 from dilate import dilate
 from window_count import window_count as _window_count
 
 
 def test_count_slacks_match_direct_evaluation():
-    # sqrt(6*512) * (sqrt(ln 20) + 2)
-    assert hoeffding_count_slack(512, 0.05) == pytest.approx(206.78, abs=0.05)
     # 2 * sqrt(2000 * ln 40)
     assert dkw_count_slack(1000, 0.05) == pytest.approx(171.79, abs=0.05)
 
@@ -42,13 +40,10 @@ def test_count_slacks_are_within_the_bound_sweep_widens_them_by():
                              1e-300 * gen.random(100), [0.05, 0.5, 5e-324]])
     for n, alpha in zip(gen.integers(1, 10**7, alphas.size).tolist(), alphas.tolist()):
         a = mpmath.mpf(alpha)
-        exact = (mpmath.sqrt(6 * n) * (mpmath.sqrt(-mpmath.log(a)) + 2),
-                 2 * mpmath.sqrt(2 * n * mpmath.log(2 / a)))
-        for slack, want in zip((hoeffding_count_slack(n, alpha), dkw_count_slack(n, alpha)),
-                               exact):
-            if math.isfinite(slack):  # 2 / 5e-324 overflows: every bandwidth vacuous
-                assert abs(slack - want) <= 5 * 2.0**-53 * want
-                assert slack * (1 + 2**-49) >= want
+        slack, want = dkw_count_slack(n, alpha), 2 * mpmath.sqrt(2 * n * mpmath.log(2 / a))
+        if math.isfinite(slack):  # 2 / 5e-324 overflows: every bandwidth vacuous
+            assert abs(slack - want) <= 5 * 2.0**-53 * want
+            assert slack * (1 + 2**-49) >= want
 
 
 def _window(points, h):
@@ -134,7 +129,7 @@ def test_exact_sweep_matches_brute_force():
         else:
             h = float(rng.choice([0.25, 0.75, 1.5]))
             alpha = float(rng.choice([0.2, 0.5, 0.9]))
-            slack = hoeffding_count_slack(n2, alpha)
+            slack = math.sqrt(6.0 * n2) * (math.sqrt(-math.log(alpha)) + 2.0)  # Hoeffding
             tau = (1.0 / h) * math.sqrt(3.0 / (2 * n2)) * (
                 math.sqrt(math.log(1.0 / alpha)) + 2.0
             )
@@ -202,7 +197,8 @@ def _sweep_cases():
         )
         for pts in map(np.sort, samples):
             pilot = float(pts[n // 2])
-            yield pts, pilot, (0.5,), hoeffding_count_slack(n, 0.3)  # m2
+            # one bandwidth under the paper's Hoeffding slack for m2
+            yield pts, pilot, (0.5,), math.sqrt(6.0 * n) * (math.sqrt(-math.log(0.3)) + 2.0)
             if pts[-1] > pts[0]:  # m2a's default grid, with the pilot also at either end
                 [grid] = default_bandwidth_grid(pts[None, :])
                 for at in (pilot, float(pts[0]), float(pts[-1])):
@@ -221,7 +217,7 @@ def _sweep_cases():
         pilot = float(pts[n // 2])
         yield pts, pilot, (1e307, 1e308), 0.1 * n
         yield pts, pilot, (5e307, 1e308, 1.5e308), dkw_count_slack(n, 0.05)
-        yield pts, pilot, (1e308,), hoeffding_count_slack(n, 0.3)
+        yield pts, pilot, (1e308,), math.sqrt(6.0 * n) * (math.sqrt(-math.log(0.3)) + 2.0)
 
 
 @np.errstate(over="ignore")  # the 1e307 cases overflow to inf, as in _sweep
@@ -285,7 +281,7 @@ def test_pilot_counts_match_window_count_h_by_h():
 @pytest.mark.parametrize("method, options", [("m2", {"h": 1e308}),
                                              ("m2a", {"h_grid": (1.0, 1e308)})])
 def test_m2_huge_bandwidth_overflows_silently(method, options):
-    # no bandwidth is informative on five points, so the set is the whole
+    # no bandwidth is informative on ten points, so the set is the whole
     # line at the grid's first h, with no warning (this suite makes one an error)
     res = run_method(np.arange(1.0, 11.0), 0.05, method, **options)
     assert res.vacuous
@@ -294,7 +290,7 @@ def test_m2_huge_bandwidth_overflows_silently(method, options):
 
 
 def test_m2_informative_huge_bandwidth_overflows_silently():
-    # on 100 evaluation points h = 1e308 is informative; dilating its level
+    # on 200 points h = 1e308 is informative; dilating its level
     # set by h overflows to infinite ends without a warning
     res = run_method(np.arange(1.0, 201.0), 0.05, "m2", h=1e308)
     assert not res.vacuous
@@ -305,17 +301,17 @@ def test_m2_informative_huge_bandwidth_overflows_silently():
 def test_m2_pilot_always_covered_and_nonempty():
     for seed in range(5):
         data = FBetaDensity(1.0).sample(RngStream(41, seed), 400)
-        res = run_method(data, 0.05, "m2", h=0.3, split_stream=RngStream(42, seed))
+        res = run_method(data, 0.05, "m2", h=0.3)
         assert not res.confidence_set.is_empty
         assert res.confidence_set.contains(res.pilot)
         assert res.pre_dilation.contains(res.pilot)
 
 
 def test_m2_vacuous_set_is_the_whole_line():
-    # tiny evaluation half: the count slack dwarfs any window count, so the
+    # tiny sample: the count slack dwarfs any window count, so the
     # condition excludes nothing, before dilation or after
     data = FBetaDensity(1.0).sample(RngStream(43, 0), 40)
-    res = run_method(data, 0.05, "m2", h=0.25, split_stream=RngStream(44, 0))
+    res = run_method(data, 0.05, "m2", h=0.25)
     assert res.vacuous and res.h == 0.25
     assert res.confidence_set.intervals == ((-math.inf, math.inf),)
     assert res.pre_dilation.intervals == ((-math.inf, math.inf),)
@@ -326,7 +322,7 @@ def test_m2_alpha_monotone_inclusion():
     data = FBetaDensity(1.0).sample(RngStream(45, 0), 4000)
     sets = {}
     for alpha in (0.5, 0.1, 0.02):
-        sets[alpha] = run_method(data, alpha, "m2", h=1.0, split_stream=RngStream(46, 0))
+        sets[alpha] = run_method(data, alpha, "m2", h=1.0)
     for big, small in ((0.5, 0.1), (0.1, 0.02)):
         inner = sets[big].pre_dilation
         outer = sets[small].pre_dilation
@@ -373,19 +369,29 @@ def test_m2a_picks_minimal_width_smallest_h_tie():
     assert res.h == grid[int(np.argmin(widths))]
 
 
-@pytest.mark.parametrize("kind", ["normal", "rounded to 0.1", "integer"])
-def test_m2a_level_set_holds_every_maximizer_of_the_whole_sample_count(kind):
+def _maximizer_cases():
+    """(kind, method, options): m2a on its default grid, keeping the ids it had alone, and
+    m2 at one fixed h, about 1.5 standard deviations of the data"""
+    for method, options in (("m2a", {}), ("m2", {"h": 1.5})):
+        for kind in ("normal", "rounded to 0.1", "integer"):
+            scaled = {"h": 6.0} if options and kind == "integer" else options
+            yield pytest.param(kind, method, scaled,
+                               id=kind if method == "m2a" else f"{method}-{kind}")
+
+
+@pytest.mark.parametrize("kind, method, options", _maximizer_cases())
+def test_m2a_level_set_holds_every_maximizer_of_the_whole_sample_count(kind, method, options):
     # DKW bounds every window at once, so the smoothed mode has N >= max N - slack
     # over the whole sample; a pilot from the same sample has N(pilot) <= max N, so
-    # at the winning h the level set must hold every theta with N(theta) >= max N -
-    # floor(slack), the maximizers among them
+    # at m2a's winning h, or at m2's one h, the level set must hold every theta with
+    # N(theta) >= max N - floor(slack), the maximizers among them
     informative = 0
     for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
         for rep in range(3):
             data = RngStream(53, 10 * n + rep).generator().normal(size=n)
             data = {"normal": data, "rounded to 0.1": np.round(data, 1),
                     "integer": np.round(4.0 * data)}[kind]
-            res = run_method(data, 0.05, "m2a")
+            res = run_method(data, 0.05, method, **options)
             starts, ends, knots = _window(data, res.h)
             counts = _window_count(starts, ends, knots)
             near = counts.max() - math.floor(dkw_count_slack(n, 0.05))
@@ -395,6 +401,25 @@ def test_m2a_level_set_holds_every_maximizer_of_the_whole_sample_count(kind):
                     assert res.pre_dilation.contains(theta), (n, rep, theta)
             informative += not res.vacuous
     assert informative >= 15
+
+
+def test_m2_is_the_m2a_sweep_at_its_one_bandwidth():
+    # m2 takes m2a's whole-sample pilot and DKW slack: its result is m2a's over
+    # the grid [h], bit for bit, and so is its error on too small a sample
+    informative = 0
+    for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
+        raw = RngStream(54, n).generator().normal(size=n)
+        for data in (raw, np.round(raw, 1), np.round(4.0 * raw)):
+            for h in (0.05, 0.5, 1.5, 6.0):
+                for alpha in (0.01, 0.05, 0.5):
+                    res = run_method(data, alpha, "m2", h=h)
+                    assert repr(res) == repr(run_method(data, alpha, "m2a", h_grid=[h]))
+                    informative += not res.vacuous
+    assert informative >= 100  # of 432
+    for method, options in (("m2", {"h": 0.5}), ("m2a", {"h_grid": [0.5]})):
+        with pytest.raises(MethodInfeasibleError, match="^pilot mode estimate needs at least "
+                                                        "3 points, got 2$"):
+            run_method([0.1, 0.7], 0.05, method, **options)
 
 
 def test_m2a_statistical_coverage_smoke():
@@ -441,8 +466,6 @@ def test_m2a_rejects_a_grid_that_is_not_one_dimensional(h_grid):
 def test_default_bandwidth_grid_requires_spread():
     # a zero range or one past the largest float is the row's error; a finest
     # gap of 5e-324, whose half rounds to 0.0, starts the row's grid at 5e-324
-    from modeset import MethodInfeasibleError
-
     rows = np.stack([np.full(14, 2.0), np.r_[-1e308, np.zeros(12), 1e308],
                      np.r_[0.0, 5e-324, np.linspace(0.5, 1.0, 12)]])
     flat, huge, grid = default_bandwidth_grid(rows)
@@ -480,7 +503,6 @@ def test_bandwidth_grids_of_a_matrix_match_row_grids_bit_for_bit():
 
 
 def test_run_methods_fails_only_the_m2a_row_with_zero_range():
-    from modeset import MethodInfeasibleError
     from modeset.methods import _method_columns, covers
 
     rows = np.stack([FBetaDensity(1.0).sample(RngStream(82, rep), 400) for rep in range(3)])
@@ -532,8 +554,7 @@ def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatc
 def test_count_slacks_independent_of_bandwidth():
     # the defining inequality's 1/h factors cancel against the 1/(2h)
     # window scaling: the count condition touches h only through N(.) and
-    # the breakpoints, so neither slack accepts a bandwidth argument
+    # the breakpoints, so the slack accepts no bandwidth argument
     import inspect
 
-    assert list(inspect.signature(hoeffding_count_slack).parameters) == ["n", "alpha"]
     assert list(inspect.signature(dkw_count_slack).parameters) == ["n", "alpha"]
