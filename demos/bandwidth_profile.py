@@ -28,8 +28,8 @@ print(f"{'h':>8}  {'N(pilot)':>8}  {'binds':>5}  {'width':>8}")
 [grid] = default_bandwidth_grid(points, size=24)
 best_h, best_width = None, np.inf
 for h in grid:
-    # a one-bandwidth grid: the m2a set at this h, from the same pilot
-    res = run_method(data, ALPHA, "m2a", h_grid=(h,))
+    # m2 at this h: the m2a sweep over the one-bandwidth grid [h], from the same pilot
+    res = run_method(data, ALPHA, "m2", h=h)
     # the windows [X_i - h, X_i + h) that hold the pilot, as m2a counts them
     n_pilot = int(np.count_nonzero((points - h <= pilot) & (pilot < points + h)))
     binds = " no" if res.vacuous else "yes"

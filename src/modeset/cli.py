@@ -19,7 +19,6 @@ import warnings
 import numpy as np
 
 from .core import MethodInfeasibleError
-from .mest import DEFAULT_GRID_SIZE, geometric_grid
 from .methods import METHOD_CODES, METHOD_OPTIONS, SCAN_CODES, compute_confidence_set
 from .multivariate import PointCloud, scan_region
 from .numerics import RngStream
@@ -85,13 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--alpha", type=float, default=0.05)
     ci.add_argument("--input", required=True, help="text file of whitespace-separated numbers")
     ci.add_argument("--h", type=float, default=None, help="bandwidth for m2")
-    ci.add_argument("--h-grid-min", type=float, default=None)
-    ci.add_argument("--h-grid-max", type=float, default=None)
-    ci.add_argument("--h-grid-size", type=int, default=None,
-                    help=f"bandwidths in the m2a grid (default {DEFAULT_GRID_SIZE})")
     ci.add_argument("--rho", type=float, default=None,
                     help="damping exponent for m3p (default 2)")
-    ci.add_argument("--pilot-r", type=int, default=None)
     ci.add_argument("--split-seed", type=int, default=None, help="default 0")
     ci.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -121,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the run_method option that each method-specific flag of ``ci`` sets, by argparse destination
-_FLAG_OPTIONS = {"h": "h", "h_grid_min": "h_grid", "h_grid_max": "h_grid", "h_grid_size": "h_grid",
-                 "rho": "rho", "pilot_r": "pilot_r", "split_seed": "split_stream"}
+_FLAG_OPTIONS = {"h": "h", "rho": "rho", "split_seed": "split_stream"}
 
 
 def _run_ci(args) -> int:
@@ -133,15 +126,8 @@ def _run_ci(args) -> int:
             named = ("method " if len(methods) == 1 else "methods ") + ", ".join(methods)
             raise ValueError(f"{flag} applies only to {named}, not {args.method}")
     data = _read_floats(args.input)
-    h_grid = None
-    if (args.h_grid_min, args.h_grid_max, args.h_grid_size) != (None, None, None):
-        if args.h_grid_min is None or args.h_grid_max is None:
-            raise ValueError("--h-grid-min and --h-grid-max must be given together")
-        size = DEFAULT_GRID_SIZE if args.h_grid_size is None else args.h_grid_size
-        [h_grid] = geometric_grid([args.h_grid_min], [args.h_grid_max], size)
     split_stream = None if args.split_seed is None else RngStream(args.split_seed, 0)
-    options = {"h": args.h, "h_grid": h_grid, "rho": args.rho, "pilot_r": args.pilot_r,
-               "split_stream": split_stream}
+    options = {"h": args.h, "rho": args.rho, "split_stream": split_stream}
     cs = compute_confidence_set(data, args.alpha, args.method,
                                 **{k: v for k, v in options.items() if v is not None})
     if np.isinf(cs.width) and np.isfinite(cs.intervals).all():  # JSON null means unbounded

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, is_count
+from .numerics import RngStream
 
 __all__ = [
     "ModeSetError",
@@ -177,13 +177,13 @@ def join_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def split_and_pilot(
-    rows: np.ndarray, streams: RngStream | list[RngStream], r: int | None
+    rows: np.ndarray, streams: RngStream | list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of a (k, m) matrix by a permutation of range(m), one
     per row from a list of k ``streams`` or one for all rows from a single
-    stream, as every split-based method does first.  Returns the sorted
-    evaluation halves (each permutation's first round(m / 2) positions, half
-    to even) and each row's :func:`venter_pilot`, window ``r``, of the other."""
+    stream, as ``m3`` and ``m3p`` do first.  Returns the sorted evaluation
+    halves (each permutation's first round(m / 2) positions, half to even)
+    and each row's :func:`venter_pilot` of the other."""
     k, m = rows.shape
     if m < 2:
         raise MethodInfeasibleError(f"splitting needs at least 2 observations, got {m}")
@@ -197,35 +197,25 @@ def split_and_pilot(
         raise ValueError(f"need one split stream or one per row, got {len(streams)} for {k} rows")
     points = sort_rows(halves[0])
     try:
-        pilots = venter_pilot(sort_rows(halves[1]), r)
+        pilots = venter_pilot(sort_rows(halves[1]))
     except MethodInfeasibleError as exc:
         raise MethodInfeasibleError(f"{exc} (pilot half of a {m}-point sample)") from exc
     return points, pilots
 
 
-def venter_pilot(values: np.ndarray, r: int | None = None) -> np.ndarray:
+def venter_pilot(values: np.ndarray) -> np.ndarray:
     """Shortest-spacing mode estimate of every row of a (k, n) matrix of
-    ascending rows.
+    ascending rows, n >= 3.
 
-    Scans windows of 2r+1 consecutive order statistics and returns X_(K)
-    where K minimizes X_(j+r) - X_(j-r) over j in [r+1, n-r], ties broken by
-    the smallest j.  Defaults to r = ceil(sqrt(n)) clamped into the valid
-    range; a window of that width is consistent for the mode of any
-    unimodal density.
+    Scans windows of 2r+1 consecutive order statistics, r = min(ceil(sqrt(n)),
+    floor((n - 1) / 2)), and returns X_(K) where K minimizes X_(j+r) - X_(j-r)
+    over j in [r+1, n-r], ties broken by the smallest j.  A window of that
+    width is consistent for the mode of any unimodal density.
     """
     n = values.shape[1]
-    if r is None:
-        if n < 3:
-            raise MethodInfeasibleError(
-                f"pilot mode estimate needs at least 3 points, got {n}"
-            )
-        r = min(math.ceil(math.sqrt(n)), (n - 1) // 2)
-    if not is_count(r) or r < 1:
-        raise ValueError(f"window size r must be a positive integer, got {r}")
-    if n < 2 * r + 1:
-        raise MethodInfeasibleError(
-            f"pilot window r={r} needs n >= {2 * r + 1}, got n={n}"
-        )
+    if n < 3:
+        raise MethodInfeasibleError(f"pilot mode estimate needs at least 3 points, got {n}")
+    r = min(math.ceil(math.sqrt(n)), (n - 1) // 2)
     with np.errstate(over="ignore"):  # a gap past the largest float is inf: never the narrowest
         gaps = values[:, 2 * r:] - values[:, :-2 * r]
     j = np.argmin(gaps, axis=1)  # first minimum: smallest j

@@ -29,7 +29,6 @@ from .core import ConfidenceSet, MethodInfeasibleError, ModeResult, join_runs
 __all__ = [
     "default_bandwidth_grid",
     "dkw_count_slack",
-    "geometric_grid",
 ]
 
 DEFAULT_GRID_SIZE = 64  # bandwidths in an m2a grid
@@ -111,27 +110,19 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))
 
 
-def geometric_grid(lo, hi, size: int) -> list:
-    """For 1-D arrays of bounds, the list of their grids: ``size`` geometric bandwidths from
-    each ``lo`` to its ``hi`` as an ascending float64 array."""
-    for a, b in zip(lo, hi):
-        if not 0 < a <= b < math.inf:
-            raise ValueError(f"bandwidth grid needs 0 < min <= max < inf, got {a}, {b}")
+def default_bandwidth_grid(rows, size: int = DEFAULT_GRID_SIZE) -> list:
+    """For a (k, m) matrix of ascending rows, each row's grid of ``size`` geometric bandwidths,
+    all from one call, from half the row's finest gap (at least 5e-324) to its range as an
+    ascending float64 array, or a ``MethodInfeasibleError`` for a row whose range is zero or
+    past the largest float."""
     if size < 1:
         raise ValueError(f"bandwidth grid size must be at least 1, got {size}")
-    return [grid if np.all(grid[1:] > grid[:-1]) else np.unique(grid)  # rounding can repeat
-            for grid in np.geomspace(lo, hi, size, axis=-1)]
-
-
-def default_bandwidth_grid(rows, size: int = DEFAULT_GRID_SIZE) -> list:
-    """Each row's :func:`geometric_grid`, all from one call, for a (k, m) matrix of ascending
-    rows: from half the row's finest gap (at least 5e-324) to its range, or a
-    ``MethodInfeasibleError`` for a row whose range is zero or past the largest float."""
     rows = np.asarray(rows, dtype=np.float64)
     with np.errstate(over="ignore"):  # a range past the largest float is inf
         spans, gaps = rows[:, -1] - rows[:, 0], np.diff(rows, axis=1)
     fine = np.where(gaps > 0, gaps, math.inf).min(axis=1, initial=math.inf) / 2.0
     ok = (0 < spans) & (spans < math.inf)
-    grids = iter(geometric_grid(np.maximum(fine[ok], 5e-324), spans[ok], size))
+    grids = iter(grid if np.all(grid[1:] > grid[:-1]) else np.unique(grid)  # rounding can repeat
+                 for grid in np.geomspace(np.maximum(fine[ok], 5e-324), spans[ok], size, axis=-1))
     return [next(grids) if good else MethodInfeasibleError(
         "bandwidth grid needs a sample with positive, finite range") for good in ok]

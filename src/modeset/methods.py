@@ -33,10 +33,10 @@ __all__ = ["METHOD_CODES", "METHOD_OPTIONS", "SCAN_CODES", "compute_confidence_s
 # the keyword options of run_method that each method takes; it ignores the rest
 METHOD_OPTIONS = {
     "m1": (),
-    "m2": ("h", "pilot_r"),
-    "m2a": ("h_grid", "pilot_r"),
-    "m3": ("pilot_r", "split_stream"),
-    "m3p": ("rho", "pilot_r", "split_stream"),
+    "m2": ("h",),
+    "m2a": (),
+    "m3": ("split_stream",),
+    "m3p": ("rho", "split_stream"),
 }
 METHOD_CODES = tuple(METHOD_OPTIONS)
 # the methods that run with defaults alone: every option but h has one
@@ -47,8 +47,8 @@ _TIED = "tied data: an m1 block of order statistics has zero width"
 _M1_BATCH = 2**15  # order statistics that covers holds for one m1 descent
 
 
-def _check_options(alpha, methods, h, h_grid, rho):
-    """Check alpha, then each method's code and own option; returns ``h_grid`` as an array."""
+def _check_options(alpha, methods, h, rho):
+    """Check alpha, then each method's code and own option."""
     check_alpha(alpha)
     for method in methods:
         if method not in METHOD_OPTIONS:
@@ -59,52 +59,43 @@ def _check_options(alpha, methods, h, h_grid, rho):
                 raise ValueError(f"method {method} requires a fixed bandwidth h")
             if not 0 < h < math.inf:
                 raise ValueError(f"bandwidth h must be positive and finite, got {h}")
-        elif "h_grid" in taken and h_grid is not None:
-            h_grid = np.asarray(h_grid, dtype=np.float64)
-            if h_grid.ndim != 1 or h_grid.size == 0:
-                raise ValueError(
-                    f"h_grid must be a nonempty 1-D sequence, got shape {h_grid.shape}")
-            if not np.all((0 < h_grid) & (h_grid < math.inf)):
-                raise ValueError("h_grid entries must be positive and finite")
-            if np.any(np.diff(h_grid) <= 0):
-                raise ValueError("h_grid must be strictly ascending")
         elif "rho" in taken and not 1.0 < rho < math.inf:
             raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
-    return h_grid
 
 
-def _method_columns(rows, alpha, methods, h=None, h_grid=None, rho=_RHO, pilot_r=None,
-                    split_stream=_SPLIT_STREAM):
+def _method_columns(rows, alpha, methods, h=None, rho=_RHO, split_stream=_SPLIT_STREAM):
     """Yield each method's column for the (k, m) matrix ``rows``: ``column[i]`` is row i's
     ``ModeResult`` or the ``ModeSetError`` it raised, as :func:`run_method` gives it.
 
     The options are :func:`run_method`'s, checked by ``_check_options``;
     ``split_stream`` is one stream for all rows or one per row.  ``m1``, ``m2`` and ``m2a``
     share one sort of the rows: ``m1`` runs them as one batch, and ``m2``/``m2a`` sweep each
-    sorted row, ``m2`` at its one bandwidth ``h``.  ``m3`` and ``m3p`` share one split.
+    sorted row from one whole-sample pilot, ``m2`` at its one bandwidth ``h``.  ``m3`` and
+    ``m3p`` share one split.
     """
-    points = split = None
+    k, points, pilots, split = len(rows), None, None, None
     for method in methods:
         try:
             if points is None and method in ("m1", "m2", "m2a"):
                 points = sort_rows(rows)
+            if pilots is None and method in ("m2", "m2a"):
+                pilots = venter_pilot(points)
             if method == "m1":
                 lo, hi, tied = _m1_descent(*_m1_order_statistics(points, alpha))
                 column = [MethodInfeasibleError(_TIED) if t else
                           ModeResult(ConfidenceSet(((a, b),)))
                           for a, b, t in zip(lo.tolist(), hi.tolist(), tied)]
             elif method in ("m2", "m2a"):
-                given = np.array([h]) if method == "m2" else h_grid
-                grids = default_bandwidth_grid(points) if given is None else [given] * len(rows)
+                grids = default_bandwidth_grid(points) if method == "m2a" else [np.array([h])] * k
                 column = [grid if isinstance(grid, ModeSetError) else
                           _sweep(p, float(c), grid, dkw_count_slack(p.size, alpha))
-                          for p, c, grid in zip(points, venter_pilot(points, pilot_r), grids)]
+                          for p, c, grid in zip(points, pilots, grids)]
             else:
-                split = split or split_and_pilot(rows, split_stream, pilot_r)
+                split = split or split_and_pilot(rows, split_stream)
                 column = [_split_result(p, float(c), alpha, rho if method == "m3p" else None)
                           for p, c in zip(*split)]
         except ModeSetError as exc:  # no m1 plan or no pilot for this sample size
-            column = [exc] * len(rows)
+            column = [exc] * k
         yield column
 
 
@@ -117,8 +108,7 @@ def _split_result(points, pilot, alpha, rho) -> ModeResult | ModeSetError:
         return exc
 
 
-def run_method(data, alpha: float, method: str, *, h: float | None = None, h_grid=None,
-               rho: float = _RHO, pilot_r: int | None = None,
+def run_method(data, alpha: float, method: str, *, h: float | None = None, rho: float = _RHO,
                split_stream: RngStream = _SPLIT_STREAM) -> ModeResult:
     """Run one univariate mode confidence-set construction by code.
 
@@ -126,12 +116,12 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
       [X_(1) - lam*range, X_(n) + lam*range]; no diagnostics; tied data are infeasible.
     - ``m2``: the window-count set at one fixed bandwidth ``h``, which is required: ``m2a``'s
       sweep over the grid ``[h]``.
-    - ``m2a``: the width-minimizing window-count set over ``h_grid``, a nonempty 1-D sequence of
-      strictly ascending, positive, finite bandwidths, by default a geometric grid from the
-      sample's resolution to its range.  Every candidate uses the DKW slack, which holds for all
-      windows at once, so for any h and any pilot: ``m2``/``m2a`` need no split, and minimizing
-      the dilated width over the grid keeps the coverage guarantee; ties go to the smallest h.
-      If the count condition excludes nothing at every h, the set is the whole line, ``vacuous``.
+    - ``m2a``: the width-minimizing window-count set over a geometric grid of bandwidths from
+      the sample's resolution to its range.  Every candidate uses the DKW slack, which holds
+      for all windows at once, so for any h and any pilot: ``m2``/``m2a`` need no split, and
+      minimizing the dilated width over the grid keeps the coverage guarantee; ties go to the
+      smallest h.  If the count condition excludes nothing at every h, the set is the whole
+      line, ``vacuous``.
     - ``m3``: the combined p-value set.  It is bounded and contains the
       pilot, but its width does not shrink with the sample size.
     - ``m3p``: the dampened-ratio set, valid under any dependence within the
@@ -139,15 +129,15 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, h_gri
       pilot half; ``rho`` must exceed 1, and a large ``rho`` can give the whole line.
 
     ``m3`` and ``m3p`` split the sample with ``split_stream`` and take their pilot from one
-    half, ``m2`` and ``m2a`` from the whole sample, with window ``pilot_r``, and report it in
-    ``pilot``; ``m2``/``m2a`` also report ``h``, ``pre_dilation`` and ``vacuous``.  Alpha and
-    the named method's own option are checked before the sample; options a method does not take
-    (``METHOD_OPTIONS``) are ignored.  This is the one-row case of :func:`_method_columns`.
+    half, ``m2`` and ``m2a`` from the whole sample, and report it in ``pilot``; ``m2``/``m2a``
+    also report ``h``, ``pre_dilation`` and ``vacuous``.  Alpha and the named method's own
+    option are checked before the sample; options a method does not take (``METHOD_OPTIONS``)
+    are ignored.  This is the one-row case of :func:`_method_columns`.
     """
     # checked first, so a bad alpha is reported before any sample-size check
-    h_grid = _check_options(alpha, [method], h, h_grid, rho)
-    [result], = _method_columns(_as_finite_1d(data)[None, :], alpha, [method], h, h_grid, rho,
-                                pilot_r, split_stream)
+    _check_options(alpha, [method], h, rho)
+    [result], = _method_columns(_as_finite_1d(data)[None, :], alpha, [method], h, rho,
+                                split_stream)
     if isinstance(result, ModeSetError):
         raise result
     return result
@@ -189,7 +179,7 @@ def covers(chunks, x: float, alpha: float, method: str):
                     raise res
             yield np.array([res.confidence_set.contains(x) for res in results], dtype=bool)
         else:
-            points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)
+            points, pilots = split_and_pilot(rows, _SPLIT_STREAM)
             yield _concentration_covers(points, pilots, x, alpha,
                                         _RHO if method == "m3p" else None)
     if sizes:

@@ -229,7 +229,7 @@ def test_criterion_07_exact_level_set_oracles():
                 alpha = 0.9
                 cs = run_method(data, alpha, "m3p", rho=2.0,
                                 split_stream=stream).confidence_set
-            points, pilots = split_and_pilot(data[None, :], stream, None)
+            points, pilots = split_and_pilot(data[None, :], stream)
             pts, pilot = points[0], pilots[0]
             dn = np.abs(pts - pilot)
 
@@ -376,7 +376,7 @@ def _audit(rows, mode, methods, h=None):
         bad = [isinstance(res, ModeSetError) for res in column]
         out[method] = (sum(not b and res.confidence_set.contains(mode)
                            for res, b in zip(column, bad)), sum(bad))
-    points, pilots = split_and_pilot(rows, _SPLIT_STREAM, None)  # as covers splits
+    points, pilots = split_and_pilot(rows, _SPLIT_STREAM)  # as covers splits
     tied = np.any(points == pilots[:, None], axis=1)
     for method in (m for m in methods if m in ("m3", "m3p")):
         hits = next(covers([rows[~tied]], mode, ALPHA, method)) if not tied.all() else []

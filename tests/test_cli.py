@@ -14,7 +14,6 @@ import modeset
 from modeset import (FBetaDensity, PointCloud, RngStream, compute_confidence_set,
                      sample_uniform, scan_region)
 from modeset.cli import _read_floats, main
-from modeset.mest import geometric_grid
 from modeset.methods import METHOD_CODES, METHOD_OPTIONS, SCAN_CODES, run_method
 
 
@@ -100,8 +99,6 @@ def test_ci_m3p_overflowing_bracket_returns_the_whole_line(tmp_path, capsys):
     (["mode2d", "--gamma", "2", "--box", "nan:1,0:1"], "box sides must be finite"),
     (["mode2d", "--gamma", "2", "--box", "0:inf,0:1"], "box sides must be finite"),
     (["ci", "--method", "m2", "--h", "inf"], "bandwidth h must be positive and finite"),
-    (["ci", "--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "inf"],
-     "0 < min <= max < inf"),
     (["ci", "--method", "m3p", "--rho", "inf"], "rho must exceed 1 and be finite"),
 ])
 def test_non_finite_options_exit_2(tmp_path, capsys, argv, message):
@@ -126,10 +123,6 @@ def test_ci_m2_requires_bandwidth(data_1000, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--method", "m3", "--split-seed", "-1"],
      "seed must fit in an unsigned 64-bit integer, got -1"),
-    (["--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "1", "--h-grid-size", "-1"],
-     "bandwidth grid size must be at least 1, got -1"),
-    (["--method", "m2a", "--h-grid-min", "0.1", "--h-grid-max", "1", "--h-grid-size", "0"],
-     "bandwidth grid size must be at least 1, got 0"),
 ])
 def test_ci_option_errors_name_the_value(data_1000, capsys, argv, message):
     assert main(["ci", "--input", str(data_1000)] + argv) == 2
@@ -140,8 +133,7 @@ def test_ci_option_errors_name_the_value(data_1000, capsys, argv, message):
 def test_ci_m2_and_m2a_and_m3_run(data_1000, capsys):
     for argv in (  # h = 0.1 would exclude nothing on these data, giving a null width
         ["ci", "--method", "m2", "--h", "0.75", "--input", str(data_1000)],
-        ["ci", "--method", "m2a", "--h-grid-min", "0.05", "--h-grid-max", "1.0",
-         "--h-grid-size", "16", "--input", str(data_1000)],
+        ["ci", "--method", "m2a", "--input", str(data_1000)],
         ["ci", "--method", "m3", "--input", str(data_1000)],
         ["ci", "--method", "m3p", "--rho", "2.5", "--input", str(data_1000)],
     ):
@@ -164,12 +156,8 @@ def test_ci_pilot_error_names_the_sample_size(tmp_path, capsys, method):
 @pytest.mark.parametrize("method, flag, value", [
     ("m2a", "--h", "-1"),
     ("m1", "--h", "0.25"),
-    ("m2", "--h-grid-min", "0.05"),
-    ("m3", "--h-grid-max", "1.0"),
-    ("m3p", "--h-grid-size", "16"),
     ("m3", "--rho", "0.5"),
     ("m2a", "--rho", "2.5"),
-    ("m1", "--pilot-r", "0"),
     ("m1", "--split-seed", "7"),
     ("m2a", "--split-seed", "7"),
     ("m2", "--split-seed", "7"),
@@ -180,32 +168,37 @@ def test_ci_rejects_flags_the_method_does_not_take(data_1000, capsys, method, fl
     assert flag in err and method in err
 
 
-_GRID = ["--h-grid-min", "0.05", "--h-grid-max", "1.0"]
-[_GRID_64], [_GRID_16] = geometric_grid([0.05], [1.0], 64), geometric_grid([0.05], [1.0], 16)
 # each method-specific flag of ci: the arguments that give it a valid
 # value, the run_method option it sets and that option's value
 _CI_FLAGS = {
     "--h": (["--h", "0.25"], "h", 0.25),
-    "--h-grid-min": (_GRID, "h_grid", _GRID_64),
-    "--h-grid-max": (_GRID, "h_grid", _GRID_64),
-    "--h-grid-size": (_GRID + ["--h-grid-size", "16"], "h_grid", _GRID_16),
     "--rho": (["--rho", "2.5"], "rho", 2.5),
-    "--pilot-r": (["--pilot-r", "10"], "pilot_r", 10),
     "--split-seed": (["--split-seed", "7"], "split_stream", RngStream(7, 0)),
 }
+# flags that set options no method takes any more, each with a once-valid value
+_REMOVED_FLAGS = {"--h-grid-min": "0.05", "--h-grid-max": "1.0", "--h-grid-size": "16",
+                  "--pilot-r": "10"}
 
 
 def test_every_option_of_the_method_table_is_a_ci_flag_and_a_run_method_keyword():
     keywords = {name for name, p in inspect.signature(run_method).parameters.items()
                 if p.kind is inspect.Parameter.KEYWORD_ONLY}
     named = {option for options in METHOD_OPTIONS.values() for option in options}
-    assert named <= keywords
+    assert named == keywords
     assert named == {option for _, option, _ in _CI_FLAGS.values()}
 
 
 @pytest.mark.parametrize("method", METHOD_CODES)
-@pytest.mark.parametrize("flag", _CI_FLAGS)
+@pytest.mark.parametrize("flag", [*_CI_FLAGS, *_REMOVED_FLAGS])
 def test_ci_takes_exactly_the_flags_of_the_method_table(data_1000, capsys, method, flag):
+    if flag in _REMOVED_FLAGS:  # argparse knows no such flag, for any method
+        with pytest.raises(SystemExit) as exc:
+            main(["ci", "--method", method, flag, _REMOVED_FLAGS[flag],
+                  "--input", str(data_1000)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and f"unrecognized arguments: {flag}" in captured.err
+        return
     argv, option, value = _CI_FLAGS[flag]
     if option not in METHOD_OPTIONS[method]:
         given = argv[argv.index(flag):argv.index(flag) + 2]
@@ -221,27 +214,6 @@ def test_ci_takes_exactly_the_flags_of_the_method_table(data_1000, capsys, metho
     ref = compute_confidence_set(np.loadtxt(data_1000), 0.05, method, **options)
     expected = json.loads(json.dumps(ref.to_json_dict(alpha=0.05, method=method)))
     assert json.loads(capsys.readouterr().out) == expected
-
-
-def test_ci_pilot_r(data_1000, capsys):
-    values = np.loadtxt(data_1000)
-    for method in ("m2a", "m3"):
-        assert main(["ci", "--method", method, "--pilot-r", "10",
-                     "--input", str(data_1000)]) == 0
-        ref = compute_confidence_set(values, 0.05, method, pilot_r=10)
-        assert json.loads(capsys.readouterr().out)["intervals"] == [
-            [lo, hi] for lo, hi in ref.intervals]
-    assert main(["ci", "--method", "m2a", "--pilot-r", "0", "--input", str(data_1000)]) == 2
-    assert "positive integer" in capsys.readouterr().err
-    # the pilot half has 500 points, too few for a window of 2 * 250 + 1
-    assert main(["ci", "--method", "m3", "--pilot-r", "250", "--input", str(data_1000)]) == 3
-    assert "needs n >= 501" in capsys.readouterr().err
-
-
-def test_ci_m2a_grid_size_needs_bounds(data_1000, capsys):
-    assert main(["ci", "--method", "m2a", "--h-grid-size", "16",
-                 "--input", str(data_1000)]) == 2
-    assert "--h-grid-min and --h-grid-max" in capsys.readouterr().err
 
 
 def test_ci_csv_format(data_1000, capsys):
@@ -545,12 +517,12 @@ def test_mode2d_empty_file_writes_one_line_to_stderr(tmp_path):
 
 @pytest.mark.parametrize("flags, intervals", [
     (["--method", "m2", "--h", "1e308"], [[None, None]]),
-    (["--method", "m2a", "--h-grid-min", "1", "--h-grid-max", "1e308", "--h-grid-size", "2"],
-     [[None, None]]),
+    (["--method", "m2", "--h", "1e308", "--alpha", "1e-300"], [[None, None]]),
 ])
 def test_ci_huge_bandwidth_writes_nothing_to_stderr(tmp_path, flags, intervals):
     # a subprocess, so that numpy's overflow warnings would reach stderr; on
-    # 200 points h = 1e308 is informative, and dilating by it overflows
+    # 200 points h = 1e308 is informative, and dilating by it overflows; at
+    # alpha 1e-300 the count slack exceeds 200, so it is vacuous: the whole line
     path = _write_lines(tmp_path, "many.txt", range(1, 201))
     env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
     proc = subprocess.run(

@@ -224,21 +224,21 @@ def test_split_sample_sizes():
     # round(m / 2) points go to the evaluation half, half to even
     for m, size in ((10, 5), (11, 6), (13, 6)):
         rows = np.arange(2.0 * m).reshape(2, m)
-        points, pilots = split_and_pilot(rows, RngStream(1, 0), None)
+        points, pilots = split_and_pilot(rows, RngStream(1, 0))
         assert points.shape == (2, size) and pilots.shape == (2,)
 
 
 def test_split_sample_partition_and_determinism():
-    data = np.arange(21.0)
-    # the evaluation half holds 10 points; r = 5 makes the pilot the
-    # median of the 11 others
-    points, pilots = split_and_pilot(data[None, :], RngStream(3, 5), 5)
+    data = np.arange(13.0)
+    # the evaluation half holds 6 points; the pilot window, r = 3 at n = 7,
+    # spans the 7 others, so the pilot is their median
+    points, pilots = split_and_pilot(data[None, :], RngStream(3, 5))
     assert np.array_equal(points[0], np.sort(points[0]))
-    assert np.unique(points).size == 10 and np.all(np.isin(points, data))
+    assert np.unique(points).size == 6 and np.all(np.isin(points, data))
     assert pilots[0] == np.median(np.setdiff1d(data, points[0]))
-    again = split_and_pilot(data[None, :], RngStream(3, 5), 5)
+    again = split_and_pilot(data[None, :], RngStream(3, 5))
     assert np.array_equal(points, again[0]) and np.array_equal(pilots, again[1])
-    other = split_and_pilot(data[None, :], RngStream(3, 6), 5)
+    other = split_and_pilot(data[None, :], RngStream(3, 6))
     assert not np.array_equal(points, other[0])
 
 
@@ -246,9 +246,9 @@ def test_split_and_pilot_rows_match_one_row_calls():
     # one permutation splits every row, so each row splits as it would alone
     rows = np.random.default_rng(12).normal(size=(7, 40))
     rows[3] = np.round(rows[3], 1)  # ties in a row
-    points, pilots = split_and_pilot(rows, RngStream(4, 0), None)
+    points, pilots = split_and_pilot(rows, RngStream(4, 0))
     for row, pts, pilot in zip(rows, points, pilots):
-        one_pts, one_pilot = split_and_pilot(row[None, :], RngStream(4, 0), None)
+        one_pts, one_pilot = split_and_pilot(row[None, :], RngStream(4, 0))
         assert np.array_equal(pts, one_pts[0]) and pilot == one_pilot[0]
 
 
@@ -256,13 +256,13 @@ def test_split_and_pilot_per_row_streams_match_one_row_calls():
     # k streams split row i by stream i's permutation, as that row alone would be
     rows = np.random.default_rng(13).normal(size=(4, 31))
     streams = [RngStream(6, i) for i in range(4)]
-    points, pilots = split_and_pilot(rows, streams, None)
+    points, pilots = split_and_pilot(rows, streams)
     for row, stream, pts, pilot in zip(rows, streams, points, pilots):
-        one_pts, one_pilot = split_and_pilot(row[None, :], stream, None)
+        one_pts, one_pilot = split_and_pilot(row[None, :], stream)
         assert np.array_equal(pts, one_pts[0]) and pilot == one_pilot[0]
     message = "^need one split stream or one per row, got 3 for 4 rows$"
     with pytest.raises(ValueError, match=message):
-        split_and_pilot(rows, streams[:3], None)
+        split_and_pilot(rows, streams[:3])
 
 
 def test_run_methods_rows_match_run_method_calls():
@@ -273,7 +273,7 @@ def test_run_methods_rows_match_run_method_calls():
     streams = [RngStream(15, i) for i in range(k)]
     rows[1] = 0.5  # constant: no m2a grid, and its pilot is every point
     tie = streams[3].generator().permutation(m)[0]  # a point of row 3's evaluation half
-    rows[3, tie] = split_and_pilot(rows[3:4], streams[3], None)[1][0]  # the pilot is unchanged
+    rows[3, tie] = split_and_pilot(rows[3:4], streams[3])[1][0]  # the pilot is unchanged
     options = dict(h=0.3, rho=1.5)
     for split in (streams, RngStream(16, 0)):
         results = list(zip(*_method_columns(rows, 0.05, METHOD_CODES, split_stream=split,
@@ -308,45 +308,50 @@ def test_run_methods_rows_match_run_method_calls():
 def test_split_sample_errors():
     message = "^splitting needs at least 2 observations, got 1$"
     with pytest.raises(MethodInfeasibleError, match=message):
-        split_and_pilot(np.array([[1.0]]), RngStream(0, 0), None)
+        split_and_pilot(np.array([[1.0]]), RngStream(0, 0))
     with pytest.raises(ValueError, match="finite"):
-        split_and_pilot(np.array([[1.0, 2.0, math.nan, 4.0]]), RngStream(0, 0), None)
+        split_and_pilot(np.array([[1.0, 2.0, math.nan, 4.0]]), RngStream(0, 0))
     with pytest.raises(MethodInfeasibleError, match="2-point sample"):
-        split_and_pilot(np.array([[1.0, 2.0]]), RngStream(0, 0), None)
+        split_and_pilot(np.array([[1.0, 2.0]]), RngStream(0, 0))
 
 
 def test_venter_pilot_hand_enumeration():
-    # windows over {0,1,2,3,10}, r=1: gaps 2, 2, 8 -> tie at j=2 -> X_(2) = 1
-    assert venter_pilot(np.array([[0.0, 1.0, 2.0, 3.0, 10.0]]), r=1)[0] == 1.0
+    # windows over {0,1,2,10}, r=1 at n=4: gaps 2, 9 -> j=2 -> X_(2) = 1
+    assert venter_pilot(np.array([[0.0, 1.0, 2.0, 10.0]]))[0] == 1.0
 
 
 def test_venter_pilot_tie_rule_symmetric():
-    # all interior gaps equal: smallest j wins, giving X_(2) = -1; the
-    # rule holds row by row
-    rows = np.array([[-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 5.0, 6.0, 7.0, 8.0]])
-    assert venter_pilot(rows, r=1).tolist() == [-1.0, 6.0]
+    # r=1 at n=4; all interior gaps equal: smallest j wins, giving X_(2) = -1;
+    # the rule holds row by row
+    rows = np.array([[-2.0, -1.0, 0.0, 1.0], [0.0, 5.0, 6.0, 7.0]])
+    assert venter_pilot(rows).tolist() == [-1.0, 6.0]
 
 
 def test_venter_pilot_forced_window_is_median():
     values = np.sort([5.0, -1.0, 2.0, 9.0, 4.0])[None, :]
-    assert venter_pilot(values, r=2)[0] == 4.0  # median of the sorted values
+    # r=2 at n=5: the one window is the whole sample, centred on its median
+    assert venter_pilot(values)[0] == 4.0
 
 
 def test_venter_pilot_errors():
-    values = np.array([[1.0, 2.0, 3.0]])
-    with pytest.raises(MethodInfeasibleError):
-        venter_pilot(values, r=2)
-    with pytest.raises(ValueError):
-        venter_pilot(values, r=0)
     # a direct caller sees the sample's own size, with no split context added
     with pytest.raises(MethodInfeasibleError, match="at least 3 points, got 2$"):
         venter_pilot(np.array([[1.0, 2.0]]))
 
 
+def test_venter_pilot_default_window_fits_every_sample_size():
+    # r = min(ceil(sqrt(n)), (n - 1) // 2) leaves at least one window for every n >= 3
+    rng = np.random.default_rng(17)
+    for n in range(3, 201):
+        rows = np.sort(rng.normal(size=(2, n)), axis=1)
+        pilots = venter_pilot(rows)
+        assert pilots.shape == (2,) and all(p in row for p, row in zip(pilots, rows)), n
+
+
 def test_run_method_reports_its_diagnostics():
     data = FBetaDensity(1.0).sample(RngStream(77, 0), 600)
     stream = RngStream(78, 0)
-    pilot = split_and_pilot(data[None, :], stream, None)[1][0]
+    pilot = split_and_pilot(data[None, :], stream)[1][0]
     whole_pilot = venter_pilot(np.sort(data)[None, :])[0]  # m2's and m2a's: the whole sample's
     options = dict(h=0.3, rho=2.0, split_stream=stream)
     for method in ("m1", "m2", "m2a", "m3", "m3p"):
@@ -362,8 +367,7 @@ def test_run_method_reports_its_diagnostics():
 
 
 # each option of the method table, a value other than the one the test below starts from
-_OTHER_VALUES = {"h": 0.6, "h_grid": (0.5,), "rho": 3.0, "pilot_r": 5,
-                 "split_stream": RngStream(79, 1)}
+_OTHER_VALUES = {"h": 0.6, "rho": 3.0, "split_stream": RngStream(79, 1)}
 
 
 def test_every_option_of_the_method_table_changes_its_methods_result():

@@ -83,7 +83,7 @@ def test_m3_pilot_always_in_set():
         data = FBetaDensity(1.0).sample(RngStream(63, seed), 200)
         stream = RngStream(64, seed)
         cs = run_method(data, 0.05, "m3", split_stream=stream).confidence_set
-        pilot = split_and_pilot(data[None, :], stream, None)[1][0]
+        pilot = split_and_pilot(data[None, :], stream)[1][0]
         assert cs.contains(pilot)
         assert not cs.is_empty
 
@@ -99,7 +99,7 @@ def test_m3_grid_oracle_equivalence_small_n():
         stream = RngStream(65, inst)
         alpha = 0.5
         cs = run_method(data, alpha, "m3", split_stream=stream).confidence_set
-        points, pilots = split_and_pilot(data[None, :], stream, None)
+        points, pilots = split_and_pilot(data[None, :], stream)
         pts, pilot = points[0], pilots[0]
         cutoff = qchisq(1 - alpha, 2 * pts.size)
         hull_lo, hull_hi = cs.hull()
@@ -122,7 +122,7 @@ def test_m3prime_grid_oracle_equivalence_small_n():
         stream = RngStream(66, inst)
         alpha, rho = 0.9, 2.0
         cs = run_method(data, alpha, "m3p", rho=rho, split_stream=stream).confidence_set
-        points, pilots = split_and_pilot(data[None, :], stream, None)
+        points, pilots = split_and_pilot(data[None, :], stream)
         pts, pilot = points[0], pilots[0]
         hull_lo, hull_hi = cs.hull()
         w = hull_hi - hull_lo
@@ -153,7 +153,7 @@ def test_literal_oracle_at_n_in_the_hundreds(method):
         alpha = float(rng.uniform(0.05, 0.9))
         stream = RngStream(92, inst)
         cs = run_method(data, alpha, method, split_stream=stream).confidence_set
-        points, pilots = split_and_pilot(data[None, :], stream, None)
+        points, pilots = split_and_pilot(data[None, :], stream)
         pts, pilot = points[0], pilots[0]
         cutoff = qchisq(1 - alpha, 2 * pts.size) if method == "m3" else 1.0 / alpha
         span = data.max() - data.min()
@@ -214,7 +214,7 @@ def test_m3prime_rho_validation_and_small_rho_blowup():
     with pytest.raises(ValueError, match="finite"):
         run_method(data, 0.05, "m3p", rho=math.inf)
     stream = RngStream(68, 0)
-    points, pilots = split_and_pilot(data[None, :], stream, None)
+    points, pilots = split_and_pilot(data[None, :], stream)
     span = data.max() - data.min()
     # the statistic is (rho-1)/(rho+1) times a mean that stays finite as
     # rho -> 1, so it falls below the cutoff 1/alpha ever farther out

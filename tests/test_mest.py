@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from modeset.mest import (
     _sweep,
     default_bandwidth_grid,
     dkw_count_slack,
-    geometric_grid,
 )
 from dilate import dilate
 from window_count import window_count as _window_count
@@ -279,11 +277,17 @@ def test_pilot_counts_match_window_count_h_by_h():
 
 
 @pytest.mark.parametrize("method, options", [("m2", {"h": 1e308}),
-                                             ("m2a", {"h_grid": (1.0, 1e308)})])
+                                             ("m2a", {"grid": (1.0, 1e308)})])
 def test_m2_huge_bandwidth_overflows_silently(method, options):
     # no bandwidth is informative on ten points, so the set is the whole
-    # line at the grid's first h, with no warning (this suite makes one an error)
-    res = run_method(np.arange(1.0, 11.0), 0.05, method, **options)
+    # line at the grid's first h, with no warning (this suite makes one an error);
+    # m2a's sweep is called directly, from its whole-sample pilot and slack
+    points = np.arange(1.0, 11.0)
+    if method == "m2":
+        res = run_method(points, 0.05, method, **options)
+    else:
+        res = _sweep(points, float(venter_pilot(points[None, :])[0]), options["grid"],
+                     dkw_count_slack(points.size, 0.05))
     assert res.vacuous
     assert res.confidence_set.intervals == res.pre_dilation.intervals == ((-math.inf, math.inf),)
     assert res.h == (1e308 if method == "m2" else 1.0)
@@ -338,10 +342,10 @@ def test_m2_requires_bandwidth():
 
 def test_m2a_degenerate_grid_matches_single_dkw_set():
     data = FBetaDensity(1.0).sample(RngStream(48, 0), 400)
-    res_grid = run_method(data, 0.05, "m2a", h_grid=(0.5,))
     # manual single-h DKW construction on the whole sorted sample
     pts = np.sort(data)
     pilot = venter_pilot(pts[None, :])[0]
+    res_grid = _sweep(pts, float(pilot), [0.5], dkw_count_slack(pts.size, 0.05))
     starts, ends, _ = _window(pts, 0.5)
     cutoff = float(_window_count(starts, ends, pilot)) - dkw_count_slack(pts.size, 0.05)
     pre = make_confidence_set(_runs(pts, 0.5, cutoff))
@@ -404,19 +408,21 @@ def test_m2a_level_set_holds_every_maximizer_of_the_whole_sample_count(kind, met
 
 
 def test_m2_is_the_m2a_sweep_at_its_one_bandwidth():
-    # m2 takes m2a's whole-sample pilot and DKW slack: its result is m2a's over
-    # the grid [h], bit for bit, and so is its error on too small a sample
+    # m2 takes m2a's whole-sample pilot and DKW slack: its result is m2a's sweep
+    # over the grid [h], bit for bit, and so is its error on too small a sample
     informative = 0
     for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300):
         raw = RngStream(54, n).generator().normal(size=n)
         for data in (raw, np.round(raw, 1), np.round(4.0 * raw)):
+            pts = np.sort(data)
+            pilot = float(venter_pilot(pts[None, :])[0])
             for h in (0.05, 0.5, 1.5, 6.0):
                 for alpha in (0.01, 0.05, 0.5):
                     res = run_method(data, alpha, "m2", h=h)
-                    assert repr(res) == repr(run_method(data, alpha, "m2a", h_grid=[h]))
+                    assert repr(res) == repr(_sweep(pts, pilot, [h], dkw_count_slack(n, alpha)))
                     informative += not res.vacuous
     assert informative >= 100  # of 432
-    for method, options in (("m2", {"h": 0.5}), ("m2a", {"h_grid": [0.5]})):
+    for method, options in (("m2", {"h": 0.5}), ("m2a", {})):
         with pytest.raises(MethodInfeasibleError, match="^pilot mode estimate needs at least "
                                                         "3 points, got 2$"):
             run_method([0.1, 0.7], 0.05, method, **options)
@@ -441,26 +447,10 @@ def test_mest_option_validation():
         run_method(data, 0.05, "m2", h=-1.0)
     with pytest.raises(ValueError, match="finite"):
         run_method(data, 0.05, "m2", h=math.inf)
-    with pytest.raises(ValueError, match="nonempty"):
-        run_method(data, 0.05, "m2a", h_grid=())
-    with pytest.raises(ValueError, match="ascending"):
-        run_method(data, 0.05, "m2a", h_grid=(0.5, 0.25))
-    with pytest.raises(ValueError, match="positive"):
-        run_method(data, 0.05, "m2a", h_grid=(-0.5, 0.25))
-    with pytest.raises(ValueError, match="finite"):
-        run_method(data, 0.05, "m2a", h_grid=(0.25, math.inf))
-    with pytest.raises(ValueError, match="max < inf"):
-        geometric_grid([0.1], [math.inf], 8)
     with pytest.raises(ValueError, match="alpha"):
         run_method(data, 0.0, "m2a")
-
-
-@pytest.mark.parametrize("h_grid", [np.array([[0.1, 0.2]]), [[0.1], [0.2]], np.array(0.3)])
-def test_m2a_rejects_a_grid_that_is_not_one_dimensional(h_grid):
-    # checked before the sample, as every option is, and named by its shape
-    message = f"h_grid must be a nonempty 1-D sequence, got shape {np.shape(h_grid)}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_method([0.0, 1.0], 0.05, "m2a", h_grid=h_grid)
+    with pytest.raises(ValueError, match="^bandwidth grid size must be at least 1, got 0$"):
+        default_bandwidth_grid(np.array([data]), 0)
 
 
 def test_default_bandwidth_grid_requires_spread():
@@ -490,7 +480,7 @@ def test_bandwidth_grids_of_a_matrix_match_row_grids_bit_for_bit():
         for n in (100, 1000, 4000):
             data = np.stack([FBetaDensity(beta).sample(RngStream(80, 4 * n + rep), n)
                              for rep in range(4)])
-            matrices.append(split_and_pilot(data, RngStream(81, n), None)[0])
+            matrices.append(split_and_pilot(data, RngStream(81, n))[0])
     for size in (64, 7, 1):
         for matrix in matrices:
             grids = default_bandwidth_grid(matrix, size)
@@ -538,7 +528,7 @@ def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatc
         for n in (1000, 4000):
             for rep in range(4):
                 data = FBetaDensity(beta).sample(RngStream(71, rep), n)
-                points, pilots = split_and_pilot(data[None, :], RngStream(72, rep), None)
+                points, pilots = split_and_pilot(data[None, :], RngStream(72, rep))
                 pts, pilot = points[0], float(pilots[0])
                 grid, slack = default_bandwidth_grid(points)[0], dkw_count_slack(pts.size, 0.05)
                 informative += int(np.count_nonzero(_pilot_counts(pts, pilot, grid) > slack))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from modeset import FBetaDensity, MethodInfeasibleError, RngStream, run_method, sample_uniform
-from modeset.core import venter_pilot
+from modeset import FBetaDensity, MethodInfeasibleError, RngStream, sample_uniform
 from modeset.numerics import qbeta, qchisq
 from modeset.spacings import build_plan, lanke_inflation
 
@@ -127,10 +126,7 @@ def test_rng_stream_validation():
     (lambda: FBetaDensity(1.0).sample(RngStream(0, 0), True), ValueError),
     (lambda: build_plan(True, 0.05), MethodInfeasibleError),
     (lambda: lanke_inflation(True, 0.05), ValueError),
-    (lambda: venter_pilot(np.arange(9.0)[None, :], True), ValueError),
-    (lambda: run_method(np.arange(40.0), 0.05, "m3", pilot_r=True), ValueError),
-], ids=["seed", "stream_id", "df", "uniform_n", "fbeta_n", "plan_n", "lanke_n", "pilot_r",
-        "run_method_pilot_r"])
+], ids=["seed", "stream_id", "df", "uniform_n", "fbeta_n", "plan_n", "lanke_n"])
 def test_a_bool_is_not_a_count(call, error):
     # True == 1, but every integer option takes an int or NumPy integer only
     with pytest.raises(error):
