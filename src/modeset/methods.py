@@ -47,20 +47,24 @@ _TIED = "tied data: an m1 block of order statistics has zero width"
 _M1_BATCH = 2**15  # order statistics that covers holds for one m1 descent
 
 
-def _check_options(alpha, methods, h, rho):
-    """Check alpha, then each method's code and own option."""
+def _check_method(method):
+    """``ValueError`` unless ``method`` is one of ``METHOD_CODES``."""
+    if method not in METHOD_CODES:
+        raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
+
+
+def _check_options(alpha, method, h, rho):
+    """Check alpha, then the method's code and its own option."""
     check_alpha(alpha)
-    for method in methods:
-        if method not in METHOD_OPTIONS:
-            raise ValueError(f"unknown method {method!r}; choose one of {METHOD_CODES}")
-        taken = METHOD_OPTIONS[method]
-        if "h" in taken:
-            if h is None:
-                raise ValueError(f"method {method} requires a fixed bandwidth h")
-            if not 0 < h < math.inf:
-                raise ValueError(f"bandwidth h must be positive and finite, got {h}")
-        elif "rho" in taken and not 1.0 < rho < math.inf:
-            raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
+    _check_method(method)
+    taken = METHOD_OPTIONS[method]
+    if "h" in taken:
+        if h is None:
+            raise ValueError(f"method {method} requires a fixed bandwidth h")
+        if not 0 < h < math.inf:
+            raise ValueError(f"bandwidth h must be positive and finite, got {h}")
+    elif "rho" in taken and not 1.0 < rho < math.inf:
+        raise ValueError(f"rho must exceed 1 and be finite, got {rho}")
 
 
 def _method_columns(rows, alpha, methods, h=None, rho=_RHO, split_stream=_SPLIT_STREAM):
@@ -135,7 +139,7 @@ def run_method(data, alpha: float, method: str, *, h: float | None = None, rho: 
     are ignored.  This is the one-row case of :func:`_method_columns`.
     """
     # checked first, so a bad alpha is reported before any sample-size check
-    _check_options(alpha, [method], h, rho)
+    _check_options(alpha, method, h, rho)
     [result], = _method_columns(_as_finite_1d(data)[None, :], alpha, [method], h, rho,
                                 split_stream)
     if isinstance(result, ModeSetError):
@@ -148,14 +152,16 @@ def compute_confidence_set(data, alpha: float, method: str, **options) -> Confid
     return run_method(data, alpha, method, **options).confidence_set
 
 
-def covers(chunks, x: float, alpha: float, method: str):
+def covers(chunks, x: float, alpha: float, method: str, transform=None):
     """For each (k, n) matrix of ``chunks`` in turn, yield whether each row's set (of
     :func:`run_method` with its defaults) contains ``x``; the matrices are left as they are.
 
     All rows have one size n >= 1; ``method`` is one of ``SCAN_CODES``.  ``m1`` answers
     the matrices with one descent per ``_M1_BATCH`` order statistics held, from which a
     row leaves once its interval misses ``x``.  ``m3`` and ``m3p`` test each matrix as
-    one batch, and ``m2a`` builds each row's set.
+    one batch, and ``m2a`` builds each row's set.  Rows are tested as their image under
+    ``transform``, a nondecreasing elementwise map that may overwrite and return its array:
+    ``m1`` maps only the order statistics it reads, the others a copy of each matrix.
     """
     check_alpha(alpha)
     if method not in SCAN_CODES:
@@ -163,8 +169,11 @@ def covers(chunks, x: float, alpha: float, method: str):
     held, sizes = np.empty((0, 0)), []  # m1: order statistics awaiting a descent, rows per matrix
     for rows in chunks:
         rows = np.asarray(rows, dtype=np.float64)
+        if transform is not None and method != "m1":
+            rows = transform(rows.copy())
         if method == "m1":
-            stats, plan = _m1_order_statistics(sort_rows(rows), alpha)
+            stats, plan = _m1_order_statistics(sort_rows(rows), alpha)  # a fresh array
+            stats = stats if transform is None else transform(stats)
             if sizes and sum(sizes) + len(stats) > len(held):
                 yield from _m1_hits(held, sizes, x, plan)
                 sizes = []

@@ -7,7 +7,9 @@ theta equal to the true mode, a univariate sample that is unimodal about
 0.  A candidate theta therefore belongs to the lifted confidence set
 exactly when 0 belongs to a univariate confidence set built on the
 transformed sample; scanning candidates over a grid gives a finite
-representation of the region.
+representation of the region.  As n grows, the region tends to the set of theta
+whose radial law has its mode at 0: it contains the mode but is not the mode, and
+for N(0, I_2) at gamma 2 it is the disk of radius sqrt(2) about the mode.
 """
 
 from __future__ import annotations
@@ -86,7 +88,9 @@ def _finite_radii(squares: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _radii_power(squares: np.ndarray, gamma: float) -> np.ndarray:
-    """``sqrt(squares) ** gamma``, in place: the last step of every radial transform."""
+    """``sqrt(squares) ** gamma``, in place; nondecreasing, so it commutes with sorting
+    bit for bit: ``sqrt`` is correctly rounded, numpy runs ``**= 2.0`` as an exact square,
+    and other gammas rely on libm's ``pow`` being monotone, which the tests check."""
     np.sqrt(squares, out=squares)
     squares **= gamma
     return squares
@@ -138,13 +142,13 @@ def scan_region(
 
     ``box`` is a per-dimension sequence of finite (lo, hi); ``resolution``
     an int or per-dimension counts.  Restricted to d <= 3 and at most 1e7
-    cells.  Cells are transformed block by block along the last axis (index
-    order when one block spans it), in chunks of 2**16 // n (at least one)
-    that add their rows' squares to each block's squared distances in one
-    broadcast.  :func:`methods.covers` takes the chunks in turn, and each
-    answer fills its chunk's slice of the mask: ``m1`` answers several
-    chunks with one level descent, ``m3`` and ``m3p`` test a chunk as one
-    batch, and ``m2a`` builds each cell's set.  An overflowing transform
+    cells.  Cells go block by block along the last axis (index order when one
+    block spans it), in chunks of 2**16 // n (at least one) that add their rows'
+    squares to each block's squared distances in one broadcast.  The chunks go in
+    turn to :func:`methods.covers`, which applies :func:`_radii_power` (``m1`` to
+    the order statistics it reads alone, in one level descent for several chunks;
+    ``m3``/``m3p`` test a chunk as one batch, ``m2a`` builds each cell's set), and
+    each answer fills its chunk's slice of the mask.  An overflowing transform
     raises ``MethodInfeasibleError``, checked once at each point's farthest cell.
     """
     d = cloud.d
@@ -175,21 +179,19 @@ def scan_region(
     places = (mask[r : r + group, b : b + block]
               for b in range(0, width, block) for r in range(0, rows, group))
 
-    def chunks():  # the transforms of the cells of each place, in the same order
+    def chunks():  # the squared distances of the cells of each place, in the same order
+        # no sum overflows: none exceeds its point's farthest-cell sum, checked finite above
         for b in range(0, width, block):
-            with np.errstate(over="ignore"):
-                last = np.square(cloud.points[:, -1] - axes[-1][b : b + block, None])
+            last = np.square(cloud.points[:, -1] - axes[-1][b : b + block, None])
             for r in range(0, rows, group):
                 idx = np.unravel_index(np.arange(r, min(r + group, rows)), resolution[:-1] or (1,))
-                with np.errstate(over="ignore"):
-                    squares = np.zeros((idx[0].size, 1, n))  # summed left to right from 0.0
-                    for j in range(d - 1):
-                        squares += np.square(cloud.points[:, j] - axes[j][idx[j], None, None])
-                    squares = squares + last
-                    transformed = _radii_power(squares.reshape(-1, n), cloud.gamma)
-                yield transformed
+                squares = np.zeros((idx[0].size, 1, n))  # summed left to right from 0.0
+                for j in range(d - 1):
+                    squares += np.square(cloud.points[:, j] - axes[j][idx[j], None, None])
+                yield (squares + last).reshape(-1, n)
 
-    for place, hits in zip(places, covers(chunks(), 0.0, alpha, algorithm)):
+    for place, hits in zip(places, covers(chunks(), 0.0, alpha, algorithm,
+                                          lambda squares: _radii_power(squares, cloud.gamma))):
         place[...] = hits.reshape(place.shape)
     mask = mask.reshape(resolution)
     mask.setflags(write=False)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModeSetError, check_alpha
-from .methods import METHOD_CODES, _method_columns
+from .methods import _check_method, _method_columns
 from .numerics import RngStream, is_count, sample_uniform
 
 __all__ = [
@@ -170,9 +170,8 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
     methods = list(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
-    unknown = [m for m in methods if m not in METHOD_CODES]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {METHOD_CODES}")
+    for method in methods:
+        _check_method(method)
     n_values = list(n_values)
     if not n_values or not all(is_count(n) and n >= 2 for n in n_values):
         raise ValueError(f"sample sizes must be integers of at least 2, got {n_values}")

@@ -327,6 +327,22 @@ def test_criterion_10_multivariate_lift():
     assert _criterion(10, "multivariate lift coverage", ok, detail), detail
 
 
+def test_criterion_10_lift_region_tends_to_the_radial_mode_set():
+    # N(0, I2) at gamma 2: |X - theta|^2 is a scaled noncentral chi-square whose
+    # density has its mode at 0 exactly when |theta| <= sqrt(2), so the region
+    # tends to that disk, not to the mode, and no sample size shrinks it further
+    reps, n = 10, 200_000
+    held = {1.3: 0, 2.0: 0}
+    for rep in range(reps):
+        pts = RngStream(SEED + 101, rep).generator().standard_normal((n, 2))
+        cloud = PointCloud.from_points(pts, gamma=2.0)
+        for dist in held:
+            held[dist] += contains_mode_candidate(cloud, [dist, 0.0], ALPHA, "m1")
+    ok = held[1.3] >= 9 and held[2.0] <= 1
+    detail = f"held at distance 1.3 in {held[1.3]}/{reps}, at 2.0 in {held[2.0]}/{reps}"
+    assert _criterion(10, "lift region limit", ok, detail), detail
+
+
 def test_criterion_11_simulate_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["simulate", "--methods", "m1,m3", "--n", "200", "--beta", "1",

@@ -17,7 +17,7 @@ from modeset import (
     sample_uniform,
     scan_region,
 )
-from modeset.multivariate import _CHUNK_VALUES, _cell_centers
+from modeset.multivariate import _CHUNK_VALUES, _cell_centers, _radii_power
 from modeset.spacings import build_plan, m1_bounds
 
 
@@ -63,6 +63,24 @@ def test_radial_transform_rows_match_single_candidates(d):
     for shape in ((d + 1,), (25, d), (2, 25, d), ()):
         with pytest.raises(ValueError, match=re.escape(f"must have shape ({d},), got {shape}")):
             radial_transform(cloud, gen.normal(size=shape))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0, 2.0, 3.3, 3.7])
+def test_radii_power_is_nondecreasing_so_it_commutes_with_sorting(gamma):
+    # covers raises only the order statistics m1 reads, which is exact only if
+    # sqrt(s) ** gamma never decreases from one double to the next
+    starts = np.logspace(-30, 30, 1000).view(np.int64)
+    squares = (starts[:, None] + np.arange(1001)).view(np.float64)  # runs of adjacent doubles
+    assert np.array_equal(np.nextafter(squares[:, :-1], np.inf), squares[:, 1:])
+    radii = _radii_power(squares.ravel(), gamma)
+    assert (np.diff(radii) >= 0).all() and np.isfinite(radii).all()
+    gen = RngStream(75, 0).generator()
+    for _ in range(20):
+        points, theta = gen.normal(size=(1000, 2)), gen.normal(size=2)
+        for s in (np.square(points - theta).sum(axis=1), np.exp(40.0 * points[:, 0]),
+                  np.round(np.square(points[:, 0] - theta[0]), 2)):  # wide, and tied
+            assert np.array_equal(_radii_power(np.sort(s), gamma).view(np.int64),
+                                  np.sort(_radii_power(s.copy(), gamma)).view(np.int64))
 
 
 def test_radial_transform_rotation_invariance():
@@ -195,9 +213,10 @@ def _cell_oracle(cloud, grid, alpha):
 
 @pytest.mark.parametrize(
     "n, resolution",
-    # chunks of 2**16 // n cells: 327, 218 and 436, so (400,) splits into
-    # blocks of 327 and 73 centres and each of the others fits one chunk
-    [(200, (400,)), (300, (37, 5)), (150, (9, 7, 5))],
+    # chunks of 2**16 // n cells: 327, 218, 436 and 65, so (400,) splits into
+    # blocks of 327 and 73 centres and each of the next two fits one chunk;
+    # at the benchmarked shape, 64-cell blocks feed four chunks to each m1 descent
+    [(200, (400,)), (300, (37, 5)), (150, (9, 7, 5)), (1000, (64, 64))],
 )
 def test_scan_region_matches_per_cell_oracle(n, resolution):
     d = len(resolution)
@@ -320,6 +339,18 @@ def test_scan_region_m3_m3p_match_per_cell_sets(method, alpha):
     cloud = PointCloud.from_points(disk_points(RngStream(83, 0), 300), gamma=2.0)
     grid = scan_region(cloud, [(-6.0, 6.0), (-6.0, 6.0)], (8, 8), alpha, method)
     for i, j in itertools.product(range(8), range(8)):
+        theta = [grid.centers(0)[i], grid.centers(1)[j]]
+        cs = compute_confidence_set(radial_transform(cloud, theta), alpha, method)
+        assert grid.mask[i, j] == cs.contains(0.0)
+    assert grid.mask.any() and not grid.mask.all()
+
+
+@pytest.mark.parametrize("method, alpha", [("m2a", 0.05), ("m3", 0.05), ("m3p", 0.9)])
+def test_scan_region_tests_each_cells_radii_at_a_gamma_other_than_2(method, alpha):
+    # at gamma 2 a cell's radii and its squared distances nearly agree; here they do not
+    cloud = PointCloud.from_points(disk_points(RngStream(84, 0), 300), gamma=3.3)
+    grid = scan_region(cloud, [(-12.0, 12.0), (-12.0, 12.0)], (5, 4), alpha, method)
+    for i, j in itertools.product(range(5), range(4)):
         theta = [grid.centers(0)[i], grid.centers(1)[j]]
         cs = compute_confidence_set(radial_transform(cloud, theta), alpha, method)
         assert grid.mask[i, j] == cs.contains(0.0)

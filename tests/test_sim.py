@@ -272,6 +272,15 @@ def test_study_validation():
         run_coverage_study(["m1"], [200], [1.0, 0.0], replications=5)
 
 
+@pytest.mark.parametrize("method", ["m9", "M1", "m2 "])
+def test_study_and_run_method_reject_an_unknown_method_with_one_message(method):
+    message = re.escape(f"unknown method {method!r}; choose one of {METHOD_CODES}")
+    with pytest.raises(ValueError, match=message):
+        run_coverage_study(["m1", method], [200], [1.0], replications=5)
+    with pytest.raises(ValueError, match=message):
+        run_method(np.arange(10.0), 0.05, method)
+
+
 def test_study_reports_inf_not_nan_for_the_width_quantiles_of_unbounded_sets():
     # at alpha 1e-30 most m3p sets are the whole line; numpy interpolates a
     # quantile beside an infinite width to nan, with a RuntimeWarning
