@@ -11,6 +11,7 @@ given sample.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -216,9 +217,12 @@ def _run_mode2d(args) -> int:
     return EXIT_OK
 
 
+# one parser per process: building it costs more than parsing, and parse_args keeps no state
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     runners = {"ci": _run_ci, "simulate": _run_simulate, "mode2d": _run_mode2d}
     try:
         return runners[args.command](args)

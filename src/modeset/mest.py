@@ -50,7 +50,7 @@ def _level_runs(points: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.nd
     """
     lo, hi = points[k - 1:] - h, points[:points.size - k + 1] + h
     keep = lo < hi
-    return lo[keep], hi[keep]
+    return (lo, hi) if keep.all() else (lo[keep], hi[keep])
 
 
 def _pilot_counts(points: np.ndarray, pilot: float, hs: np.ndarray) -> np.ndarray:
@@ -58,19 +58,16 @@ def _pilot_counts(points: np.ndarray, pilot: float, hs: np.ndarray) -> np.ndarra
 
     Rounding is monotone, so the count of X_i + s <= pilot (s = -h for the
     starts, +h for the ends) is the j with X_{j-1} + s <= pilot < X_j + s.
-    The guess j = #(X_i <= pilot - s) stands where the true shifted values
-    pass that test and is recounted from X + s where they do not.
+    One ``searchsorted`` guesses every j = #(X_i <= pilot - s); a guess stands
+    where the true shifted values pass that test, else it is recounted from X + s.
     """
-    m = points.size
-    counts = []
-    for shift in (-hs, hs):
-        j = np.searchsorted(points, pilot - shift, side="right")
-        bad = (j > 0) & (points[np.maximum(j - 1, 0)] + shift > pilot)
-        bad |= (j < m) & (points[np.minimum(j, m - 1)] + shift <= pilot)
-        for i in np.flatnonzero(bad):
-            j[i] = np.searchsorted(points + shift[i], pilot, side="right")
-        counts.append(j)
-    return counts[0] - counts[1]
+    m, shifts = points.size, np.concatenate((-hs, hs))
+    j = np.searchsorted(points, pilot - shifts, side="right")
+    bad = (j > 0) & (points[j - 1] + shifts > pilot)  # j = 0 reads X_{m-1}, masked
+    bad |= (j < m) & (points[np.minimum(j, m - 1)] + shifts <= pilot)
+    for i in np.flatnonzero(bad):
+        j[i] = np.searchsorted(points + shifts[i], pilot, side="right")
+    return j[:hs.size] - j[hs.size:]
 
 
 def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
@@ -83,28 +80,33 @@ def _sweep(points: np.ndarray, pilot: float, grid, slack: float) -> ModeResult:
     formula if ``math.log`` is within one ulp (glibc's is), so K never
     exceeds the exact K.  N(pilot) never falls as h rises (rounding is
     monotone), so the informative bandwidths (K >= 1) come last; with none,
-    the set is the whole line at the first h.  The walk builds them in ascending h, each
-    one's pieces shifted by h and joined once (no gap closed by the shift
-    reopens), its runs' widths summed left to right as ``ConfidenceSet.width``
-    sums them.  The first replaces the whole line, then only a strictly
-    narrower set, so ties go to the smaller h.  An informative set holds the
-    pilot, so its width is at least (pilot + h) - (pilot - h), which grows
-    with h: the walk stops once that floor reaches the best width.
+    the set is the whole line at the first h.  The walk builds them in
+    ascending h, in Python floats (the same doubles), each one's pieces
+    shifted by h.  Their ends still ascend, so one comparison finds the
+    gaps; only where one exists are the pieces joined (no gap closed by the
+    shift reopens) and the runs' widths summed left to right as
+    ``ConfidenceSet.width`` sums them, else the set is one run.  The first
+    replaces the whole line, then only a strictly narrower set, so ties go
+    to the smaller h.  An informative set holds the pilot, so its width is
+    at least (pilot + h) - (pilot - h), which grows with h: the walk stops
+    once that floor reaches the best width.
     """
     hs = np.asarray(grid, dtype=np.float64)
     ks = _pilot_counts(points, pilot, hs) - math.floor(min(slack * (1 + 2**-49), points.size))
     line = np.array([[-math.inf], [math.inf]])  # the ends of the whole line
     best = math.inf, float(hs[0]), *line, *line
+    informative = [(h, k) for h, k in zip(hs.tolist(), ks.tolist()) if k > 0]
     with np.errstate(over="ignore"):  # a huge h gives infinite ends, as with Python floats
-        for built, i in enumerate(np.flatnonzero(ks > 0)):
-            h = hs[i]
+        for built, (h, k) in enumerate(informative):
             if built and (pilot + h) - (pilot - h) >= best[0]:
                 break
-            lo, hi = _level_runs(points, h, int(ks[i]))
-            dlo, dhi = join_runs(lo - h, hi + h)
-            width = np.cumsum(dhi - dlo)[-1]
+            lo, hi = _level_runs(points, h, k)
+            dlo, dhi = lo - h, hi + h
+            # the one run's ends as copies: views would keep full-length arrays alive across builds
+            dlo, dhi = join_runs(dlo, dhi) if (dlo[1:] > dhi[:-1]).any() else (dlo[[0]], dhi[[-1]])
+            width = np.cumsum(dhi - dlo)[-1] if dlo.size > 1 else dhi[0] - dlo[0]
             if not built or width < best[0]:
-                best = width, float(h), lo, hi, dlo, dhi
+                best = width, h, lo, hi, dlo, dhi
     _, h, lo, hi, dlo, dhi = best
     return ModeResult(ConfidenceSet.from_runs(dlo, dhi), vacuous=bool(ks[-1] <= 0), pilot=pilot,
                       h=h, pre_dilation=ConfidenceSet.from_runs(*join_runs(lo, hi)))

@@ -142,8 +142,10 @@ def _width_quantiles(widths: np.ndarray) -> list:
     one is nan: only beside an inf width, where it is inf or the equal neighbours' value."""
     with np.errstate(invalid="ignore"):  # numpy's interpolation reads inf - inf and inf * 0
         linear = np.quantile(widths, [0.1, 0.5, 0.9])
-    higher = np.quantile(widths, [0.1, 0.5, 0.9], method="higher")
-    return np.where(np.isnan(linear), higher, linear).tolist()
+    if np.isnan(linear).any():
+        higher = np.quantile(widths, [0.1, 0.5, 0.9], method="higher")
+        linear = np.where(np.isnan(linear), higher, linear)
+    return linear.tolist()
 
 
 def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,

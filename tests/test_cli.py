@@ -13,6 +13,7 @@ import pytest
 import modeset
 from modeset import (FBetaDensity, PointCloud, RngStream, compute_confidence_set,
                      sample_uniform, scan_region)
+from modeset import cli
 from modeset.cli import _read_floats, main
 from modeset.methods import METHOD_CODES, METHOD_OPTIONS, SCAN_CODES, run_method
 
@@ -532,6 +533,28 @@ def test_ci_huge_bandwidth_writes_nothing_to_stderr(tmp_path, flags, intervals):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["intervals"] == intervals
+
+
+def test_calls_in_one_process_read_as_each_does_alone(data_1000, tmp_path, capsys):
+    # main keeps one parser per process: no flag a call sets may reach a later
+    # call, which here would make m1 reject --h
+    pts = RngStream(96, 0).generator().normal(size=(200, 2)).tolist()
+    points = _write_lines(tmp_path, "p.csv", [f"{x!r},{y!r}" for x, y in pts])
+    calls = [["ci", "--method", "m2", "--h", "0.3", "--input", str(data_1000)],
+             ["ci", "--method", "m1", "--input", str(data_1000)],
+             ["simulate", "--methods", "m1,m2a", "--n", "200", "--beta", "1", "--reps", "2"],
+             ["mode2d", "--gamma", "2", "--res", "4", "--input", str(points)]]
+
+    def run(argv):
+        return main(argv), capsys.readouterr().out
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert [code for code, _ in alone] == [0, 0, 0, 0]
 
 
 def test_module_entry_point_help():

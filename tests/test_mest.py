@@ -220,7 +220,7 @@ def _sweep_cases():
 
 @np.errstate(over="ignore")  # the 1e307 cases overflow to inf, as in _sweep
 def test_sweep_matches_knot_table_sweep_bit_for_bit():
-    vacuous = multi = tied = infinite = 0
+    vacuous = multi = tied = infinite = whole = gapped = 0
     for pts, pilot, grid, slack in _sweep_cases():
         # the count at the pilot never falls as h rises, so the vacuous
         # bandwidths come first and _sweep builds none of them
@@ -249,9 +249,15 @@ def test_sweep_matches_knot_table_sweep_bit_for_bit():
             informative = [row[3].width for row in rows if row[1] > 0]
             tied += informative.count(min(informative)) > 1
             infinite += res.confidence_set.width == math.inf
+            # the winner's build kept every piece, or its dilated pieces left a gap
+            k = math.ceil(cutoff)
+            whole += _level_runs(pts, h, k)[0].size == pts.size - k + 1
+            gapped += len(cs.intervals) > 1
     # the cases reach the whole line, multi-interval level sets, informative
-    # bandwidths tied at the minimal width, and infinitely wide informative winners
+    # bandwidths tied at the minimal width, infinitely wide informative winners,
+    # and sweeps whose winning build kept every piece or joined pieces across a gap
     assert vacuous >= 5 and multi >= 5 and tied >= 3 and infinite >= 3
+    assert whole >= 3 and gapped >= 3
 
 
 def test_pilot_counts_match_window_count_h_by_h():
