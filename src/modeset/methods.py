@@ -72,10 +72,10 @@ def _method_columns(rows, alpha, methods, h=None, rho=_RHO, split_stream=_SPLIT_
     ``ModeResult`` or the ``ModeSetError`` it raised, as :func:`run_method` gives it.
 
     The options are :func:`run_method`'s, checked by ``_check_options``;
-    ``split_stream`` is one stream for all rows or one per row.  ``m1``, ``m2`` and ``m2a``
-    share one sort of the rows: ``m1`` runs them as one batch, and ``m2``/``m2a`` sweep each
-    sorted row from one whole-sample pilot, ``m2`` at its one bandwidth ``h``.  ``m3`` and
-    ``m3p`` share one split.
+    ``split_stream`` is one stream for all rows or one per row, and so is ``h``.  ``m1``,
+    ``m2`` and ``m2a`` share one sort of the rows: ``m1`` runs them as one batch, and
+    ``m2``/``m2a`` sweep each sorted row from one whole-sample pilot, ``m2`` at its one
+    bandwidth ``h``.  ``m3`` and ``m3p`` share one split.
     """
     k, points, pilots, split = len(rows), None, None, None
     for method in methods:
@@ -90,7 +90,8 @@ def _method_columns(rows, alpha, methods, h=None, rho=_RHO, split_stream=_SPLIT_
                           ModeResult(ConfidenceSet(((a, b),)))
                           for a, b, t in zip(lo.tolist(), hi.tolist(), tied)]
             elif method in ("m2", "m2a"):
-                grids = default_bandwidth_grid(points) if method == "m2a" else [np.array([h])] * k
+                grids = (default_bandwidth_grid(points) if method == "m2a" else
+                         np.broadcast_to(np.reshape(h, (-1, 1)), (k, 1)))
                 column = [grid if isinstance(grid, ModeSetError) else
                           _sweep(p, float(c), grid, dkw_count_slack(p.size, alpha))
                           for p, c, grid in zip(points, pilots, grids)]

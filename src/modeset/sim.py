@@ -68,13 +68,17 @@ class FBetaDensity:
         the integral of (beta + 1) z**(beta - 1) over [t, 1] (Khintchine
         1938).  Z = V**(1/(beta + 1)) by inversion, so |x| = s*U*Z, and a
         third uniform below ``mass_left`` picks the left piece.  Draw i
-        reads uniforms 3i..3i+2, so ``sample(s, k) == sample(s, n)[:k]``.
+        reads uniforms 3i..3i+2, so ``sample(s, k) == sample(s, n)[:k]``; the
+        study maps one draw of uniforms at every beta with ``_from_uniforms``.
         """
         if not is_count(n) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n}")
-        u = sample_uniform(stream, 3 * n).reshape(n, 3)
-        r = u[:, 1] * u[:, 2] ** (1.0 / (self.beta + 1.0))
-        return np.where(u[:, 0] < self.mass_left, -r, self.upper * r)
+        return self._from_uniforms(sample_uniform(stream, 3 * n).reshape(n, 3))
+
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """The draws of :meth:`sample` from ``u``, one per triple on its last axis."""
+        r = u[..., 1] * u[..., 2] ** (1.0 / (self.beta + 1.0))
+        return np.where(u[..., 0] < self.mass_left, -r, self.upper * r)
 
 
 def study_bandwidth(n: int, beta: float) -> float:
@@ -89,11 +93,12 @@ class CoverageReport:
     ``coverage`` counts replications whose set contains the true mode 0,
     divided by all replications (errored replications count as misses).
     ``wall_time_s`` sums this cell's method time over blocks of replications,
-    in whichever process ran each; ``m1``, ``m2`` and ``m2a`` share one sort
-    per (n, replication), and ``m3`` and ``m3p`` one split, each timed with
-    the first method in ``methods`` that uses it.  It excludes sampling the
-    shared data and is measured, so it stays out of the deterministic CSV
-    payload.
+    in whichever process ran each; a block runs every beta in one dispatch
+    per n, and each beta takes an even share of its method's time.  ``m1``,
+    ``m2`` and ``m2a`` share one sort per (n, block), and ``m3`` and ``m3p``
+    one split, each timed with the first method in ``methods`` that uses
+    it.  It excludes sampling the shared data and is measured, so it stays
+    out of the deterministic CSV payload.
     """
 
     method: str
@@ -111,41 +116,47 @@ class CoverageReport:
     widths: tuple[float, ...] = field(compare=False)
 
 
-_BLOCK_VALUES = 2**15  # cap on a block's replications times the largest n
+_BLOCK_VALUES = 2**15  # cap on a block's replications times the largest n times the beta count
 
 
-def _run_block(methods, n_values, beta, alpha, base_seed, reps):
-    """Per n and method at one beta, the method's seconds and a (covered, width,
-    vacuous, errored) tuple for each replication in the range ``reps``, drawn
-    once at the largest n and dispatched once per n on the length-n prefixes."""
-    density = FBetaDensity(beta)
-    full = np.stack([density.sample(RngStream(base_seed, 2 * rep), max(n_values)) for rep in reps])
+def _run_block(methods, n_values, beta_values, alpha, base_seed, reps):
+    """Per n, method and beta, the method's seconds and a (covered, width, vacuous, errored)
+    tuple for each replication in the range ``reps``: its uniforms are drawn once at the
+    largest n, and per n one dispatch runs every beta's length-n prefixes; each method's
+    column time is split evenly among the betas."""
+    uniforms = np.stack([sample_uniform(RngStream(base_seed, 2 * rep), 3 * max(n_values))
+                         for rep in reps]).reshape(len(reps), -1, 3)
+    full = np.concatenate([FBetaDensity(beta)._from_uniforms(uniforms) for beta in beta_values])
     full.setflags(write=False)  # shared by every cell: no method may write to it
+    split_streams = [RngStream(base_seed, 2 * rep + 1) for rep in reps] * len(beta_values)
     by_n = []
     for n in n_values:
-        columns = _method_columns(full[:, :n], alpha, methods, h=study_bandwidth(n, beta),
-                                  split_stream=[RngStream(base_seed, 2 * rep + 1) for rep in reps])
+        h = np.repeat([study_bandwidth(n, beta) for beta in beta_values], len(reps))
+        columns = _method_columns(full[:, :n], alpha, methods, h=h, split_stream=split_streams)
         by_method, start = [], time.perf_counter()
         for column in columns:  # a shared sort or split is timed with the first method using it
             # data a method cannot handle (too small, pilot collision) is an error, not a crash
             outcomes = [(False, math.nan, False, True) if isinstance(res, ModeSetError) else
                         (res.confidence_set.contains(0.0), res.confidence_set.width, res.vacuous,
                          False) for res in column]
-            by_method.append((time.perf_counter() - start, outcomes))
+            seconds = (time.perf_counter() - start) / len(beta_values)
+            by_method.append([(seconds, outcomes[b * len(reps):(b + 1) * len(reps)])
+                              for b in range(len(beta_values))])
             start = time.perf_counter()
         by_n.append(by_method)
     return by_n
 
 
 def _width_quantiles(widths: np.ndarray) -> list:
-    """``np.quantile``'s 10%, 50% and 90% points, with its ``higher`` point wherever the linear
-    one is nan: only beside an inf width, where it is inf or the equal neighbours' value."""
+    """``np.quantile``'s 10%, 50% and 90% points of each row of ``widths`` (of a 1-D input,
+    one list of three), with its ``higher`` point wherever the linear one is nan: only
+    beside an inf width, where it is inf or the equal neighbours' value."""
     with np.errstate(invalid="ignore"):  # numpy's interpolation reads inf - inf and inf * 0
-        linear = np.quantile(widths, [0.1, 0.5, 0.9])
+        linear = np.quantile(widths, [0.1, 0.5, 0.9], axis=-1)
     if np.isnan(linear).any():
-        higher = np.quantile(widths, [0.1, 0.5, 0.9], method="higher")
+        higher = np.quantile(widths, [0.1, 0.5, 0.9], axis=-1, method="higher")
         linear = np.where(np.isnan(linear), higher, linear)
-    return linear.tolist()
+    return np.moveaxis(linear, 0, -1).tolist()
 
 
 def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
@@ -153,16 +164,18 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
                        workers: int = 1) -> list[CoverageReport]:
     """Coverage and width study over a (method, n, beta) grid.
 
-    Replication ``r`` draws its data from stream ``2r`` of ``base_seed`` once
-    per beta, at the largest n; every (method, n) cell runs on the length-n
-    prefix of that draw, which ``m3`` and ``m3p`` split with stream
-    ``2r + 1``.  Cells thus share datasets (common random numbers across
-    methods and, by prefix, across sample sizes) and the whole study is
-    reproducible bit for bit.  A job runs one beta on a block of replications
-    (at most 2**15 drawn values, and replications / workers); ``workers`` > 1
-    spreads the jobs over one process pool without changing any result.
-    Arguments are validated first; a replication that raises ``ModeSetError``
-    counts as an error, while any other exception propagates.
+    Replication ``r`` draws its uniforms from stream ``2r`` of ``base_seed``
+    once, at the largest n, and maps them to its data at every beta; every
+    (method, n) cell runs on the length-n prefix of that draw, which ``m3``
+    and ``m3p`` split with stream ``2r + 1``.  Cells thus share datasets
+    (common random numbers across methods, betas and, by prefix, sample
+    sizes) and the whole study is reproducible bit for bit.  A job runs a
+    block of replications at every beta (at most 2**15 drawn values over
+    all betas, at least one replication, and replications / workers);
+    ``workers`` > 1 spreads the jobs over one process pool without changing
+    any result.  Arguments are validated first; a replication that raises
+    ``ModeSetError`` counts as an error, while any other exception
+    propagates.
     """
     for name, count in (("replications", replications), ("workers", workers)):
         if not is_count(count) or count < 1:
@@ -190,28 +203,33 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
     if not is_count(base_seed):
         raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
     RngStream(int(base_seed))  # raises on a seed outside the unsigned 64-bit range
-    block = max(1, min(_BLOCK_VALUES // max(n_values), -(-replications // workers)))
-    blocks = [range(r, min(r + block, replications)) for r in range(0, replications, block)]
-    jobs = [(methods, n_values, beta, float(alpha), int(base_seed), reps)
-            for beta in beta_values for reps in blocks]
+    block = max(1, min(_BLOCK_VALUES // (max(n_values) * len(beta_values)),
+                       -(-replications // workers)))
+    jobs = [(methods, n_values, beta_values, float(alpha), int(base_seed),
+             range(r, min(r + block, replications))) for r in range(0, replications, block)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_job = list(pool.map(_run_block, *zip(*jobs)))
     else:
         by_job = [_run_block(*job) for job in jobs]
+    cells = list(itertools.product(enumerate(methods), enumerate(n_values),
+                                   enumerate(beta_values)))
+    outcomes = [[outcome for job in by_job for outcome in job[i][m][b][1]]
+                for (m, _), (i, _), (b, _) in cells]
+    widths = [[w for _, w, _, err in cell if not err] for cell in outcomes]
+    quantiles = [(math.nan,) * 3] * len(cells)
+    for count in set(map(len, widths)) - {0}:  # one quantile call per stack of equal rows
+        at = [j for j, w in enumerate(widths) if len(w) == count]
+        for j, q in zip(at, _width_quantiles(np.array([widths[j] for j in at], np.float64))):
+            quantiles[j] = q
     reports: list[CoverageReport] = []
-    cells = itertools.product(enumerate(methods), enumerate(n_values), enumerate(beta_values))
-    for (m, method), (i, n), (b, beta) in cells:
-        cell = [job[i][m] for job in by_job[b * len(blocks):(b + 1) * len(blocks)]]
-        outcomes = [outcome for _, block in cell for outcome in block]
-        covered, per_rep, vacuous, errored = zip(*outcomes)  # per_rep holds NaN where errored
-        widths = np.array([w for w, err in zip(per_rep, errored) if not err], dtype=np.float64)
-        q10, q50, q90 = _width_quantiles(widths) if widths.size else (math.nan,) * 3
+    for ((m, method), (i, n), (b, beta)), cell, (q10, q50, q90) in zip(cells, outcomes, quantiles):
+        covered, per_rep, vacuous, errored = zip(*cell)  # per_rep holds NaN where errored
         reports.append(CoverageReport(
             method=method, n=n, beta=beta, alpha=float(alpha), replications=replications,
             coverage=sum(covered) / replications, width_q10=q10, width_q50=q50, width_q90=q90,
             vacuous=sum(vacuous), errors=sum(errored),
-            wall_time_s=sum(seconds for seconds, _ in cell), widths=per_rep,
+            wall_time_s=sum(job[i][m][b][0] for job in by_job), widths=per_rep,
         ))
     return reports
 

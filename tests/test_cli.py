@@ -616,6 +616,23 @@ def test_simulate_bytes_are_pinned_at_large_n(tmp_path, capsys):
     assert digests == _LARGE_N_STUDY_DIGESTS
 
 
+# three betas in uneven blocks of replications (5 and 2 at one worker, 4 and 3 at two),
+# an all-error cell (m1 at n = 16), vacuous m2/m2a sets and m3p's inf widths at alpha 1e-30
+_EDGE_STUDY_DIGESTS = ("aec9570eabf67e76a1d05f2f32b68ea751384453734d72cad517f0633fcaddb0",
+                       "a7d795cc127de7ca7a5d849aa03e6b99c701d528da84ae83df2b61d81f5c8c1a")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_bytes_are_pinned_at_the_edges(tmp_path, capsys, workers):
+    out, widths = tmp_path / "report.csv", tmp_path / "widths.csv"
+    assert main(["simulate", "--methods", "m1,m2,m2a,m3p", "--n", "16,50,2000",
+                 "--beta", "0.5,1,4", "--alpha", "1e-30", "--reps", "7", "--seed", "13",
+                 "--workers", workers, "--out", str(out), "--emit-widths", str(widths)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, widths))
+    assert digests == _EDGE_STUDY_DIGESTS
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_simulate_rejects_workers_below_one(capsys, monkeypatch, workers):
     # the count is checked before any replication runs

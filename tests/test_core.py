@@ -305,6 +305,23 @@ def test_run_methods_rows_match_run_method_calls():
                for method in METHOD_CODES for i in range(k))
 
 
+def test_method_columns_take_one_m2_bandwidth_per_row_or_one_for_all():
+    # a per-row h gives each row run_method's m2 set at its own h; a scalar h broadcasts
+    k, m = 6, 300
+    rows = np.random.default_rng(17).normal(size=(k, m))
+    hs = np.array([1e-3, 0.05, 0.2, 0.2, 0.7, 3.0])
+    [column] = _method_columns(rows, 0.05, ["m2"], h=hs)
+    wants = [run_method(row, 0.05, "m2", h=h) for row, h in zip(rows, hs)]
+    for res, want in zip(column, wants):
+        assert (repr(res.confidence_set), res.h, res.pilot, res.vacuous) == (
+            repr(want.confidence_set), want.h, want.pilot, want.vacuous)
+    assert [res.h for res in column] == hs.tolist()
+    assert 0 < sum(res.vacuous for res in column) < k
+    [column] = _method_columns(rows, 0.05, ["m2"], h=0.2)
+    assert [repr(res) for res in column] == [repr(run_method(row, 0.05, "m2", h=0.2))
+                                             for row in rows]
+
+
 def test_split_sample_errors():
     message = "^splitting needs at least 2 observations, got 1$"
     with pytest.raises(MethodInfeasibleError, match=message):

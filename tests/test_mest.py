@@ -11,7 +11,7 @@ from modeset import (
     make_confidence_set,
     run_method,
 )
-from modeset.core import join_runs, split_and_pilot, venter_pilot
+from modeset.core import join_runs, sort_rows, split_and_pilot, venter_pilot
 from modeset.mest import (
     _level_runs,
     _pilot_counts,
@@ -520,7 +520,8 @@ def test_run_methods_fails_only_the_m2a_row_with_zero_range():
 def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatch):
     # each informative bandwidth the sweep builds reads its level runs
     # once, and the winner's are kept; the floor (pilot + h) - (pilot - h)
-    # ends the walk early on these rows
+    # ends the walk early on these rows, swept whole with the whole-sample
+    # pilot as m2a sweeps them
     built = []
     real = _level_runs
 
@@ -534,8 +535,8 @@ def test_sweep_skips_at_least_a_quarter_of_the_informative_bandwidths(monkeypatc
         for n in (1000, 4000):
             for rep in range(4):
                 data = FBetaDensity(beta).sample(RngStream(71, rep), n)
-                points, pilots = split_and_pilot(data[None, :], RngStream(72, rep))
-                pts, pilot = points[0], float(pilots[0])
+                points = sort_rows(data[None, :])
+                pts, pilot = points[0], float(venter_pilot(points)[0])
                 grid, slack = default_bandwidth_grid(points)[0], dkw_count_slack(pts.size, 0.05)
                 informative += int(np.count_nonzero(_pilot_counts(pts, pilot, grid) > slack))
                 _sweep(pts, pilot, grid, slack)

@@ -208,19 +208,42 @@ def test_study_parallel_matches_serial():
 
 
 def test_study_draws_once_per_replication(monkeypatch):
-    # each (beta, rep) samples max(n) values once, shared by every (method, n)
-    sizes = []
-    sample = FBetaDensity.sample
+    # each rep draws 3 * max(n) uniforms once, shared by every (method, n, beta)
+    import modeset.sim as sim
 
-    def counting_sample(self, stream, n):
+    sizes, real = [], sim.sample_uniform
+
+    def counting_uniform(stream, n):
         sizes.append(n)
-        return sample(self, stream, n)
+        return real(stream, n)
 
-    monkeypatch.setattr(FBetaDensity, "sample", counting_sample)
-    betas, reps = [1.0, 4.0, 0.5], 3
-    run_coverage_study(["m1", "m2", "m2a"], [120, 300, 60], betas,
-                       replications=reps, base_seed=4)
-    assert sizes == [300] * (len(betas) * reps)
+    monkeypatch.setattr("modeset.sim.sample_uniform", counting_uniform)
+    reps = 3
+    for betas in ([1.0], [1.0, 4.0, 0.5]):
+        sizes.clear()
+        run_coverage_study(["m1", "m2", "m2a"], [120, 300, 60], betas,
+                           replications=reps, base_seed=4)
+        assert sizes == [3 * 300] * reps
+
+
+def test_study_rows_are_the_sampler_draws_of_each_beta(monkeypatch):
+    # a replication's one draw of uniforms gives its sample at every beta
+    import modeset.sim as sim
+
+    seen, real = [], sim._method_columns
+
+    def recording(rows, alpha, methods, **options):
+        seen.append(np.array(rows))
+        return real(rows, alpha, methods, **options)
+
+    monkeypatch.setattr("modeset.sim._method_columns", recording)
+    betas, reps, seed = [0.5, 1.0, 4.0], 3, 41
+    run_coverage_study(["m1"], [200, 50], betas, replications=reps, base_seed=seed)
+    assert [rows.shape for rows in seen] == [(len(betas) * reps, 200), (len(betas) * reps, 50)]
+    for rows in seen:
+        want = [FBetaDensity(beta).sample(RngStream(seed, 2 * rep), rows.shape[1])
+                for beta in betas for rep in range(reps)]
+        assert rows.tobytes() == np.stack(want).tobytes()
 
 
 def test_study_counts_method_errors_without_aborting():
@@ -309,6 +332,7 @@ def _quantiles_by_neighbours(widths):
 def test_width_quantiles_match_the_neighbour_rule():
     gen = np.random.default_rng(25)
     finite_beside_inf = inf_points = 0
+    by_size = {}
     for i in range(3000):
         n = int(gen.integers(1, 60))
         widths = gen.exponential(size=n)
@@ -322,7 +346,12 @@ def test_width_quantiles_match_the_neighbour_rule():
             nan_linear = np.isnan(np.quantile(widths, [0.1, 0.5, 0.9]))
         finite_beside_inf += np.count_nonzero(nan_linear & np.isfinite(got))
         inf_points += got.count(math.inf)
+        by_size.setdefault(n, []).append((widths, got))
     assert finite_beside_inf > 0 and inf_points > 0
+    # stacked rows of one size, as the study passes them, give each row's list of three
+    for cases in by_size.values():
+        rows, each = zip(*cases)
+        assert repr(_width_quantiles(np.stack(rows))) == repr(list(each))
 
 
 def test_study_default_grid_smoke():
@@ -375,7 +404,7 @@ def test_study_blocks_of_replications_do_not_change_results(monkeypatch):
     args = dict(methods=["m1", "m2", "m2a", "m3"], n_values=[150, 300], beta_values=[1.0, 4.0],
                 replications=5, base_seed=21)
     whole = run_coverage_study(**args)
-    monkeypatch.setattr("modeset.sim._BLOCK_VALUES", 2 * 300)  # blocks of 2, 2 and 1
+    monkeypatch.setattr("modeset.sim._BLOCK_VALUES", 2 * 300 * 2)  # blocks of 2, 2 and 1
     blocked = run_coverage_study(**args)
     assert coverage_report_csv(blocked) == coverage_report_csv(whole)
     assert replication_widths_csv(blocked) == replication_widths_csv(whole)
@@ -400,6 +429,12 @@ def test_study_times_each_method_on_its_own(monkeypatch):
     assert [(r.method, r.n, r.wall_time_s) for r in reports] == [
         ("m1", 200, 3.0), ("m1", 300, 3.0), ("m2", 200, 30.0), ("m2", 300, 30.0),
         ("m3", 200, 300.0), ("m3", 300, 300.0)]
+    # two betas share each dispatch, and each takes half of every column's time
+    reports = run_coverage_study(["m1", "m2", "m3"], [200, 300], [1.0, 4.0], replications=3,
+                                 base_seed=4)
+    assert [(r.method, r.n, r.beta, r.wall_time_s) for r in reports] == [
+        (method, n, beta, 3 * cost[method] / 2) for method in ("m1", "m2", "m3")
+        for n in (200, 300) for beta in (1.0, 4.0)]
 
 
 @pytest.mark.parametrize("options, message", [
