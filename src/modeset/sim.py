@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +207,8 @@ def run_coverage_study(methods, n_values, beta_values, alpha: float = 0.05,
     jobs = [(methods, n_values, beta_values, float(alpha), int(base_seed),
              range(r, min(r + block, replications))) for r in range(0, replications, block)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_job = list(pool.map(_run_block, *zip(*jobs)))
     else:

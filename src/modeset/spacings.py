@@ -103,8 +103,8 @@ def build_plan(n: int, alpha: float) -> SpacingsPlan:
     t_n = sum(1.0 / (b + 2) for b in range(b_max + 1))
     h_b = []
     for b in range(b_max + 1):
-        a_shape = float(1 << (b + s_n))
-        b_shape = float(n + 1 - (1 << (b + s_n)))
+        a_shape = 1 << (b + s_n)
+        b_shape = n + 1 - a_shape
         level = alpha / (4.0 * (b + 2) * n_b[b] * t_n)
         upper = qbeta(1.0 - level, a_shape, b_shape)
         lower = qbeta(level, a_shape, b_shape)

@@ -271,17 +271,18 @@ def test_criterion_08_numerics_contracts():
     worst_rt = 0.0
     rng = np.random.default_rng(808)
     for _ in range(1000):
-        a = rng.uniform(0.5, 5000.0)
-        b = rng.uniform(0.5, 5000.0)
+        a = int(rng.integers(1, 5001))
+        b = int(rng.integers(1, 5001))
         p = rng.uniform(1e-9, 1 - 1e-9)
         worst_rt = max(worst_rt, abs(special.betainc(a, b, qbeta(p, a, b)) - p))
-    plan = build_plan(4096, ALPHA)
-    for lvl in range(plan.b_max + 1):
-        a = float(1 << (lvl + plan.s_n))
-        b = float(4096 + 1 - (1 << (lvl + plan.s_n)))
-        p = ALPHA / (4 * (lvl + 2) * plan.n_b[lvl] * plan.t_n)
-        for pp in (p, 1 - p):
-            worst_rt = max(worst_rt, abs(special.betainc(a, b, qbeta(pp, a, b)) - pp))
+    for n in (1000, 4096, 10**5, 10**6):
+        plan = build_plan(n, ALPHA)
+        for lvl in range(plan.b_max + 1):
+            a = 1 << (lvl + plan.s_n)
+            b = n + 1 - a
+            p = ALPHA / (4 * (lvl + 2) * plan.n_b[lvl] * plan.t_n)
+            for pp in (p, 1 - p):
+                worst_rt = max(worst_rt, abs(special.betainc(a, b, qbeta(pp, a, b)) - pp))
     worst_chi = 0.0
     for p in np.arange(0.01, 1.0, 0.01):
         worst_chi = max(worst_chi, abs(qchisq(float(p), 2) + 2 * math.log1p(-p)))

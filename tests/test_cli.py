@@ -557,6 +557,36 @@ def test_calls_in_one_process_read_as_each_does_alone(data_1000, tmp_path, capsy
     assert [code for code, _ in alone] == [0, 0, 0, 0]
 
 
+def test_only_m3_loads_scipy(data_1000, tmp_path):
+    # a fresh interpreter: importing the CLI and running m1, m2a, a scan and a
+    # study leave SciPy unloaded; m3's chi-square cutoff is what loads it
+    pts = RngStream(97, 0).generator().normal(size=(200, 2)).tolist()
+    points = _write_lines(tmp_path, "p.csv", [f"{x!r},{y!r}" for x, y in pts])
+    calls = [["ci", "--method", "m1", "--input", str(data_1000)],
+             ["ci", "--method", "m2a", "--input", str(data_1000)],
+             ["mode2d", "--gamma", "2", "--res", "4", "--input", str(points),
+              "--out", str(tmp_path / "mask.csv")],
+             ["simulate", "--methods", "m1,m2,m2a", "--n", "200", "--beta", "1", "--reps", "2",
+              "--out", str(tmp_path / "study.csv")],
+             ["ci", "--method", "m3", "--input", str(data_1000)]]
+    verdict = tmp_path / "loaded.json"
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from modeset.cli import main\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        f"open({str(verdict)!r}, 'w').write(json.dumps(loaded))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(verdict.read_text()) == [False, False, False, False, False, True]
+
+
 def test_module_entry_point_help():
     env = {**os.environ, "PYTHONPATH": str(Path(modeset.__file__).parents[1])}
     proc = subprocess.run(

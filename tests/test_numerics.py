@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special
 
 from modeset import FBetaDensity, MethodInfeasibleError, RngStream, sample_uniform
-from modeset.numerics import qbeta, qchisq
+from modeset.numerics import _beta_tails, qbeta, qchisq
 from modeset.spacings import build_plan, lanke_inflation
 
 
@@ -27,7 +28,7 @@ def bisect_beta22_quantile(p, tol=1e-13):
 
 
 def test_qbeta_symmetry_and_uniform():
-    for k in (0.5, 1.0, 2.0, 7.5, 4000.0):
+    for k in (1, 2, 7, 8, 4000):
         assert qbeta(0.5, k, k) == pytest.approx(0.5, abs=1e-12)
     for p in (0.1, 0.37, 0.99):
         assert qbeta(p, 1, 1) == pytest.approx(p, abs=1e-12)
@@ -41,17 +42,60 @@ def test_qbeta_against_bisection_oracle():
 def test_qbeta_endpoints_and_errors():
     assert qbeta(0.0, 3, 4) == 0.0
     assert qbeta(1.0, 3, 4) == 1.0
-    with pytest.raises(ValueError, match="shape a must be a positive finite real"):
+    with pytest.raises(ValueError, match="shape a must be a positive integer"):
         qbeta(0.5, -1, 1)
-    with pytest.raises(ValueError, match="shape b must be a positive finite real"):
+    with pytest.raises(ValueError, match="shape b must be a positive integer"):
         qbeta(0.5, 1, math.inf)
     with pytest.raises(ValueError):
         qbeta(1.5, 1, 1)
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 3), (2, 3.0), (2.5, 3), (2, 0.5), (True, 3), (0, 3)])
+def test_qbeta_takes_positive_integer_shapes_only(a, b):
+    # the plans' shapes are 2**k and n + 1 - 2**k: a float, even a whole one, is refused
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        qbeta(0.5, a, b)
+
+
+def exact_beta_cdfs(x, n):
+    """[I_x(a, n + 1 - a) for a = 1..n] in exact rationals at the float x: the upper
+    tails P(Binomial(n, x) >= a), from integer terms over the common denominator."""
+    num, den = x.as_integer_ratio()
+    terms = [math.comb(n, k) * num**k * (den - num) ** (n - k) for k in range(n + 1)]
+    tails = [sum(terms[a:]) for a in range(1, n + 1)]
+    return [Fraction(tail, den**n) for tail in tails]
+
+
+def exact_beta_cdf(x, a, b):
+    return exact_beta_cdfs(x, a + b - 1)[a - 1]
+
+
+def test_beta_tails_match_exact_binomial_sums():
+    # every tail here is above the double range's floor, (1e-6)**40 the least
+    worst = 0.0
+    for n in range(1, 41):
+        for x in (1e-6, 0.003, 0.1, 0.37, 0.5, 0.81, 0.999, 1 - 2**-20):
+            for a, exact in enumerate(exact_beta_cdfs(x, n), start=1):
+                lower, upper, _ = _beta_tails(x, a, n + 1 - a)
+                for got, want in ((upper, exact), (lower, 1 - exact)):
+                    worst = max(worst, float(abs(Fraction(got) - want) / want))
+    assert worst <= 1e-12
+
+
+def test_qbeta_lies_within_1e_13_of_the_exact_root():
+    # the exact cdf crosses p between x (1 - 1e-13) and x (1 + 1e-13)
+    for n in (1, 2, 5, 17, 40):
+        for a in range(1, n + 1):
+            b = n + 1 - a
+            for p in (1e-8, 0.025, 0.5, 0.975, 1 - 1e-8):
+                x = qbeta(p, a, b)
+                assert exact_beta_cdf(x * (1 - 1e-13), a, b) <= p
+                assert p <= exact_beta_cdf(min(x * (1 + 1e-13), 1.0), a, b)
+
+
 def test_qbeta_strictly_increasing_in_p():
     ps = np.linspace(1e-6, 1 - 1e-6, 300)
-    for a, b in ((2.0, 2.0), (16.0, 4081.0), (0.6, 0.9)):
+    for a, b in ((2, 2), (16, 4081), (1, 3)):
         xs = np.array([qbeta(p, a, b) for p in ps])
         assert np.all(np.diff(xs) > 0)
 
@@ -59,18 +103,19 @@ def test_qbeta_strictly_increasing_in_p():
 def test_qbeta_round_trip():
     rng = np.random.default_rng(171)
     for _ in range(1000):
-        a = rng.uniform(0.5, 5000.0)
-        b = rng.uniform(0.5, 5000.0)
+        a = int(rng.integers(1, 5001))
+        b = int(rng.integers(1, 5001))
         p = rng.uniform(1e-9, 1.0 - 1e-9)
         assert abs(special.betainc(a, b, qbeta(p, a, b)) - p) <= 1e-9
 
 
 def test_qbeta_raises_when_the_inverse_misses(monkeypatch):
-    inverse = special.betaincinv
-    monkeypatch.setattr("modeset.numerics.special.betaincinv",
-                        lambda a, b, p: inverse(a, b, p) + 1e-6)
+    from modeset import numerics
+
+    inverse = numerics._beta_root
+    monkeypatch.setattr(numerics, "_beta_root", lambda p, a, b: inverse(p, a, b) + 1e-6)
     with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
-        qbeta(0.3, 2.0, 5.0)
+        qbeta(0.3, 2, 5)
 
 
 def test_qchisq_exponential_closed_form():
@@ -88,6 +133,13 @@ def test_qchisq_lower_support_and_errors():
         qchisq(0.5, 0)
     with pytest.raises(ValueError):
         qchisq(0.5, -4)
+
+
+def test_qchisq_raises_when_the_inverse_misses(monkeypatch):
+    inverse = special.gammaincinv
+    monkeypatch.setattr(special, "gammaincinv", lambda a, p: inverse(a, p) + 1e-6)
+    with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
+        qchisq(0.3, 4)
 
 
 def test_sample_uniform_determinism_and_streams():

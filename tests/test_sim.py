@@ -270,7 +270,7 @@ def test_study_checks_the_seed_before_starting_workers(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool built before the seed was checked")
 
-    monkeypatch.setattr("modeset.sim.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer, got -1$"):
         run_coverage_study(["m1"], [200], [1.0], replications=2, base_seed=-1, workers=2)
 
