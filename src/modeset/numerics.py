@@ -6,10 +6,11 @@ counter-based uniform sampler whose streams can be addressed by id for
 parallel replication.
 
 The plans take Beta(2**k, n + 1 - 2**k) quantiles, integer shapes only, so
-``qbeta`` computes the Beta cdf as a binomial tail with numpy alone.  Only
-``qchisq`` needs SciPy, and imports it when called: importing modeset and
-every method but m3 leave SciPy unloaded.  Both quantiles certify their
-result: a cdf residual above 1e-10 raises ``ArithmeticError``.
+``qbeta`` computes the Beta cdf as a binomial tail.  The m3 cutoff takes
+chi-square quantiles at even degrees of freedom only, so ``qchisq`` computes
+the chi-square cdf as a Poisson tail.  Both need numpy and ``math`` alone, and
+share one root finder.  Both quantiles certify their result: a cdf residual
+above 1e-10 raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def qbeta(p: float, a: int, b: int) -> float:
     if p == 1.0:
         return 1.0
     a, b = int(a), int(b)
-    x = _beta_root(p, a, b)
+    x = _cdf_root(p, lambda t: _beta_tails(t, a, b), a / (a + b), 1.0)
     lower, upper, _ = _beta_tails(x, a, b)
     resid = abs(upper - p if p <= 0.5 else lower - (1.0 - p))
     if not resid <= 1e-10:
@@ -98,20 +99,20 @@ def qbeta(p: float, a: int, b: int) -> float:
     return x
 
 
-def _beta_root(p: float, a: int, b: int) -> float:
-    """The x in (0, 1) with I_x(a, b) = p.
+def _cdf_root(p: float, tails, x: float, top: float) -> float:
+    """The x in (0, top) where the cdf is p, searched from the start ``x``.
 
-    Newton steps on log x against the log of the tail that holds p (the upper
-    binomial tail I for p <= 1/2, else 1 - I, whose complement 1 - p is exact),
-    kept inside a bracket of the root; a step that leaves it bisects instead.
+    ``tails(x)`` gives ``(1 - cdf, cdf, density)``.  Newton steps on log x
+    against the log of the tail that holds p (the cdf for p <= 1/2, else 1 - cdf,
+    whose complement 1 - p is exact), kept inside a bracket of the root; a step
+    that leaves it bisects instead, or doubles x while the bracket has no upper end.
     """
     rising = p <= 0.5  # whether the tail solved for grows with x
     target = math.log(p if rising else 1.0 - p)
-    lo, hi = 0.0, 1.0
-    x = a / (a + b)
+    lo, hi = 0.0, top
     for _ in range(200):
-        lower, upper, density = _beta_tails(x, a, b)
-        tail = upper if rising else lower
+        survival, cdf, density = tails(x)
+        tail = cdf if rising else survival
         if tail == 0.0:  # underflow: the root lies toward the tail's bulk
             lo, hi = (x, hi) if rising else (lo, x)
             step = math.inf
@@ -124,12 +125,12 @@ def _beta_root(p: float, a: int, b: int) -> float:
             # the sign of the tail's slope
             slope = x * density / tail
             step = gap / slope if slope > 0.0 else math.inf
-        # a step past e**700 would overflow; it leaves the bracket, so bisect
+        # a step past e**700 would overflow; it leaves the bracket, so fall back below
         nxt = x * math.exp(-step if rising else step) if abs(step) < 700.0 else math.nan
         if abs(nxt - x) <= 2.0**-50 * x:
-            return nxt if lo < nxt < hi else x  # x when the root rounds to 1
+            return nxt if lo < nxt < hi else x  # x when the root rounds to top
         if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
             if not lo < nxt < hi:  # no float lies strictly inside the bracket
                 return x
         x = nxt
@@ -142,33 +143,39 @@ def _beta_tails(x: float, a: int, b: int) -> tuple[float, float, float]:
     With n = a + b - 1 and t_k = P(Binomial(n, x) = k), I_x(a, b) is the upper
     tail sum of t_k over k >= a.  The tail on the side of a away from the mode
     (n + 1) x is summed outward from its boundary term, whose terms fall
-    monotonically: one ``cumprod`` of term ratios over about ten standard
-    deviations, widened while its last term is above 1e-17 of the sum.  The
-    other tail is the complement.  The Beta(a, b) density at x is the boundary
-    term times a / x or b / (1 - x).
+    monotonically, by :func:`_tail_sum`.  The other tail is the complement.
+    The Beta(a, b) density at x is the boundary term times a / x or b / (1 - x).
     """
     n = a + b - 1
     upper = a > (n + 1) * x
     k = a if upper else a - 1  # boundary term of the summed tail
     odds = x / (1.0 - x)
-    span = n - k if upper else k  # terms beyond the boundary
-    width = min(span, math.ceil(10.0 * math.sqrt(n * x * (1.0 - x))) + 16)
-    while True:
-        j = np.arange(width, dtype=np.float64)
-        if upper:
-            ratios = (n - k - j) / (k + 1 + j) * odds  # t_(k+j+1) / t_(k+j)
-        else:
-            ratios = (k - j) / (n - k + 1 + j) / odds  # t_(k-j-1) / t_(k-j)
-        terms = np.cumprod(ratios)
-        total = 1.0 + float(terms.sum())
-        if width == span or terms[-1] <= 1e-17 * total:
-            break
-        width = min(span, 2 * width)
+    sd = math.sqrt(n * x * (1.0 - x))
+    if upper:  # t_(k+j+1) / t_(k+j)
+        total = _tail_sum(lambda j: (n - k - j) / (k + 1 + j) * odds, n - k, sd)
+    else:  # t_(k-j-1) / t_(k-j)
+        total = _tail_sum(lambda j: (k - j) / (n - k + 1 + j) / odds, k, sd)
     term = math.exp(_log_binomial_term(k, n, x))
     tail = term * total
     if upper:
         return 1.0 - tail, tail, a * term / x
     return tail, 1.0 - tail, b * term / (1.0 - x)
+
+
+def _tail_sum(ratios, span, sd: float) -> float:
+    """A tail sum in units of its boundary term: 1 plus the running products of
+    the term ratios ``ratios(j)``, j = 0, 1, ..., span - 1, each below 1.
+
+    One ``cumprod`` over about ten standard deviations ``sd``, doubled while its
+    last term is above 1e-17 of the sum.
+    """
+    width = min(span, math.ceil(10.0 * sd) + 16)
+    while True:
+        terms = np.cumprod(ratios(np.arange(width, dtype=np.float64)))
+        total = 1.0 + float(terms.sum())
+        if width == span or terms[-1] <= 1e-17 * total:
+            return total
+        width = min(span, 2 * width)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -185,6 +192,13 @@ def _log_binomial_term(k: int, n: int, x: float) -> float:
     return (_stirling_remainder(n) - _stirling_remainder(k) - _stirling_remainder(n - k)
             - _deviance(k, n * x) - _deviance(n - k, n * (1.0 - x))
             + 0.5 * math.log(n / (k * (n - k))) - _HALF_LOG_2PI)
+
+
+def _log_poisson_term(m: int, lam: float) -> float:
+    """log P(Poisson(lam) = m), in Loader's (2000) form."""
+    if m == 0:
+        return -lam
+    return -_stirling_remainder(m) - _deviance(m, lam) - 0.5 * math.log(m) - _HALF_LOG_2PI
 
 
 def _stirling_remainder(m: int) -> float:
@@ -212,28 +226,53 @@ def _deviance(k: int, mean: float) -> float:
 
 
 def qchisq(p: float, df: int) -> float:
-    """Chi-square quantile with ``df`` degrees of freedom.
+    """Chi-square quantile for positive even ``df``, the only degrees of freedom
+    m3's cutoff uses.
 
-    Computed through SciPy's inverse regularized lower incomplete gamma
-    function, imported here: m3's cutoff is the only use of SciPy in modeset.
-    The result satisfies ``|CDF(result) - p| <= 1e-10``; a miss raises
-    ``ArithmeticError``.
+    For df = 2k the cdf is a Poisson tail, P(chi2_2k <= x) = P(Poisson(x / 2)
+    >= k); :func:`_chisq_tails` sums it.  ``qchisq(0, .) == 0`` and
+    ``qchisq(1, .) == inf``.  The result satisfies ``|CDF(result) - p| <=
+    1e-10``; a miss raises ``ArithmeticError``.
     """
-    if not is_count(df) or df <= 0:
-        raise ValueError(f"df must be a positive integer, got {df}")
+    if not is_count(df) or df <= 0 or df % 2:
+        raise ValueError(f"df must be a positive even integer, got {df!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
         return 0.0
     if p == 1.0:
         return math.inf
-    from scipy import special
-
-    x = float(2.0 * special.gammaincinv(df / 2.0, p))
-    resid = abs(float(special.gammainc(df / 2.0, x / 2.0)) - p)
+    k = int(df) // 2
+    x = _cdf_root(p, lambda t: _chisq_tails(t, k), 2.0 * k, math.inf)
+    survival, cdf, _ = _chisq_tails(x, k)
+    resid = abs(cdf - p if p <= 0.5 else survival - (1.0 - p))
     if not resid <= 1e-10:
         raise ArithmeticError(f"qchisq({p!r}, {df!r}) residual {resid!r} exceeds 1e-10")
     return x
+
+
+def _chisq_tails(x: float, k: int) -> tuple[float, float, float]:
+    """``(1 - F, F, density)`` at x > 0 for the chi-square law with 2k degrees of
+    freedom, where F(x) = P(Poisson(x / 2) >= k).
+
+    With lam = x / 2 and t_j = P(Poisson(lam) = j), the tail on the side of k
+    away from lam is summed outward from its boundary term, t_k upward or
+    t_(k-1) downward, whose terms fall monotonically, by :func:`_tail_sum`: the
+    term ratios are lam / (j + 1) or j / lam.  The other tail is the complement.
+    The density is t_(k-1) / 2.
+    """
+    lam = 0.5 * x
+    upper = k > lam
+    m = k if upper else k - 1  # boundary term of the summed tail
+    if upper:
+        total = _tail_sum(lambda j: lam / (m + 1 + j), math.inf, math.sqrt(lam))
+    else:
+        total = _tail_sum(lambda j: (m - j) / lam, m, math.sqrt(lam))
+    term = math.exp(_log_poisson_term(m, lam))
+    tail = term * total
+    if upper:
+        return 1.0 - tail, tail, 0.5 * term * k / lam
+    return tail, 1.0 - tail, 0.5 * term
 
 
 def sample_uniform(stream: RngStream, n: int) -> np.ndarray:

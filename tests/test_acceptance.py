@@ -286,8 +286,17 @@ def test_criterion_08_numerics_contracts():
     worst_chi = 0.0
     for p in np.arange(0.01, 1.0, 0.01):
         worst_chi = max(worst_chi, abs(qchisq(float(p), 2) + 2 * math.log1p(-p)))
-    ok = worst_rt <= 1e-9 and worst_chi <= 1e-10
-    detail = f"beta round trip {worst_rt:.2e}<=1e-9; chisq(2) {worst_chi:.2e}<=1e-10"
+    worst_chi_rt = 0.0
+    for _ in range(1000):
+        df = 2 * int(rng.integers(1, 10**6 + 1))
+        p = rng.uniform(1e-9, 1 - 1e-9)
+        worst_chi_rt = max(worst_chi_rt, abs(special.gammainc(df / 2, qchisq(p, df) / 2) - p))
+    for n in (40, 1000, 4000, 10**6):  # m3's cutoff on n evaluation points
+        df, p = 2 * n, 1 - ALPHA
+        worst_chi_rt = max(worst_chi_rt, abs(special.gammainc(df / 2, qchisq(p, df) / 2) - p))
+    ok = worst_rt <= 1e-9 and worst_chi <= 1e-10 and worst_chi_rt <= 1e-10
+    detail = (f"beta round trip {worst_rt:.2e}<=1e-9; chisq(2) {worst_chi:.2e}<=1e-10; "
+              f"chisq round trip {worst_chi_rt:.2e}<=1e-10")
     assert _criterion(8, "numerics contracts", ok, detail), detail
 
 

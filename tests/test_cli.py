@@ -557,18 +557,22 @@ def test_calls_in_one_process_read_as_each_does_alone(data_1000, tmp_path, capsy
     assert [code for code, _ in alone] == [0, 0, 0, 0]
 
 
-def test_only_m3_loads_scipy(data_1000, tmp_path):
-    # a fresh interpreter: importing the CLI and running m1, m2a, a scan and a
-    # study leave SciPy unloaded; m3's chi-square cutoff is what loads it
+def test_no_command_loads_scipy(data_1000, tmp_path):
+    # a fresh interpreter: importing the CLI and running every ci method, an m1
+    # and an m3 scan and an m3/m3p study leave SciPy unloaded, m3's chi-square
+    # cutoff (ci, the scan's covers and the study) included
     pts = RngStream(97, 0).generator().normal(size=(200, 2)).tolist()
     points = _write_lines(tmp_path, "p.csv", [f"{x!r},{y!r}" for x, y in pts])
     calls = [["ci", "--method", "m1", "--input", str(data_1000)],
+             ["ci", "--method", "m2", "--h", "0.3", "--input", str(data_1000)],
              ["ci", "--method", "m2a", "--input", str(data_1000)],
-             ["mode2d", "--gamma", "2", "--res", "4", "--input", str(points),
-              "--out", str(tmp_path / "mask.csv")],
-             ["simulate", "--methods", "m1,m2,m2a", "--n", "200", "--beta", "1", "--reps", "2",
-              "--out", str(tmp_path / "study.csv")],
-             ["ci", "--method", "m3", "--input", str(data_1000)]]
+             ["ci", "--method", "m3", "--input", str(data_1000)],
+             ["ci", "--method", "m3p", "--input", str(data_1000)],
+             *(["mode2d", "--gamma", "2", "--res", "4", "--method", method,
+                "--input", str(points), "--out", str(tmp_path / f"mask_{method}.csv")]
+               for method in ("m1", "m3")),
+             ["simulate", "--methods", "m3,m3p", "--n", "200", "--beta", "1", "--reps", "2",
+              "--out", str(tmp_path / "study.csv")]]
     verdict = tmp_path / "loaded.json"
     script = (
         "import contextlib, io, json, sys\n"
@@ -584,7 +588,7 @@ def test_only_m3_loads_scipy(data_1000, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(verdict.read_text()) == [False, False, False, False, False, True]
+    assert json.loads(verdict.read_text()) == [False] * (1 + len(calls))
 
 
 def test_module_entry_point_help():
@@ -661,6 +665,26 @@ def test_simulate_bytes_are_pinned_at_the_edges(tmp_path, capsys, workers):
     capsys.readouterr()
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, widths))
     assert digests == _EDGE_STUDY_DIGESTS
+
+
+# sha256 of the `ci` JSON for m3 and m3p on triangular(0, 0.3, 1) samples; m3's
+# cutoff is the chi-square quantile at 4000 and 20000 degrees of freedom, two per
+# point of the evaluation half
+_M3_PAYLOAD_DIGESTS = {
+    ("m3", 4000): "2d7a580ed094f9a5de47790e02d99bddbdc1abfd18a8d28e5f65d4e78c0bbf71",
+    ("m3p", 4000): "04015955121f26e0b6628cccb30e692fa401cce2225b14a204f0df785e5f69ec",
+    ("m3", 20000): "9360d7eaeb2c20c43a7c7c55c286bf4a33a4f17c76e90648a6e696511efa9f49",
+    ("m3p", 20000): "78bd2a63a1a76e8a012228756e38b760354da4ebb1281ac5a35bd28b8f7a56dd",
+}
+
+
+@pytest.mark.parametrize("method, n", sorted(_M3_PAYLOAD_DIGESTS))
+def test_m3_payloads_are_pinned_at_large_n(tmp_path, capsys, method, n):
+    values = RngStream(98, n).generator().triangular(0.0, 0.3, 1.0, n)
+    path = _write_lines(tmp_path, "tri.txt", values)
+    assert main(["ci", "--method", method, "--input", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _M3_PAYLOAD_DIGESTS[method, n]
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import special
 
 from modeset import FBetaDensity, MethodInfeasibleError, RngStream, sample_uniform
-from modeset.numerics import _beta_tails, qbeta, qchisq
+from modeset.numerics import _beta_tails, _chisq_tails, qbeta, qchisq
 from modeset.spacings import build_plan, lanke_inflation
 
 
@@ -112,8 +113,8 @@ def test_qbeta_round_trip():
 def test_qbeta_raises_when_the_inverse_misses(monkeypatch):
     from modeset import numerics
 
-    inverse = numerics._beta_root
-    monkeypatch.setattr(numerics, "_beta_root", lambda p, a, b: inverse(p, a, b) + 1e-6)
+    inverse = numerics._cdf_root
+    monkeypatch.setattr(numerics, "_cdf_root", lambda *args: inverse(*args) + 1e-6)
     with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
         qbeta(0.3, 2, 5)
 
@@ -127,19 +128,61 @@ def test_qchisq_exponential_closed_form():
 
 
 def test_qchisq_lower_support_and_errors():
-    assert qchisq(1e-12, 3) > 0.0
-    assert qchisq(1e-12, 3) < 1e-3
+    assert qchisq(1e-12, 4) > 0.0
+    assert qchisq(1e-12, 4) < 1e-3
     with pytest.raises(ValueError):
         qchisq(0.5, 0)
     with pytest.raises(ValueError):
         qchisq(0.5, -4)
+    for df in (3, 5):  # m3's cutoff takes even df only
+        with pytest.raises(ValueError, match="positive even integer"):
+            qchisq(0.5, df)
 
 
 def test_qchisq_raises_when_the_inverse_misses(monkeypatch):
-    inverse = special.gammaincinv
-    monkeypatch.setattr(special, "gammaincinv", lambda a, p: inverse(a, p) + 1e-6)
+    from modeset import numerics
+
+    inverse = numerics._cdf_root
+    monkeypatch.setattr(numerics, "_cdf_root", lambda *args: inverse(*args) + 1e-6)
     with pytest.raises(ArithmeticError, match="exceeds 1e-10"):
         qchisq(0.3, 4)
+
+
+def _exact_poisson_tails(k, x):
+    # 80-digit sums of t_j = P(Poisson(x / 2) = j), each tail on its own:
+    # j < k, and j >= k until the terms have fallen below 1e-40 of the sum
+    with localcontext() as ctx:
+        ctx.prec = 80
+        lam = Decimal(x) / 2
+        term, lower, upper, j = (-lam).exp(), Decimal(0), Decimal(0), 0
+        while j < k or j <= lam or term > upper * Decimal("1e-40"):
+            if j < k:
+                lower += term
+            else:
+                upper += term
+            if j == k - 1:
+                density = term / 2
+            j += 1
+            term = term * lam / j
+        return lower, upper, density
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 30, 120, 200])
+def test_chisq_tails_match_exact_poisson_sums(k):
+    # both sides of the mean 2k; x where the smaller tail underflows are left out
+    xs = sorted({*np.geomspace(0.01, 3 * k + 50, 17).tolist(), 2 * k - 0.5, 2 * k, 2 * k + 0.5})
+    checked = 0
+    for x in xs:
+        exact = _exact_poisson_tails(k, x)
+        if min(exact[:2]) < Decimal("1e-300"):
+            continue
+        checked += 1
+        got = _chisq_tails(x, k)  # 1 - F = P(N < k) and F = P(N >= k)
+        small, big = (0, 1) if exact[0] < exact[1] else (1, 0)
+        for i in (small, 2):
+            assert abs(Decimal(got[i]) - exact[i]) <= Decimal("1e-12") * exact[i], (k, x, i)
+        assert abs(Decimal(got[big]) - exact[big]) <= Decimal("1e-15"), (k, x)
+    assert checked >= 10
 
 
 def test_sample_uniform_determinism_and_streams():
